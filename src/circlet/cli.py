@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 negative verdict on a well-posed question (for
 example a wavelet that fails admissibility), 1 any error (bad input file,
-malformed arguments, I/O failure).  All stdout output is deterministic for
+malformed arguments or values the library refuses, I/O failure).  All stdout output is deterministic for
 fixed arguments, so repeated runs are byte-identical.
 """
 
@@ -370,10 +370,9 @@ def main(argv=None) -> int:
         if exc.message:
             print(exc.message, file=sys.stderr)
         return exc.code
-    except CircletError as exc:
-        print(f"circlet: error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (CircletError, OSError, ValueError) as exc:
+        # ValueError: an argument value the library refuses, such as a
+        # one-node scale grid or a Laguerre weight that is not a half-integer
         print(f"circlet: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -5,7 +5,9 @@ The transform of a signal psi against a wavelet gamma is
 computed per scale as a mode sum: in the orthonormal basis
 e^{2 i n theta}/sqrt(pi) the acted wavelet has coefficients
 e^{-2 i n vartheta} c_n(a), where c_n(a) is the coefficient of the purely
-dilated wavelet, so one inverse discrete transform per scale suffices.
+dilated wavelet.  On a midpoint angle grid the mode sum is one inverse FFT
+per scale (all scales batched), and the angle integral of reconstruction
+is one forward FFT.
 
 Admissibility is controlled by the per-mode scale integrals
     L_n = int_0^inf da/a^2 |c_n(a)|^2,
@@ -19,24 +21,22 @@ c_n(a) is evaluated in the undilated variable,
              e^{-2 i n dilate(u, a)} du,
 which needs gamma only at grid nodes and stays accurate at scales far
 below the grid spacing (the dilated-variable form cannot resolve those).
+The table c_n(a) depends only on the wavelet samples, the scale grid and
+n_max, so admissibility, analysis and reconstruction share one read-only
+copy from a small content-keyed memo.
 """
 
 from __future__ import annotations
 
+import threading
 import warnings
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import (
-    CircleGrid,
-    CircleSignal,
-    _guard_aliasing,
-    dilate_angle,
-    multiplier,
-    rep_action,
-)
-from .errors import DecayError, GridMismatchError
+from .circle import CircleGrid, CircleSignal, _guard_aliasing, rep_action
+from .errors import DecayError
 
 DEFAULT_N_MAX = 64
 DEFAULT_SCALE_MIN = 1e-3
@@ -48,6 +48,9 @@ WEAK_VERDICT_TOL = 1e-8
 MODE_FLOOR = 1e-12
 SMALL_SCALE_DECAY_TOL = 1e-2
 PLATEAU_SPREAD_TOL = 5e-2
+
+TABLE_BLOCK = 32  # scales per vectorised block of the dilated-coefficient kernel
+TABLE_MEMO_SIZE = 4  # dilated-coefficient tables kept for reuse
 
 
 @dataclass(frozen=True)
@@ -109,26 +112,57 @@ class FourierCoeffs:
         return complex(self.values[n + self.n_max])
 
 
+def _check_n_max(n_samples: int, n_max: int):
+    if n_max > n_samples // 4:
+        raise ValueError(f"n_max {n_max} exceeds n_samples/4 = {n_samples // 4}")
+
+
+def _grid_phase(n_max: int, grid: CircleGrid) -> tuple[np.ndarray, np.ndarray]:
+    """FFT bins n mod N of the modes |n| <= n_max, and e^{2 i n theta_0}.
+
+    On the midpoint grid theta_k = -pi/2 + pi (k + 1/2)/N,
+    e^{2 i n theta_k} = e^{i pi n (1/N - 1)} e^{2 pi i n k / N}.
+    """
+    n = grid.n_samples
+    ns = np.arange(-n_max, n_max + 1)
+    return np.mod(ns, n), np.exp(-1j * ns * np.pi * (1.0 - 1.0 / n))
+
+
+def _mode_sum(weights: np.ndarray, grid: CircleGrid) -> np.ndarray:
+    """sum_n weights[..., n + n_max] e^{2 i n theta} on grid, over the last axis.
+
+    Modes are folded into bins n mod N, so grids with fewer than
+    2 n_max + 1 points are handled exactly.
+    """
+    n = grid.n_samples
+    bins, phase = _grid_phase((weights.shape[-1] - 1) // 2, grid)
+    folded = np.zeros(weights.shape[:-1] + (n,), dtype=complex)
+    np.add.at(folded, (..., bins), weights * phase)
+    return n * np.fft.ifft(folded, axis=-1)
+
+
+def _mode_projection(values: np.ndarray, grid: CircleGrid, n_max: int) -> np.ndarray:
+    """sum_k values[..., k] e^{-2 i n theta_k} for |n| <= n_max, over the last axis."""
+    bins, phase = _grid_phase(n_max, grid)
+    return np.fft.fft(values, axis=-1)[..., bins] * np.conj(phase)
+
+
 def fourier_coeffs(psi: CircleSignal, n_max: int = DEFAULT_N_MAX) -> FourierCoeffs:
     """Coefficients of psi in the orthonormal mode basis, by the midpoint rule."""
     n = psi.grid.n_samples
-    if n_max > n // 4:
-        raise ValueError(f"n_max {n_max} exceeds n_samples/4 = {n // 4}")
+    _check_n_max(n, n_max)
     _guard_aliasing(psi, "fourier_coeffs")
-    u = np.fft.fft(psi.values)
-    ns = np.arange(-n_max, n_max + 1)
-    phase = np.exp(1j * ns * np.pi * (1.0 - 1.0 / n))
-    vals = (np.sqrt(np.pi) / n) * phase * u[np.mod(ns, n)]
+    vals = (np.sqrt(np.pi) / n) * _mode_projection(psi.values, psi.grid, n_max)
     return FourierCoeffs(n_max, vals)
 
 
 def mode_synthesis(grid: CircleGrid, coeffs: FourierCoeffs) -> CircleSignal:
     """Signal with the given mode coefficients, sampled on grid."""
-    t = grid.nodes
-    vals = np.zeros(grid.n_samples, dtype=complex)
-    for n, c in zip(coeffs.ns, coeffs.values):
-        vals += (c / np.sqrt(np.pi)) * np.exp(2j * n * t)
-    return CircleSignal(grid, vals)
+    return CircleSignal(grid, _mode_sum(coeffs.values / np.sqrt(np.pi), grid))
+
+
+_table_memo: OrderedDict = OrderedDict()
+_table_lock = threading.Lock()
 
 
 def dilated_coeffs(gamma: CircleSignal, scales: ScaleGrid, n_max: int = DEFAULT_N_MAX) -> np.ndarray:
@@ -138,22 +172,62 @@ def dilated_coeffs(gamma: CircleSignal, scales: ScaleGrid, n_max: int = DEFAULT_
     undilated variable (see module docstring), so only wavelet samples on
     the grid enter; agreement with the dilate-then-project route at
     moderate scales is part of the test contract.
+
+    The table is read-only and shared: the last TABLE_MEMO_SIZE tables are
+    kept, keyed on the wavelet samples, the scale grid and n_max.
+    """
+    key = (
+        gamma.values.tobytes(),
+        gamma.grid.n_samples,
+        scales.a_min,
+        scales.a_max,
+        scales.count,
+        n_max,
+    )
+    with _table_lock:
+        table = _table_memo.get(key)
+        if table is not None:
+            _table_memo.move_to_end(key)
+            return table
+    table = _dilated_table(gamma, scales, n_max)
+    table.flags.writeable = False
+    with _table_lock:
+        _table_memo[key] = table
+        while len(_table_memo) > TABLE_MEMO_SIZE:
+            _table_memo.popitem(last=False)
+    return table
+
+
+def _dilated_table(gamma: CircleSignal, scales: ScaleGrid, n_max: int) -> np.ndarray:
+    """c_n(a) by cumulative powers of e^{-2 i dilate(u, a)}, TABLE_BLOCK scales at a time.
+
+    For a real wavelet c_{-n} = conj(c_n), so only n >= 0 is summed.
     """
     u = gamma.grid.nodes
     n = gamma.grid.n_samples
     gv = gamma.values
+    real = not np.any(gv.imag)
+    cos2 = np.cos(u) ** 2
+    tan = np.tan(u)
     out = np.empty((2 * n_max + 1, scales.count), dtype=complex)
-    for j, a in enumerate(scales.nodes):
-        w = (np.sqrt(np.pi) / n) * np.sqrt(multiplier(a, u)) * gv
-        z = np.exp(-2j * dilate_angle(u, a))
-        p = w.astype(complex)
-        out[n_max, j] = p.sum()
-        q = p.copy()
+    nodes = scales.nodes
+    for lo in range(0, scales.count, TABLE_BLOCK):
+        a = nodes[lo:lo + TABLE_BLOCK, None]
+        cols = slice(lo, lo + a.shape[0])
+        mult = a / (a * a + (1.0 - a * a) * cos2)
+        p = (np.sqrt(np.pi) / n) * np.sqrt(mult) * gv
+        z = np.exp(-2j * np.arctan(a * tan))
+        out[n_max, cols] = p.sum(axis=1)
+        if not real:
+            q, zc = p.copy(), np.conj(z)
         for m in range(1, n_max + 1):
-            p = p * z
-            out[n_max + m, j] = p.sum()
-            q = q * np.conj(z)
-            out[n_max - m, j] = q.sum()
+            p *= z
+            out[n_max + m, cols] = p.sum(axis=1)
+            if not real:
+                q *= zc
+                out[n_max - m, cols] = q.sum(axis=1)
+    if real:
+        out[:n_max] = np.conj(out[:n_max:-1])
     return out
 
 
@@ -236,6 +310,7 @@ def lambda_sequence(
     plateaued outer mode band (truncation heuristic; a warning explains
     when it fails).
     """
+    _check_n_max(gamma.grid.n_samples, n_max)
     scales = scales or default_scale_grid()
     coeffs = dilated_coeffs(gamma, scales, n_max)
     integrand = np.abs(coeffs) ** 2 / scales.nodes
@@ -374,19 +449,7 @@ def analyze(
         n_max = min(DEFAULT_N_MAX, psi.grid.n_samples // 4)
     ph = fourier_coeffs(psi, n_max)
     cg = dilated_coeffs(gamma, scales, n_max)
-    vt = angles.nodes
-    out = np.zeros((scales.count, angles.n_samples), dtype=complex)
-    # e^{2 i n vartheta} built by cumulative powers, same trick as dilated_coeffs
-    base = np.exp(2j * vt)
-    weights = np.conj(cg) * ph.values[:, None]  # (modes, scales)
-    out += weights[n_max][None, :].T  # n = 0 term
-    p = np.ones_like(base)
-    q = np.ones_like(base)
-    for m in range(1, n_max + 1):
-        p = p * base
-        q = q * np.conj(base)
-        out += np.outer(weights[n_max + m], p)
-        out += np.outer(weights[n_max - m], q)
+    out = _mode_sum(np.conj(cg.T) * ph.values, angles)  # (scales, angles)
     return Scalogram(scales=scales, angles=angles, values=out, n_max=n_max)
 
 
@@ -417,20 +480,14 @@ def synthesize(
     """
     n_max = min(report.n_max, scalogram.n_max)
     cg = dilated_coeffs(gamma, scalogram.scales, n_max)
-    vt = scalogram.angles.nodes
-    w_ang = scalogram.angles.spacing
-    floor = mode_floor * report.sup_lambda
-    ns = np.arange(-n_max, n_max + 1)
+    angles = scalogram.angles
+    # inner angle integrals for all modes at once, (scales, modes)
+    inner = angles.spacing * _mode_projection(scalogram.values, angles, n_max)
+    num = scalogram.scales.integrate_da_over_a2(cg * inner.T)
+    lam = report.lambdas[report.n_max - n_max:report.n_max + n_max + 1]
+    live = lam > mode_floor * report.sup_lambda
     psi_hat = np.zeros(2 * n_max + 1, dtype=complex)
-    # inner angle integrals for all modes at once
-    E = np.exp(-2j * np.outer(ns, vt))  # (modes, angles)
-    inner = w_ang * (E @ scalogram.values.T)  # (modes, scales)
-    for idx, m in enumerate(ns):
-        lam_m = report.lambda_of(int(m))
-        if lam_m <= floor:
-            continue
-        num = scalogram.scales.integrate_da_over_a2(cg[idx] * inner[idx])
-        psi_hat[idx] = num / (np.pi * lam_m)
+    psi_hat[live] = num[live] / (np.pi * lam[live])
     # the reconstruction approximates the analyzed signal, so it lands on
     # the scalogram's angle grid, not the wavelet's
-    return mode_synthesis(scalogram.angles, FourierCoeffs(n_max, psi_hat))
+    return mode_synthesis(angles, FourierCoeffs(n_max, psi_hat))

@@ -157,6 +157,9 @@ def report_to_dict(report: AdmissibilityReport) -> dict:
         "sup": report.sup_lambda,
         "inf": report.inf_lambda,
         "weak_integral": float(report.weak_integral.real),
+        "weak_ok": bool(report.weak_ok),
+        "small_scale_converged": bool(report.small_scale_converged),
+        "plateau_ok": bool(report.plateau_ok),
         "admissible": bool(report.admissible),
         "truncation": {
             "a_min": float(report.scales.a_min),
@@ -172,8 +175,15 @@ def write_report(path, report: AdmissibilityReport):
     atomic_write_text(Path(path), _dump_json(report_to_dict(report)))
 
 
+REPORT_FLAGS = ("weak_ok", "small_scale_converged", "plateau_ok", "admissible")
+
+
 def read_report(path) -> AdmissibilityReport:
-    """Rebuild enough of a report from its JSON to drive reconstruction."""
+    """Rebuild enough of a report from its JSON to drive reconstruction.
+
+    The verdict flags are restored as written; a report without them is
+    refused rather than given guessed values.
+    """
     path = Path(path)
     try:
         obj = json.loads(path.read_text())
@@ -190,17 +200,19 @@ def read_report(path) -> AdmissibilityReport:
         if not np.array_equal(ns, np.arange(-n_max, n_max + 1)):
             raise FormatError("lambda entries must cover -n_max..n_max")
         lambdas = np.array([v for _, v in entries])
+        flags = {}
+        for key in REPORT_FLAGS:
+            if not isinstance(obj.get(key), bool):
+                raise FormatError(f"{path}: report needs a true/false {key!r}")
+            flags[key] = obj[key]
         return AdmissibilityReport(
             n_max=n_max,
             lambdas=lambdas,
             weak_integral=complex(obj["weak_integral"]),
-            weak_ok=bool(obj["admissible"]),
             scales=scales,
             tail_lo=float(tr["tail_lo"]),
             tail_hi=float(tr["tail_hi"]),
-            small_scale_converged=bool(obj["admissible"]),
-            plateau_ok=True,
-            admissible=bool(obj["admissible"]),
+            **flags,
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, FormatError):

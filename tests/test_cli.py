@@ -53,6 +53,26 @@ def test_usage_error_exits_one():
     assert res.returncode == 1
 
 
+def test_aliased_mode_budget_exits_one():
+    # n_max above n_samples/4 is an ill-posed question, not a negative verdict
+    res = run(["admissibility", "--builtin", "dog:2", "--n-max", "600"])
+    assert res.returncode == 1
+    assert "admissible" not in res.stdout
+    assert res.stderr.strip() == "circlet: error: n_max 600 exceeds n_samples/4 = 256"
+
+
+def test_one_node_scale_grid_exits_one():
+    res = run(["admissibility", "--builtin", "dog:2", "--scale-count", "1"])
+    assert res.returncode == 1
+    assert res.stderr.strip() == "circlet: error: need at least 2 scale nodes, got 1"
+
+
+def test_non_half_integer_weight_exits_one():
+    res = run(["laguerre", "--k", "0.7"])
+    assert res.returncode == 1
+    assert res.stderr.strip() == "circlet: error: weight must be a half-integer, got 0.7"
+
+
 def test_repeated_runs_byte_identical(tmp_path):
     out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
     res_a = run(["admissibility", "--builtin", "dog:2", "--out", str(out_a)])

@@ -1,5 +1,7 @@
 """Transform layer: mode coefficients, admissibility, analysis, reconstruction."""
 
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -25,7 +27,9 @@ from circlet import (
     synthesize,
     weak_admissibility,
 )
-from circlet.cwt import FourierCoeffs
+from circlet import cwt
+from circlet.circle import dilate_angle, multiplier
+from circlet.cwt import MODE_FLOOR, TABLE_MEMO_SIZE, FourierCoeffs
 
 GRID = CircleGrid(1024)
 
@@ -284,3 +288,192 @@ def test_fourier_coeffs_container():
         c[3]
     with pytest.raises(ValueError):
         FourierCoeffs(3, np.zeros(5, dtype=complex))
+
+
+def test_lambda_sequence_caps_n_max(dog):
+    with pytest.raises(ValueError, match="n_samples/4"):
+        lambda_sequence(dog, n_max=GRID.n_samples // 4 + 1)
+
+
+# Reference implementations: direct per-scale and per-mode loops, against
+# which the memoised table and the FFT transforms are checked.
+
+def loop_dilated_coeffs(gamma, scales, n_max):
+    u = gamma.grid.nodes
+    n = gamma.grid.n_samples
+    out = np.empty((2 * n_max + 1, scales.count), dtype=complex)
+    for j, a in enumerate(scales.nodes):
+        p = ((np.sqrt(np.pi) / n) * np.sqrt(multiplier(a, u)) * gamma.values).astype(complex)
+        z = np.exp(-2j * dilate_angle(u, a))
+        out[n_max, j] = p.sum()
+        q = p.copy()
+        for m in range(1, n_max + 1):
+            p = p * z
+            out[n_max + m, j] = p.sum()
+            q = q * np.conj(z)
+            out[n_max - m, j] = q.sum()
+    return out
+
+
+def loop_mode_synthesis(grid, coeffs):
+    vals = np.zeros(grid.n_samples, dtype=complex)
+    for n, c in zip(coeffs.ns, coeffs.values):
+        vals += (c / np.sqrt(np.pi)) * np.exp(2j * n * grid.nodes)
+    return vals
+
+
+def loop_analyze(psi, gamma, scales, n_max, angles):
+    ph = fourier_coeffs(psi, n_max)
+    cg = loop_dilated_coeffs(gamma, scales, n_max)
+    out = np.zeros((scales.count, angles.n_samples), dtype=complex)
+    for idx, n in enumerate(ph.ns):
+        out += np.outer(np.conj(cg[idx]) * ph.values[idx], np.exp(2j * n * angles.nodes))
+    return out
+
+
+def loop_synthesize(scal, gamma, report, mode_floor=MODE_FLOOR):
+    n_max = min(report.n_max, scal.n_max)
+    cg = loop_dilated_coeffs(gamma, scal.scales, n_max)
+    psi_hat = np.zeros(2 * n_max + 1, dtype=complex)
+    for idx, m in enumerate(range(-n_max, n_max + 1)):
+        lam = report.lambda_of(m)
+        if lam <= mode_floor * report.sup_lambda:
+            continue
+        inner = scal.angles.spacing * (scal.values @ np.exp(-2j * m * scal.angles.nodes))
+        psi_hat[idx] = scal.scales.integrate_da_over_a2(cg[idx] * inner) / (np.pi * lam)
+    return loop_mode_synthesis(scal.angles, FourierCoeffs(n_max, psi_hat))
+
+
+def rel_gap(got, want):
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+def oracle_wavelet(dog, kind):
+    """The even real dog, a rotated (real, not even) copy, or a complex one.
+
+    Only the complex wavelet lacks the symmetry c_{-n} = conj(c_n); only
+    the rotated one has complex c_n with that symmetry.
+    """
+    if kind == "rotated":
+        return CircleSignal(GRID, rep_action(dog, 1.0, 0.3).values.real)
+    if kind == "complex":
+        return CircleSignal(GRID, dog.values * np.exp(2j * GRID.nodes))
+    return dog
+
+
+WAVELET_KINDS = ["even", "rotated", "complex"]
+
+
+ORACLE_SCALES = ScaleGrid(1e-2, 1e2, 40)
+
+
+@pytest.mark.parametrize("kind", WAVELET_KINDS)
+@pytest.mark.parametrize("n_max", [8, 32, 64])
+def test_dilated_coeffs_match_loop_oracle(dog, kind, n_max):
+    gamma = oracle_wavelet(dog, kind)
+    got = dilated_coeffs(gamma, ORACLE_SCALES, n_max)
+    assert rel_gap(got, loop_dilated_coeffs(gamma, ORACLE_SCALES, n_max)) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", WAVELET_KINDS)
+@pytest.mark.parametrize("n_max", [8, 32, 64])
+@pytest.mark.parametrize("n_angles", [1024, 96, 16])
+def test_analyze_synthesize_match_loop_oracle(dog, kind, n_max, n_angles):
+    # 96 and 16 angles differ from the signal's grid; 16 has fewer points
+    # than the 2 n_max + 1 modes, so modes share FFT bins
+    gamma = oracle_wavelet(dog, kind)
+    rng = np.random.default_rng(n_max + n_angles)
+    ns = np.arange(-8, 9)
+    c = rng.normal(size=ns.size) + 1j * rng.normal(size=ns.size)
+    psi = CircleSignal(GRID, np.exp(2j * np.outer(GRID.nodes, ns)) @ c)
+    angles = CircleGrid(n_angles)
+    scal = analyze(psi, gamma, scales=ORACLE_SCALES, n_max=n_max, angles=angles)
+    assert rel_gap(scal.values, loop_analyze(psi, gamma, ORACLE_SCALES, n_max, angles)) <= 1e-13
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        report = lambda_sequence(gamma, n_max=n_max)
+    rec = synthesize(scal, gamma, report)
+    assert rel_gap(rec.values, loop_synthesize(scal, gamma, report)) <= 1e-13
+
+
+def test_synthesize_mode_floor_matches_loop_oracle(dog, dog_report):
+    # a floor at the median mode integral skips about half of the modes
+    psi = two_mode_signal()
+    scal = analyze(psi, dog, scales=ORACLE_SCALES, n_max=16)
+    lam = dog_report.lambdas[32 - 16:32 + 17]
+    floor = float(np.median(lam)) / dog_report.sup_lambda
+    assert 0 < np.sum(lam <= floor * dog_report.sup_lambda) < lam.size
+    rec = synthesize(scal, dog, dog_report, mode_floor=floor)
+    want = loop_synthesize(scal, dog, dog_report, mode_floor=floor)
+    assert rel_gap(rec.values, want) <= 1e-13
+
+
+@pytest.mark.parametrize("n_angles", [1024, 16])
+def test_mode_synthesis_matches_loop_oracle(n_angles):
+    rng = np.random.default_rng(n_angles)
+    coeffs = FourierCoeffs(32, rng.normal(size=65) + 1j * rng.normal(size=65))
+    grid = CircleGrid(n_angles)
+    got = mode_synthesis(grid, coeffs).values
+    assert rel_gap(got, loop_mode_synthesis(grid, coeffs)) <= 1e-13
+
+
+def test_dilated_coeffs_memo_follows_content(dog):
+    gamma = CircleSignal(GRID, dog.values.copy())
+    sc = ScaleGrid(0.5, 2.0, 5)
+    first = dilated_coeffs(gamma, sc, 8)
+    assert dilated_coeffs(gamma, sc, 8) is first
+    gamma.values[400:600] *= 0.5  # in-place edit of the wavelet samples
+    edited = dilated_coeffs(gamma, sc, 8)
+    assert not np.array_equal(edited, first)
+    assert np.array_equal(edited, loop_dilated_coeffs(gamma, sc, 8))
+    for scales, n_max in ((ScaleGrid(0.5, 3.0, 5), 8), (ScaleGrid(0.5, 2.0, 6), 8), (sc, 9)):
+        fresh = dilated_coeffs(gamma, scales, n_max)
+        assert fresh.shape == (2 * n_max + 1, scales.count)
+        assert np.array_equal(fresh, loop_dilated_coeffs(gamma, scales, n_max))
+
+
+def test_dilated_coeffs_table_is_read_only(dog):
+    table = dilated_coeffs(dog, ScaleGrid(0.5, 2.0, 5), 8)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+
+
+def test_dilated_coeffs_memo_is_bounded(dog):
+    sc = ScaleGrid(0.5, 2.0, 3)
+    for n_max in range(1, TABLE_MEMO_SIZE + 4):
+        dilated_coeffs(dog, sc, n_max)
+        assert len(cwt._table_memo) <= TABLE_MEMO_SIZE
+    assert len(cwt._table_memo) == TABLE_MEMO_SIZE
+
+
+def test_dilated_coeffs_memo_under_threads(dog):
+    # more threads than memo slots, each cycling through its own tables,
+    # with frequent thread switches to expose lost updates or evictions
+    # racing a hit
+    gamma = CircleSignal(CircleGrid(64), dog.values[::16])
+    sc = ScaleGrid(0.5, 2.0, 3)
+    want = {n_max: loop_dilated_coeffs(gamma, sc, n_max) for n_max in range(1, 9)}
+    errors = []
+
+    def work(offset):
+        try:
+            for i in range(40):
+                n_max = 1 + (offset + i) % 8
+                assert np.array_equal(dilated_coeffs(gamma, sc, n_max), want[n_max])
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(cwt._table_memo) <= TABLE_MEMO_SIZE

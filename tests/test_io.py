@@ -173,17 +173,39 @@ def test_coords_must_increase(tmp_path):
 
 
 def test_report_round_trip(tmp_path):
-    report = lambda_sequence(make_dog(2.0), n_max=8)
+    admissible = lambda_sequence(make_dog(2.0), n_max=8)
+    with pytest.warns(RuntimeWarning, match="plateau"):
+        unsettled = lambda_sequence(make_dog(2.0), n_max=2)
+    assert admissible.admissible and not unsettled.plateau_ok
+    for name, report in (("admissible", admissible), ("unsettled", unsettled)):
+        path = tmp_path / f"{name}.json"
+        write_report(path, report)
+        back = read_report(path)
+        assert back.admissible == report.admissible
+        assert back.weak_ok == report.weak_ok
+        assert back.small_scale_converged == report.small_scale_converged
+        assert back.plateau_ok == report.plateau_ok
+        assert np.allclose(back.lambdas, report.lambdas)
+        assert back.sup_lambda == pytest.approx(report.sup_lambda)
+        assert back.inf_lambda == pytest.approx(report.inf_lambda)
+        assert back.weak_integral == pytest.approx(report.weak_integral, abs=1e-15)
+        assert back.scales.a_min == report.scales.a_min
+        assert back.scales.count == report.scales.count
+
+
+@pytest.mark.parametrize("flag", ["weak_ok", "small_scale_converged", "plateau_ok"])
+def test_report_without_flag_refused(tmp_path, flag):
     path = tmp_path / "report.json"
-    write_report(path, report)
-    back = read_report(path)
-    assert back.admissible == report.admissible
-    assert np.allclose(back.lambdas, report.lambdas)
-    assert back.sup_lambda == pytest.approx(report.sup_lambda)
-    assert back.inf_lambda == pytest.approx(report.inf_lambda)
-    assert back.weak_integral == pytest.approx(report.weak_integral, abs=1e-15)
-    assert back.scales.a_min == report.scales.a_min
-    assert back.scales.count == report.scales.count
+    write_report(path, lambda_sequence(make_dog(2.0), n_max=8))
+    obj = json.loads(path.read_text())
+    del obj[flag]
+    path.write_text(json.dumps(obj))
+    with pytest.raises(FormatError, match=flag):
+        read_report(path)
+    obj[flag] = "yes"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(FormatError, match=flag):
+        read_report(path)
 
 
 def test_scalogram_round_trip(tmp_path):
