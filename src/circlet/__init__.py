@@ -7,7 +7,22 @@ in `cwt` turns any well-decaying chart signal into a reconstruction frame.
 `line` carries the flat counterpart, `euclid` the bridge between the two,
 and `laguerre` the discrete-series realization on the half-line with its
 integral transform to the half-plane.
+
+Setting CIRCLET_THREADS to a positive integer caps the BLAS thread pools;
+it takes effect when circlet is imported before numpy.
 """
+
+import os as _os
+
+# the BLAS libraries read these once, when numpy first loads them; a bad
+# value is left for the command line to refuse
+try:
+    _cap = int(_os.environ.get("CIRCLET_THREADS", ""))
+except ValueError:
+    _cap = 0
+if _cap > 0:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ[_var] = str(_cap)
 
 from .circle import (
     CircleGrid,

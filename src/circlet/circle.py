@@ -28,7 +28,7 @@ alpha(1 - alpha) (= 1/4 at s = 0) on every basis mode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -96,16 +96,17 @@ class CircleGrid:
 
 
 @dataclass(frozen=True, eq=False)
-class CircleSignal:
-    """Sampled signal on a CircleGrid, with an optional exact evaluator.
+class Sampled:
+    """Samples of a function on a grid, with an optional exact evaluator.
 
-    The evaluator, when present, is a vectorized callable defined on the
-    chart; library code always reduces angles mod pi before calling it.
-    Samples are taken from the evaluator at construction, so the two views
-    agree by construction.
+    The grid supplies `n_samples`, `nodes` and `spacing`, the uniform
+    quadrature step of its measure.  Subclasses supply `_interpolate`, the
+    evaluation of the samples between nodes.  Samples built by
+    `from_evaluator` are the evaluator at the nodes, so the two views agree
+    by construction.
     """
 
-    grid: CircleGrid
+    grid: Any
     values: np.ndarray
     evaluator: Callable[[np.ndarray], np.ndarray] | None = field(default=None)
 
@@ -119,28 +120,45 @@ class CircleSignal:
             raise ValueError("signal values must be finite")
         object.__setattr__(self, "values", v)
 
-    @staticmethod
-    def from_evaluator(grid: CircleGrid, fn: Callable) -> "CircleSignal":
-        vals = np.asarray(fn(grid.nodes), dtype=complex)
-        return CircleSignal(grid, vals, evaluator=fn)
+    @classmethod
+    def from_evaluator(cls, grid, fn: Callable):
+        return cls(grid, np.asarray(fn(grid.nodes), dtype=complex), evaluator=fn)
 
-    def __call__(self, theta) -> np.ndarray:
-        """Evaluate at arbitrary angles: exactly if possible, else by
-        trigonometric interpolation of the samples."""
-        t = reduce_half_angle(theta)
+    def __call__(self, x) -> np.ndarray:
+        """Evaluate at arbitrary points: exactly if possible, else by
+        interpolating the samples."""
+        xs = np.asarray(x, dtype=float)
         if self.evaluator is not None:
-            return np.asarray(self.evaluator(t), dtype=complex)
-        return trig_interpolate(self.grid, self.values, t)
+            return np.asarray(self.evaluator(xs), dtype=complex)
+        return self._interpolate(xs)
+
+    def _interpolate(self, x: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
 
     def norm(self) -> float:
-        """L2 norm by the midpoint rule."""
+        """L2 norm by the grid's quadrature."""
         return float(np.sqrt(self.grid.spacing * np.sum(np.abs(self.values) ** 2)))
 
-    def inner(self, other: "CircleSignal") -> complex:
+    def inner(self, other: "Sampled") -> complex:
         """<self|other>, conjugate-linear in self."""
         if self.grid != other.grid:
             raise GridMismatchError("signals live on different grids")
         return complex(self.grid.spacing * np.sum(np.conj(self.values) * other.values))
+
+
+@dataclass(frozen=True, eq=False)
+class CircleSignal(Sampled):
+    """Sampled signal on a CircleGrid, interpolated trigonometrically.
+
+    The evaluator, when present, is a vectorized callable defined on the
+    chart; angles are reduced mod pi before either view is evaluated.
+    """
+
+    def __call__(self, theta) -> np.ndarray:
+        return super().__call__(reduce_half_angle(theta))
+
+    def _interpolate(self, theta: np.ndarray) -> np.ndarray:
+        return trig_interpolate(self.grid, self.values, theta)
 
 
 def _signed_freqs(n: int) -> np.ndarray:
@@ -212,16 +230,8 @@ def rep_action(
         w = multiplier(inv, d) ** alpha
         return w * gamma(dilate_angle(d, inv))
 
-    if gamma.evaluator is not None:
-        src = gamma.evaluator
-
-        def acted_exact(t):
-            d = reduce_half_angle(np.asarray(t, dtype=float) - vartheta)
-            w = multiplier(inv, d) ** alpha
-            return w * np.asarray(src(dilate_angle(d, inv)), dtype=complex)
-
-        return CircleSignal.from_evaluator(gamma.grid, acted_exact)
-    return CircleSignal(gamma.grid, acted(gamma.grid.nodes))
+    grid = gamma.grid
+    return CircleSignal(grid, acted(grid.nodes), acted if gamma.evaluator is not None else None)
 
 
 def _spectral_derivative(grid: CircleGrid, values: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ from .cwt import (
     DEFAULT_SCALE_MIN,
     ScaleGrid,
     analyze,
+    fourier_coeffs,
     frame_bounds,
     lambda_sequence,
     make_dog,
@@ -39,7 +40,6 @@ from .laguerre import (
 )
 from .line import (
     LineGrid,
-    LineScaleGrid,
     LineSignal,
     LogGrid,
     line_admissibility,
@@ -67,10 +67,11 @@ class SystemExit_(Exception):
         self.message = message
 
 
-def _thread_cap() -> int:
+def _thread_cap() -> int | None:
+    """Validated CIRCLET_THREADS (applied at package import), or None when unset."""
     raw = os.environ.get("CIRCLET_THREADS")
     if raw is None:
-        return 1
+        return None
     try:
         cap = int(raw)
     except ValueError:
@@ -96,12 +97,9 @@ def _circle_builtin(name: str, n_samples: int) -> CircleSignal:
             balanced = parts[2] == "balanced"
         return make_dog(alpha, balanced=balanced, grid=CircleGrid(n_samples))
     if parts[0] == "gauss":
-        grid = CircleGrid(n_samples)
-        ev = lambda t: np.exp(-np.tan(t) ** 2)
-        return CircleSignal(grid, ev(grid.nodes).astype(complex), evaluator=ev)
+        return CircleSignal.from_evaluator(CircleGrid(n_samples), lambda t: np.exp(-np.tan(t) ** 2))
     if parts[0] == "constant":
-        grid = CircleGrid(n_samples)
-        return CircleSignal(grid, np.ones(n_samples, dtype=complex), evaluator=lambda t: np.ones_like(t))
+        return CircleSignal.from_evaluator(CircleGrid(n_samples), np.ones_like)
     raise SystemExit_(EXIT_ERROR, f"circlet: unknown circle builtin {parts[0]!r}")
 
 
@@ -109,28 +107,24 @@ def _line_builtin(name: str, n_samples: int) -> LineSignal:
     if name == "mexican-hat":
         return mexican_hat(LineGrid(-16.0, 16.0, n_samples))
     if name == "gauss":
-        grid = LineGrid(-16.0, 16.0, n_samples)
-        ev = lambda x: np.exp(-x * x / 2.0)
-        return LineSignal(grid, ev(grid.nodes).astype(complex), evaluator=ev)
+        return LineSignal.from_evaluator(LineGrid(-16.0, 16.0, n_samples), lambda x: np.exp(-x * x / 2.0))
     raise SystemExit_(EXIT_ERROR, f"circlet: unknown line builtin {name!r}")
 
 
-def _load_circle_wavelet(args) -> CircleSignal:
-    if args.wavelet is not None:
-        sig = cio.read_signal(args.wavelet)
-        if not isinstance(sig, CircleSignal):
-            raise SystemExit_(EXIT_ERROR, f"circlet: {args.wavelet} holds a line signal, need a circle signal")
-        return sig
-    return _circle_builtin(args.builtin, args.n_samples)
+def _read_signal(path, kind: type) -> CircleSignal | LineSignal:
+    """Read a signal file, refusing one of the other geometry."""
+    sig = cio.read_signal(path)
+    if not isinstance(sig, kind):
+        have, need = ("line", "circle") if kind is CircleSignal else ("circle", "line")
+        raise SystemExit_(EXIT_ERROR, f"circlet: {path} holds a {have} signal, need a {need} signal")
+    return sig
 
 
-def _load_line_wavelet(args) -> LineSignal:
+def _load_wavelet(args, kind: type) -> CircleSignal | LineSignal:
     if args.wavelet is not None:
-        sig = cio.read_signal(args.wavelet)
-        if not isinstance(sig, LineSignal):
-            raise SystemExit_(EXIT_ERROR, f"circlet: {args.wavelet} holds a circle signal, need a line signal")
-        return sig
-    return _line_builtin(args.builtin, args.n_samples)
+        return _read_signal(args.wavelet, kind)
+    builtin = _circle_builtin if kind is CircleSignal else _line_builtin
+    return builtin(args.builtin, args.n_samples)
 
 
 def _scale_grid(args) -> ScaleGrid:
@@ -153,7 +147,7 @@ def _scale_flags(sub):
 
 
 def cmd_admissibility(args) -> int:
-    gamma = _load_circle_wavelet(args)
+    gamma = _load_wavelet(args, CircleSignal)
     report = lambda_sequence(gamma, scales=_scale_grid(args), n_max=args.n_max)
     if args.out:
         cio.write_report(args.out, report)
@@ -165,7 +159,7 @@ def cmd_admissibility(args) -> int:
 
 
 def cmd_frame(args) -> int:
-    gamma = _load_circle_wavelet(args)
+    gamma = _load_wavelet(args, CircleSignal)
     report = lambda_sequence(gamma, scales=_scale_grid(args), n_max=args.n_max)
     lo, hi = frame_bounds(report)
     print(f"frame lower: {lo!r}")
@@ -174,8 +168,6 @@ def cmd_frame(args) -> int:
     # diagonal sum pi * sum_n lambda_n |psi^n|^2
     grid = gamma.grid
     probe = CircleSignal(grid, (np.cos(2 * grid.nodes) + 0.5 * np.sin(4 * grid.nodes)).astype(complex))
-    from .cwt import fourier_coeffs
-
     n_probe = min(report.n_max, grid.n_samples // 4)
     coeffs = fourier_coeffs(probe, n_probe)
     predicted = float(np.pi * np.sum(
@@ -192,19 +184,16 @@ def cmd_frame(args) -> int:
 
 
 def cmd_cwt(args) -> int:
-    gamma = _load_circle_wavelet(args)
-    sig = cio.read_signal(args.signal)
-    if not isinstance(sig, CircleSignal):
-        raise SystemExit_(EXIT_ERROR, f"circlet: {args.signal} holds a line signal, need a circle signal")
-    n_max = args.n_max if args.n_max is not None else min(DEFAULT_N_MAX, sig.grid.n_samples // 4)
-    scal = analyze(sig, gamma, scales=_scale_grid(args), n_max=n_max)
+    gamma = _load_wavelet(args, CircleSignal)
+    sig = _read_signal(args.signal, CircleSignal)
+    scal = analyze(sig, gamma, scales=_scale_grid(args), n_max=args.n_max)
     cio.write_scalogram(args.out, scal)
     print(f"wrote {args.out}.json ({scal.values.shape[0]} scales x {scal.values.shape[1]} angles)")
     return EXIT_OK
 
 
 def cmd_icwt(args) -> int:
-    gamma = _load_circle_wavelet(args)
+    gamma = _load_wavelet(args, CircleSignal)
     scal = cio.read_scalogram(args.scalogram)
     report = cio.read_report(args.report)
     rec = synthesize(scal, gamma, report)
@@ -219,24 +208,20 @@ def cmd_icwt(args) -> int:
 
 
 def cmd_line_cwt(args) -> int:
-    gamma = _load_line_wavelet(args)
+    gamma = _load_wavelet(args, LineSignal)
     adm = line_admissibility(gamma)
     if not adm.admissible:
         print("wavelet fails the line admissibility integral")
         return EXIT_NEGATIVE
-    sig = cio.read_signal(args.signal)
-    if not isinstance(sig, LineSignal):
-        raise SystemExit_(EXIT_ERROR, f"circlet: {args.signal} holds a circle signal, need a line signal")
-    scales = LineScaleGrid(args.scale_min, args.scale_max, args.scale_count)
-    scal = line_analyze(sig, gamma, scales=scales)
+    sig = _read_signal(args.signal, LineSignal)
+    scal = line_analyze(sig, gamma, scales=_scale_grid(args))
     if args.out:
         cio.write_scalogram(args.out, scal)
         print(f"wrote {args.out}.json ({scal.values.shape[0]} scales x {scal.values.shape[1]} positions)")
     if args.roundtrip:
         rec = line_synthesize(scal, gamma, adm)
-        err = float(np.sqrt(sig.grid.spacing * np.sum(np.abs(rec.values - sig.values) ** 2)))
-        ref = float(np.sqrt(sig.grid.spacing * np.sum(np.abs(sig.values) ** 2)))
-        print(f"round trip relative error: {err / ref!r}")
+        err = LineSignal(sig.grid, rec.values - sig.values).norm()
+        print(f"round trip relative error: {err / sig.norm()!r}")
     return EXIT_OK
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .circle import CircleGrid, CircleSignal, RepParams, dilate_angle, multiplier, rep_action
 from .errors import DecayError, SupportEscapeError
-from .line import LineGrid, LineSignal
+from .line import LineGrid, LineSignal, affine_action
 
 EDGE_DECAY_TOL = 1e-8
 SUPPORT_MARGIN = 0.98
@@ -50,9 +50,7 @@ def i_r_map(gamma: CircleSignal, line_grid: LineGrid, params: ContractionParams)
         x = np.asarray(x, dtype=float)
         return gamma(np.arctan(x / R)) / np.sqrt(1.0 + (x / R) ** 2)
 
-    if gamma.evaluator is not None:
-        return LineSignal.from_evaluator(line_grid, f)
-    return LineSignal(line_grid, f(line_grid.nodes))
+    return LineSignal(line_grid, f(line_grid.nodes), f if gamma.evaluator is not None else None)
 
 
 def i_r_inverse(f: LineSignal, circle_grid: CircleGrid, params: ContractionParams) -> CircleSignal:
@@ -76,9 +74,7 @@ def i_r_inverse(f: LineSignal, circle_grid: CircleGrid, params: ContractionParam
         t = np.asarray(t, dtype=float)
         return f(R * np.tan(t)) / np.cos(t)
 
-    if f.evaluator is not None:
-        return CircleSignal.from_evaluator(circle_grid, g)
-    return CircleSignal(circle_grid, g(circle_grid.nodes))
+    return CircleSignal(circle_grid, g(circle_grid.nodes), g if f.evaluator is not None else None)
 
 
 def stereo_project(gamma: CircleSignal, line_grid: LineGrid) -> LineSignal:
@@ -104,13 +100,8 @@ def check_intertwining(
     """
     dilated = rep_action(gamma, a, 0.0, params)
     lhs = stereo_project(dilated, line_grid)
-    proj = stereo_project(gamma, line_grid)
-
-    def rhs(x):
-        x = np.asarray(x, dtype=float)
-        return a ** -0.5 * proj(x / a)
-
-    return float(np.max(np.abs(lhs.values - rhs(line_grid.nodes))))
+    rhs = affine_action(stereo_project(gamma, line_grid), a, 0.0)
+    return float(np.max(np.abs(lhs.values - rhs.values)))
 
 
 def contract_point(b: float, a: float, params: ContractionParams) -> tuple[float, float]:
@@ -162,9 +153,8 @@ def euclidean_limit_error(
     lifted = i_r_inverse(f, chart, params)
     acted = rep_action(lifted, a, vt)
     back = i_r_map(acted, f.grid, params)
-    target = a ** -0.5 * f((f.grid.nodes - b) / a)
-    diff = back.values - target
-    return float(np.sqrt(f.grid.spacing * np.sum(np.abs(diff) ** 2)))
+    target = affine_action(f, a, b).values
+    return LineSignal(f.grid, back.values - target).norm()
 
 
 def smooth_bump(halfwidth: float = 1.0) -> Callable:

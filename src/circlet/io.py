@@ -19,7 +19,7 @@ import numpy as np
 from .circle import CircleGrid, CircleSignal
 from .cwt import AdmissibilityReport, ScaleGrid, Scalogram
 from .errors import FormatError
-from .line import LineGrid, LineScaleGrid, LineScalogram, LineSignal
+from .line import LineGrid, LineScalogram, LineSignal
 
 SIGNAL_SCHEMA = "circlet/signal-v1"
 REPORT_SCHEMA = "circlet/report-v1"
@@ -57,13 +57,10 @@ def write_signal(path, signal: CircleSignal | LineSignal):
     """Write samples as coord,re[,im] CSV plus the metadata sidecar."""
     path = Path(path)
     if isinstance(signal, CircleSignal):
-        kind = KIND_CIRCLE
-        window = [-np.pi / 2, np.pi / 2]
-        coords = signal.grid.nodes
+        kind, window = KIND_CIRCLE, [-np.pi / 2, np.pi / 2]
     else:
-        kind = KIND_LINE
-        window = [signal.grid.lo, signal.grid.hi]
-        coords = signal.grid.nodes
+        kind, window = KIND_LINE, [signal.grid.lo, signal.grid.hi]
+    coords = signal.grid.nodes
     complex_valued = bool(np.any(signal.values.imag != 0.0))
     lines = ["coord,re,im" if complex_valued else "coord,re"]
     for c, v in zip(coords, signal.values):
@@ -81,12 +78,22 @@ def write_signal(path, signal: CircleSignal | LineSignal):
     atomic_write_text(_sidecar(path), _dump_json(meta))
 
 
-def _parse_csv(path: Path) -> tuple[list[str], np.ndarray]:
+def _read_text(path: Path, what: str = "") -> str:
     try:
-        raw = path.read_text()
+        return path.read_text()
     except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-    rows = raw.splitlines()
+        raise FormatError(f"cannot read {what}{path}: {exc}") from exc
+
+
+def _read_json(path: Path, what: str = ""):
+    try:
+        return json.loads(_read_text(path, what))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{what}{path} is not valid JSON: {exc}") from exc
+
+
+def _parse_csv(path: Path) -> tuple[list[str], np.ndarray]:
+    rows = _read_text(path).splitlines()
     if not rows:
         raise FormatError("empty signal file", line=1)
     header = [h.strip() for h in rows[0].split(",")]
@@ -115,12 +122,7 @@ def read_signal(path) -> CircleSignal | LineSignal:
     path = Path(path)
     header, data = _parse_csv(path)
     side = _sidecar(path)
-    try:
-        meta = json.loads(side.read_text())
-    except OSError as exc:
-        raise FormatError(f"cannot read sidecar {side}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"sidecar {side} is not valid JSON: {exc}") from exc
+    meta = _read_json(side, "sidecar ")
     for key in ("schema", "kind", "n_samples", "window"):
         if key not in meta:
             raise FormatError(f"sidecar {side} lacks {key!r}")
@@ -185,12 +187,7 @@ def read_report(path) -> AdmissibilityReport:
     refused rather than given guessed values.
     """
     path = Path(path)
-    try:
-        obj = json.loads(path.read_text())
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+    obj = _read_json(path)
     try:
         entries = sorted((int(e["n"]), float(e["value"])) for e in obj["lambda"])
         tr = obj["truncation"]
@@ -225,55 +222,42 @@ def _matrix_csv(m: np.ndarray) -> str:
 
 
 def _read_matrix_csv(path: Path, shape: tuple[int, int]) -> np.ndarray:
-    _, data = _read_plain_matrix(path)
-    if data.shape != shape:
-        raise FormatError(f"{path}: expected matrix {shape}, got {data.shape}")
-    return data
-
-
-def _read_plain_matrix(path: Path):
-    try:
-        rows = path.read_text().splitlines()
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
     out = []
-    for i, row in enumerate(rows, start=1):
+    for i, row in enumerate(_read_text(path).splitlines(), start=1):
         if not row.strip():
             continue
         try:
             out.append([float(p) for p in row.split(",")])
         except ValueError as exc:
-            raise FormatError(f"non-numeric field in matrix", line=i) from exc
-    return None, np.array(out)
+            raise FormatError("non-numeric field in matrix", line=i) from exc
+    data = np.array(out)
+    if data.shape != shape:
+        raise FormatError(f"{path}: expected matrix {shape}, got {data.shape}")
+    return data
 
 
 def write_scalogram(stem, scal: Scalogram | LineScalogram):
     """Write <stem>.json plus <stem>.re.csv / <stem>.im.csv matrices."""
     stem = Path(stem)
     if isinstance(scal, Scalogram):
-        meta = {
-            "schema": SCALOGRAM_SCHEMA,
-            "kind": "circle",
-            "scale_min": float(scal.scales.a_min),
-            "scale_max": float(scal.scales.a_max),
-            "scale_count": int(scal.scales.count),
-            "n_angles": int(scal.angles.n_samples),
-            "n_max": int(scal.n_max),
-            "re": stem.name + ".re.csv",
-            "im": stem.name + ".im.csv",
-        }
+        kind = "circle"
+        extra = {"n_angles": int(scal.angles.n_samples), "n_max": int(scal.n_max)}
     else:
-        meta = {
-            "schema": SCALOGRAM_SCHEMA,
-            "kind": "line",
-            "scale_min": float(scal.scales.a_min),
-            "scale_max": float(scal.scales.a_max),
-            "scale_count": int(scal.scales.count),
+        kind = "line"
+        extra = {
             "window": [float(scal.grid.lo), float(scal.grid.hi)],
             "n_samples": int(scal.grid.n_samples),
-            "re": stem.name + ".re.csv",
-            "im": stem.name + ".im.csv",
         }
+    meta = {
+        "schema": SCALOGRAM_SCHEMA,
+        "kind": kind,
+        "scale_min": float(scal.scales.a_min),
+        "scale_max": float(scal.scales.a_max),
+        "scale_count": int(scal.scales.count),
+        **extra,
+        "re": stem.name + ".re.csv",
+        "im": stem.name + ".im.csv",
+    }
     atomic_write_text(Path(str(stem) + ".json"), _dump_json(meta))
     atomic_write_text(Path(str(stem) + ".re.csv"), _matrix_csv(scal.values.real))
     atomic_write_text(Path(str(stem) + ".im.csv"), _matrix_csv(scal.values.imag))
@@ -281,13 +265,7 @@ def write_scalogram(stem, scal: Scalogram | LineScalogram):
 
 def read_scalogram(stem) -> Scalogram | LineScalogram:
     stem = Path(stem)
-    meta_path = Path(str(stem) + ".json")
-    try:
-        meta = json.loads(meta_path.read_text())
-    except OSError as exc:
-        raise FormatError(f"cannot read {meta_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{meta_path} is not valid JSON: {exc}") from exc
+    meta = _read_json(Path(str(stem) + ".json"))
     if meta.get("schema") != SCALOGRAM_SCHEMA:
         raise FormatError(f"unknown scalogram schema {meta.get('schema')!r}")
     try:
@@ -302,16 +280,17 @@ def read_scalogram(stem) -> Scalogram | LineScalogram:
         re = _read_matrix_csv(stem.parent / meta["re"], shape)
         im = _read_matrix_csv(stem.parent / meta["im"], shape)
         values = re + 1j * im
+        scales = ScaleGrid(float(meta["scale_min"]), float(meta["scale_max"]), count)
         if kind == "circle":
             return Scalogram(
-                scales=ScaleGrid(float(meta["scale_min"]), float(meta["scale_max"]), count),
+                scales=scales,
                 angles=CircleGrid(int(meta["n_angles"])),
                 values=values,
                 n_max=int(meta["n_max"]),
             )
         lo, hi = (float(x) for x in meta["window"])
         return LineScalogram(
-            scales=LineScaleGrid(float(meta["scale_min"]), float(meta["scale_max"]), count),
+            scales=scales,
             grid=LineGrid(lo, hi, int(meta["n_samples"])),
             values=values,
         )

@@ -195,6 +195,11 @@ def halfplane_basis(spec: LaguerreBasisSpec, n: int, w) -> np.ndarray:
     )
 
 
+def _log_kernel_const(spec: LaguerreBasisSpec) -> float:
+    """ln of the kernel constant 1 / (2 sqrt(pi (2k-2)!))."""
+    return -np.log(2.0) - 0.5 * (np.log(np.pi) + gammaln(2.0 * spec.k - 1.0))
+
+
 def laplace_kernel(spec: LaguerreBasisSpec, w, r) -> np.ndarray:
     """Closed-form kernel K(w, r) = Re(w)^k r^k e^{-r w/2} / (2 sqrt(pi (2k-2)!))."""
     w = np.asarray(w, dtype=complex)
@@ -204,8 +209,7 @@ def laplace_kernel(spec: LaguerreBasisSpec, w, r) -> np.ndarray:
     if np.any(r <= 0.0):
         raise ValueError("kernel lives on r > 0")
     k = spec.k
-    ln_c = -np.log(2.0) - 0.5 * (np.log(np.pi) + gammaln(2.0 * k - 1.0))
-    return w.real ** k * r ** k * np.exp(-0.5 * r * w + ln_c)
+    return w.real ** k * r ** k * np.exp(-0.5 * r * w + _log_kernel_const(spec))
 
 
 def laplace_kernel_series(spec: LaguerreBasisSpec, w: complex, r: float, n_terms: int) -> complex:
@@ -231,12 +235,12 @@ def laplace_transform(
     Re(w) pushes f's variation under the nodes).
     """
     w = require_halfplane(w)
+    k = spec.k
+    ln_c = _log_kernel_const(spec)
 
     def estimate(nn: int) -> complex:
         u, wq = roots_laguerre(nn)
         rr = 2.0 * u / w.real
-        k = spec.k
-        ln_c = -np.log(2.0) - 0.5 * (np.log(np.pi) + gammaln(2.0 * k - 1.0))
         # K(w,r) with the e^{-u} modulus removed; the measure dr/r becomes du/u
         core = np.exp(ln_c + k * np.log(w.real) + k * np.log(rr)) * np.exp(
             -0.5j * rr * w.imag

@@ -16,12 +16,12 @@ lives on a log-uniform grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError
+from .circle import Sampled
+from .cwt import ScaleGrid
 
 DEFAULT_LINE_SAMPLES = 2048
 
@@ -54,43 +54,19 @@ class LineGrid:
         return 2.0 * np.pi * np.fft.fftfreq(self.n_samples, d=self.spacing)
 
 
+def _interp_linear(x: np.ndarray, xp: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Piecewise-linear interpolation of complex samples, zero outside the nodes."""
+    re = np.interp(x, xp, values.real, left=0.0, right=0.0)
+    im = np.interp(x, xp, values.imag, left=0.0, right=0.0)
+    return re + 1j * im
+
+
 @dataclass(frozen=True, eq=False)
-class LineSignal:
-    """Sampled line signal with an optional exact evaluator."""
+class LineSignal(Sampled):
+    """Sampled line signal, linearly interpolated, with an optional exact evaluator."""
 
-    grid: LineGrid
-    values: np.ndarray
-    evaluator: Callable[[np.ndarray], np.ndarray] | None = field(default=None)
-
-    def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=complex)
-        if v.shape != (self.grid.n_samples,):
-            raise ValueError(
-                f"values shape {v.shape} does not match grid ({self.grid.n_samples},)"
-            )
-        if not np.all(np.isfinite(v.view(float))):
-            raise ValueError("signal values must be finite")
-        object.__setattr__(self, "values", v)
-
-    @staticmethod
-    def from_evaluator(grid: LineGrid, fn: Callable) -> "LineSignal":
-        return LineSignal(grid, np.asarray(fn(grid.nodes), dtype=complex), evaluator=fn)
-
-    def __call__(self, x) -> np.ndarray:
-        xs = np.asarray(x, dtype=float)
-        if self.evaluator is not None:
-            return np.asarray(self.evaluator(xs), dtype=complex)
-        re = np.interp(xs, self.grid.nodes, self.values.real, left=0.0, right=0.0)
-        im = np.interp(xs, self.grid.nodes, self.values.imag, left=0.0, right=0.0)
-        return re + 1j * im
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.grid.spacing * np.sum(np.abs(self.values) ** 2)))
-
-    def inner(self, other: "LineSignal") -> complex:
-        if self.grid != other.grid:
-            raise GridMismatchError("signals live on different grids")
-        return complex(self.grid.spacing * np.sum(np.conj(self.values) * other.values))
+    def _interpolate(self, x: np.ndarray) -> np.ndarray:
+        return _interp_linear(x, self.grid.nodes, self.values)
 
 
 def affine_action(f: LineSignal, a: float, b: float) -> LineSignal:
@@ -101,9 +77,7 @@ def affine_action(f: LineSignal, a: float, b: float) -> LineSignal:
     def acted(x):
         return a ** -0.5 * f((np.asarray(x, dtype=float) - b) / a)
 
-    if f.evaluator is not None:
-        return LineSignal.from_evaluator(f.grid, acted)
-    return LineSignal(f.grid, acted(f.grid.nodes))
+    return LineSignal(f.grid, acted(f.grid.nodes), acted if f.evaluator is not None else None)
 
 
 def spectrum(f: LineSignal) -> np.ndarray:
@@ -161,38 +135,15 @@ def mexican_hat(grid: LineGrid | None = None) -> LineSignal:
     return LineSignal.from_evaluator(grid, hat)
 
 
-@dataclass(frozen=True)
-class LineScaleGrid:
-    """Log-uniform scales for the line transform (same machinery as the circle)."""
-
-    a_min: float
-    a_max: float
-    count: int
-
-    def __post_init__(self):
-        if not (0.0 < self.a_min < self.a_max):
-            raise ValueError(f"need 0 < a_min < a_max, got [{self.a_min}, {self.a_max}]")
-        if self.count < 2:
-            raise ValueError(f"need at least 2 scale nodes, got {self.count}")
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return np.geomspace(self.a_min, self.a_max, self.count)
-
-    @property
-    def log_weights(self) -> np.ndarray:
-        d = np.log(self.a_max / self.a_min) / (self.count - 1)
-        w = np.full(self.count, d)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
+# the line transform runs on the circle's log-uniform scale grid
+LineScaleGrid = ScaleGrid
 
 
 @dataclass(frozen=True, eq=False)
 class LineScalogram:
     """Affine wavelet coefficients on translate x scale; b-grid = signal grid."""
 
-    scales: LineScaleGrid
+    scales: ScaleGrid
     grid: LineGrid
     values: np.ndarray
 
@@ -214,7 +165,7 @@ def _wavelet_stencil(gamma: LineSignal, grid: LineGrid, a: float) -> np.ndarray:
     return a ** -0.5 * gamma(delta / a)
 
 
-def line_analyze(psi: LineSignal, gamma: LineSignal, scales: LineScaleGrid) -> LineScalogram:
+def line_analyze(psi: LineSignal, gamma: LineSignal, scales: ScaleGrid) -> LineScalogram:
     """W(b, a) = <U(a,b) gamma | psi> for b on the signal grid, per-scale FFT.
 
     Circular cross-correlation over the periodized window; both signals
@@ -247,13 +198,13 @@ def line_synthesize(
     mode_floor * C_total are dropped, k = 0 included.
     """
     g = scalogram.grid
-    acc = np.zeros(g.n_samples, dtype=complex)
-    for j, a in enumerate(scalogram.scales.nodes):
+    scales = scalogram.scales
+    weights = g.spacing * scales.log_weights / scales.nodes  # db da/a^2
+    acc_hat = np.zeros(g.n_samples, dtype=complex)
+    for j, a in enumerate(scales.nodes):
         st = _wavelet_stencil(gamma, g, a)
-        conv = np.fft.ifft(np.fft.fft(scalogram.values[j]) * np.fft.fft(st))
-        acc += (scalogram.scales.log_weights[j] / a) * g.spacing * conv
+        acc_hat += weights[j] * np.fft.fft(scalogram.values[j]) * np.fft.fft(st)
     k = g.freqs
-    acc_hat = np.fft.fft(acc)
     floor = mode_floor * max(adm.c_total, 1e-300)
     scale_fac = np.zeros(g.n_samples)
     pos = (k > 0) & (adm.c_pos > floor)
@@ -278,8 +229,11 @@ class LogGrid:
             raise ValueError(f"n_samples must be >= 8, got {self.n_samples}")
 
     @property
-    def log_spacing(self) -> float:
+    def spacing(self) -> float:
+        """Step in ln r, the quadrature step of dr/r."""
         return np.log(self.r_max / self.r_min) / (self.n_samples - 1)
+
+    log_spacing = spacing
 
     @property
     def nodes(self) -> np.ndarray:
@@ -287,39 +241,12 @@ class LogGrid:
 
 
 @dataclass(frozen=True, eq=False)
-class RPlusFunction:
-    """Function on the positive half-line with the scale-invariant measure."""
+class RPlusFunction(Sampled):
+    """Function on the positive half-line with the scale-invariant measure,
+    linearly interpolated in ln r."""
 
-    grid: LogGrid
-    values: np.ndarray
-    evaluator: Callable[[np.ndarray], np.ndarray] | None = field(default=None)
-
-    def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=complex)
-        if v.shape != (self.grid.n_samples,):
-            raise ValueError(
-                f"values shape {v.shape} does not match grid ({self.grid.n_samples},)"
-            )
-        object.__setattr__(self, "values", v)
-
-    @staticmethod
-    def from_evaluator(grid: LogGrid, fn: Callable) -> "RPlusFunction":
-        return RPlusFunction(grid, np.asarray(fn(grid.nodes), dtype=complex), evaluator=fn)
-
-    def __call__(self, r) -> np.ndarray:
-        rs = np.asarray(r, dtype=float)
-        if self.evaluator is not None:
-            return np.asarray(self.evaluator(rs), dtype=complex)
-        x = np.log(rs)
-        xg = np.log(self.grid.nodes)
-        re = np.interp(x, xg, self.values.real, left=0.0, right=0.0)
-        im = np.interp(x, xg, self.values.imag, left=0.0, right=0.0)
-        return re + 1j * im
-
-    def norm(self) -> float:
-        return float(
-            np.sqrt(self.grid.log_spacing * np.sum(np.abs(self.values) ** 2))
-        )
+    def _interpolate(self, r: np.ndarray) -> np.ndarray:
+        return _interp_linear(np.log(r), np.log(self.grid.nodes), self.values)
 
 
 def rplus_action(phi: RPlusFunction, a: float, b: float) -> RPlusFunction:
@@ -331,6 +258,4 @@ def rplus_action(phi: RPlusFunction, a: float, b: float) -> RPlusFunction:
         r = np.asarray(r, dtype=float)
         return np.exp(-1j * r * b) * phi(a * r)
 
-    if phi.evaluator is not None:
-        return RPlusFunction.from_evaluator(phi.grid, acted)
-    return RPlusFunction(phi.grid, acted(phi.grid.nodes))
+    return RPlusFunction(phi.grid, acted(phi.grid.nodes), acted if phi.evaluator is not None else None)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from circlet import CircleGrid, CircleSignal, read_signal, write_signal
 
@@ -131,3 +132,42 @@ def test_laplace_seeded_determinism():
     assert res_a.returncode == 0, res_a.stderr
     assert res_a.stdout == res_b.stdout
     assert res_a.stdout != run(["--seed", "8", "laplace"]).stdout
+
+
+# reads the thread count of the loaded OpenBLAS, as perfbench/worker.py does
+BLAS_PROBE = r"""
+import ctypes
+import circlet  # loads numpy and its BLAS
+
+
+def blas_threads():
+    for line in open("/proc/self/maps"):
+        lib = line.split()[-1]
+        if "openblas" not in lib.lower():
+            continue
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                    "openblas_get_num_threads"):
+            fn = getattr(handle, sym, None)
+            if fn is not None:
+                fn.restype, fn.argtypes = ctypes.c_int, []
+                return fn()
+    return "none"
+
+
+print(blas_threads())
+"""
+
+
+def test_thread_cap_reaches_blas():
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["CIRCLET_THREADS"] = "1"
+    res = subprocess.run([sys.executable, "-c", BLAS_PROBE], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    if res.stdout.strip() == "none":
+        pytest.skip("no OpenBLAS library is loaded")
+    assert res.stdout.strip() == "1"
