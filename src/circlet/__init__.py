@@ -9,7 +9,9 @@ and `laguerre` the discrete-series realization on the half-line with its
 integral transform to the half-plane.
 
 Setting CIRCLET_THREADS to a positive integer caps the BLAS thread pools;
-it takes effect when circlet is imported before numpy.
+it takes effect when circlet is imported before numpy.  So does the
+default OPENBLAS_THREAD_TIMEOUT=4, which makes idle OpenBLAS threads sleep
+at once instead of spinning.
 """
 
 import os as _os
@@ -23,6 +25,12 @@ except ValueError:
 if _cap > 0:
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         _os.environ[_var] = str(_cap)
+# OpenBLAS otherwise keeps each idle thread spinning for 2^28 cycles (about
+# 0.1 s) once it loads and after every call.  circlet's BLAS calls are lone
+# matrix-vector products, so the spin only burns a core; in a short CLI
+# process it costs as much CPU as the transform.  4 is the shortest spin
+# OpenBLAS accepts; a value the caller set is kept.
+_os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 from .circle import (
     CircleGrid,
@@ -51,6 +59,7 @@ from .cwt import (
     make_dog,
     mode_synthesis,
     synthesize,
+    wavelet_fingerprint,
     weak_admissibility,
 )
 from .errors import (
@@ -211,6 +220,7 @@ __all__ = [
     "stereo_project",
     "synthesize",
     "trig_interpolate",
+    "wavelet_fingerprint",
     "weak_admissibility",
     "write_json",
     "write_report",

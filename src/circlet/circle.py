@@ -95,6 +95,18 @@ class CircleGrid:
         return -np.pi / 2 + np.pi * (np.arange(n) + 0.5) / n
 
 
+def _store_complex_values(obj, shape: tuple, mismatch: Callable[[tuple], str]) -> np.ndarray:
+    """Replace obj.values, on a frozen dataclass, by a contiguous complex copy.
+
+    Raises ValueError(mismatch(got)) when the array's shape is not `shape`.
+    """
+    v = np.ascontiguousarray(obj.values, dtype=complex)
+    if v.shape != shape:
+        raise ValueError(mismatch(v.shape))
+    object.__setattr__(obj, "values", v)
+    return v
+
+
 @dataclass(frozen=True, eq=False)
 class Sampled:
     """Samples of a function on a grid, with an optional exact evaluator.
@@ -111,14 +123,10 @@ class Sampled:
     evaluator: Callable[[np.ndarray], np.ndarray] | None = field(default=None)
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=complex)
-        if v.shape != (self.grid.n_samples,):
-            raise ValueError(
-                f"values shape {v.shape} does not match grid ({self.grid.n_samples},)"
-            )
+        n = self.grid.n_samples
+        v = _store_complex_values(self, (n,), lambda got: f"values shape {got} does not match grid ({n},)")
         if not np.all(np.isfinite(v.view(float))):
             raise ValueError("signal values must be finite")
-        object.__setattr__(self, "values", v)
 
     @classmethod
     def from_evaluator(cls, grid, fn: Callable):

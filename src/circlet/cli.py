@@ -308,7 +308,7 @@ def build_parser() -> _Parser:
     _scale_flags(s)
     s.add_argument("--signal", required=True)
     s.add_argument("--n-max", type=int, default=None)
-    s.add_argument("--out", required=True, help="output stem: writes <out>.json/.re.csv/.im.csv")
+    s.add_argument("--out", required=True, help="output stem: writes the header <out>.json and the payload <out>.npy")
     s.set_defaults(func=cmd_cwt)
 
     s = sub.add_parser("icwt", help="reconstruct a signal from a scalogram")

@@ -24,10 +24,14 @@ below the grid spacing (the dilated-variable form cannot resolve those).
 The table c_n(a) depends only on the wavelet samples, the scale grid and
 n_max, so admissibility, analysis and reconstruction share one read-only
 copy from a small content-keyed memo.
+
+Reports and scalograms are stamped with the fingerprint of the wavelet
+they were computed for, and reconstruction refuses a mismatch.
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
 import warnings
 from collections import OrderedDict
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import CircleGrid, CircleSignal, _guard_aliasing, rep_action
+from .circle import CircleGrid, CircleSignal, _guard_aliasing, _store_complex_values, rep_action
 from .errors import DecayError
 
 DEFAULT_N_MAX = 64
@@ -97,10 +101,8 @@ class FourierCoeffs:
     values: np.ndarray  # index 0 is n = -n_max
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=complex)
-        if v.shape != (2 * self.n_max + 1,):
-            raise ValueError(f"expected {2 * self.n_max + 1} coefficients, got {v.shape}")
-        object.__setattr__(self, "values", v)
+        count = 2 * self.n_max + 1
+        _store_complex_values(self, (count,), lambda got: f"expected {count} coefficients, got {got}")
 
     @property
     def ns(self) -> np.ndarray:
@@ -110,6 +112,17 @@ class FourierCoeffs:
         if abs(n) > self.n_max:
             raise IndexError(f"mode {n} outside |n| <= {self.n_max}")
         return complex(self.values[n + self.n_max])
+
+
+def wavelet_fingerprint(gamma: CircleSignal) -> str:
+    """sha256 over the wavelet's sample count and its samples as <c16.
+
+    Reports and scalograms carry it, so that reconstruction can refuse
+    inputs computed for another wavelet.
+    """
+    h = hashlib.sha256(f"n_samples={gamma.grid.n_samples};".encode())
+    h.update(np.ascontiguousarray(gamma.values, dtype="<c16"))
+    return h.hexdigest()
 
 
 def _check_n_max(n_samples: int, n_max: int):
@@ -138,7 +151,9 @@ def _mode_sum(weights: np.ndarray, grid: CircleGrid) -> np.ndarray:
     bins, phase = _grid_phase((weights.shape[-1] - 1) // 2, grid)
     folded = np.zeros(weights.shape[:-1] + (n,), dtype=complex)
     np.add.at(folded, (..., bins), weights * phase)
-    return n * np.fft.ifft(folded, axis=-1)
+    out = np.fft.ifft(folded, axis=-1)
+    out *= n
+    return out
 
 
 def _mode_projection(values: np.ndarray, grid: CircleGrid, n_max: int) -> np.ndarray:
@@ -201,7 +216,8 @@ def dilated_coeffs(gamma: CircleSignal, scales: ScaleGrid, n_max: int = DEFAULT_
 def _dilated_table(gamma: CircleSignal, scales: ScaleGrid, n_max: int) -> np.ndarray:
     """c_n(a) by cumulative powers of e^{-2 i dilate(u, a)}, TABLE_BLOCK scales at a time.
 
-    For a real wavelet c_{-n} = conj(c_n), so only n >= 0 is summed.
+    For a real wavelet c_{-n} = conj(c_n), so only n >= 0 is summed.  The
+    block arrays are allocated once and overwritten in place, block by block.
     """
     u = gamma.grid.nodes
     n = gamma.grid.n_samples
@@ -211,15 +227,32 @@ def _dilated_table(gamma: CircleSignal, scales: ScaleGrid, n_max: int) -> np.nda
     tan = np.tan(u)
     out = np.empty((2 * n_max + 1, scales.count), dtype=complex)
     nodes = scales.nodes
+    rows = min(TABLE_BLOCK, scales.count)
+    mult_buf = np.empty((rows, n))
+    p_buf, z_buf = np.empty((rows, n), dtype=complex), np.empty((rows, n), dtype=complex)
+    if not real:
+        q_buf, zc_buf = np.empty_like(p_buf), np.empty_like(z_buf)
     for lo in range(0, scales.count, TABLE_BLOCK):
         a = nodes[lo:lo + TABLE_BLOCK, None]
         cols = slice(lo, lo + a.shape[0])
-        mult = a / (a * a + (1.0 - a * a) * cos2)
-        p = (np.sqrt(np.pi) / n) * np.sqrt(mult) * gv
-        z = np.exp(-2j * np.arctan(a * tan))
+        mult, p, z = mult_buf[:a.shape[0]], p_buf[:a.shape[0]], z_buf[:a.shape[0]]
+        # mult = a / (a^2 + (1 - a^2) cos^2 u);  p = (sqrt(pi)/n) sqrt(mult) gamma
+        np.multiply(1.0 - a * a, cos2, out=mult)
+        mult += a * a
+        np.divide(a, mult, out=mult)
+        np.sqrt(mult, out=mult)
+        mult *= np.sqrt(np.pi) / n
+        np.multiply(mult, gv, out=p)
+        # z = exp(-2i arctan(a tan u)), reusing mult once p no longer needs it
+        np.multiply(a, tan, out=mult)
+        np.arctan(mult, out=mult)
+        np.multiply(-2j, mult, out=z)
+        np.exp(z, out=z)
         out[n_max, cols] = p.sum(axis=1)
         if not real:
-            q, zc = p.copy(), np.conj(z)
+            q, zc = q_buf[:a.shape[0]], zc_buf[:a.shape[0]]
+            q[...] = p
+            np.conj(z, out=zc)
         for m in range(1, n_max + 1):
             p *= z
             out[n_max + m, cols] = p.sum(axis=1)
@@ -267,6 +300,7 @@ class AdmissibilityReport:
     small_scale_converged: bool
     plateau_ok: bool
     admissible: bool
+    wavelet_fingerprint: str  # of the wavelet the integrals belong to
 
     @property
     def ns(self) -> np.ndarray:
@@ -351,6 +385,7 @@ def lambda_sequence(
         small_scale_converged=bool(small_ok),
         plateau_ok=bool(plateau),
         admissible=admissible,
+        wavelet_fingerprint=wavelet_fingerprint(gamma),
     )
 
 
@@ -415,15 +450,11 @@ class Scalogram:
     angles: CircleGrid
     values: np.ndarray
     n_max: int
+    wavelet_fingerprint: str  # of the wavelet analyzed against
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=complex)
-        if v.shape != (self.scales.count, self.angles.n_samples):
-            raise ValueError(
-                f"values shape {v.shape} does not match "
-                f"({self.scales.count}, {self.angles.n_samples})"
-            )
-        object.__setattr__(self, "values", v)
+        shape = (self.scales.count, self.angles.n_samples)
+        _store_complex_values(self, shape, lambda got: f"values shape {got} does not match {shape}")
 
     def energy(self) -> float:
         """Double quadrature of |W|^2 against dvartheta da/a^2."""
@@ -450,7 +481,8 @@ def analyze(
     ph = fourier_coeffs(psi, n_max)
     cg = dilated_coeffs(gamma, scales, n_max)
     out = _mode_sum(np.conj(cg.T) * ph.values, angles)  # (scales, angles)
-    return Scalogram(scales=scales, angles=angles, values=out, n_max=n_max)
+    return Scalogram(scales=scales, angles=angles, values=out, n_max=n_max,
+                     wavelet_fingerprint=wavelet_fingerprint(gamma))
 
 
 def analyze_direct(
@@ -476,8 +508,17 @@ def synthesize(
                  int dvartheta e^{-2 i m vartheta} W(vartheta, a),
     skipping modes with L_m below mode_floor * max(L).  The report may use
     its own (typically wider) scale grid; the scale integral here runs on
-    the scalogram's grid.
+    the scalogram's grid.  Raises ValueError when the scalogram or the
+    report was computed for another wavelet than gamma.
     """
+    want = wavelet_fingerprint(gamma)
+    for what, have in (("scalogram", scalogram.wavelet_fingerprint),
+                       ("report", report.wavelet_fingerprint)):
+        if have != want:
+            raise ValueError(
+                f"the {what} belongs to another wavelet "
+                f"(fingerprint {have[:12]}..., this wavelet {want[:12]}...)"
+            )
     n_max = min(report.n_max, scalogram.n_max)
     cg = dilated_coeffs(gamma, scalogram.scales, n_max)
     angles = scalogram.angles

@@ -1,14 +1,26 @@
 """Deterministic file formats: signal CSVs, admissibility reports, scalograms.
 
 Signals are CSV tables `coord,re[,im]` with a JSON sidecar `<stem>.meta.json`
-recording the grid kind, sample count and window.  Reports and scalogram
-metadata are JSON.  All writes are atomic (temp file in the target
-directory, then rename), and all numeric formatting uses repr, so repeated
-runs produce byte-identical files.
+recording the grid kind, sample count and window.  Reports are JSON.
+
+A scalogram (`circlet/scalogram-v2`) is a JSON header `<stem>.json` plus a
+binary payload `<stem>.npy`: the (scales, angles|positions) array as
+little-endian complex128 (`<c16`), byte for byte what `np.save` writes
+without pickling, but written and hashed straight from the array's memory.
+The header holds the grids, the payload's file name, dtype, shape and
+sha256, and for a circle scalogram the wavelet fingerprint.  The reader
+checks the schema, the digest, and the loaded array's dtype and shape
+against the header and the grids; any mismatch is a FormatError.
+
+All writes are atomic (temp file in the target directory, then rename);
+text numbers use repr and the payload bytes depend only on the array, so
+repeated runs produce byte-identical files.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import os
 import tempfile
@@ -23,7 +35,9 @@ from .line import LineGrid, LineScalogram, LineSignal
 
 SIGNAL_SCHEMA = "circlet/signal-v1"
 REPORT_SCHEMA = "circlet/report-v1"
-SCALOGRAM_SCHEMA = "circlet/scalogram-v1"
+SCALOGRAM_SCHEMA = "circlet/scalogram-v2"
+SCALOGRAM_V1_SCHEMA = "circlet/scalogram-v1"
+PAYLOAD_DTYPE = "<c16"
 
 KIND_CIRCLE = "circle-midpoint"
 KIND_LINE = "line-uniform"
@@ -35,13 +49,15 @@ def _sidecar(path: Path) -> Path:
     return path.with_suffix(".meta.json") if path.suffix == ".csv" else Path(str(path) + ".meta.json")
 
 
-def atomic_write_text(path: Path, text: str):
+def atomic_write_text(path: Path, *chunks: str | bytes | memoryview | np.ndarray):
+    """Write text, or bytes given as one or more buffers, to path through a temp file and a rename."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "w" if isinstance(chunks[0], str) else "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -78,22 +94,22 @@ def write_signal(path, signal: CircleSignal | LineSignal):
     atomic_write_text(_sidecar(path), _dump_json(meta))
 
 
-def _read_text(path: Path, what: str = "") -> str:
+def _read_bytes(path: Path, what: str = "") -> bytes:
     try:
-        return path.read_text()
+        return path.read_bytes()
     except OSError as exc:
         raise FormatError(f"cannot read {what}{path}: {exc}") from exc
 
 
 def _read_json(path: Path, what: str = ""):
     try:
-        return json.loads(_read_text(path, what))
+        return json.loads(_read_bytes(path, what))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{what}{path} is not valid JSON: {exc}") from exc
 
 
 def _parse_csv(path: Path) -> tuple[list[str], np.ndarray]:
-    rows = _read_text(path).splitlines()
+    rows = _read_bytes(path).decode().splitlines()
     if not rows:
         raise FormatError("empty signal file", line=1)
     header = [h.strip() for h in rows[0].split(",")]
@@ -163,6 +179,7 @@ def report_to_dict(report: AdmissibilityReport) -> dict:
         "small_scale_converged": bool(report.small_scale_converged),
         "plateau_ok": bool(report.plateau_ok),
         "admissible": bool(report.admissible),
+        "wavelet_fingerprint": report.wavelet_fingerprint,
         "truncation": {
             "a_min": float(report.scales.a_min),
             "a_max": float(report.scales.a_max),
@@ -178,6 +195,13 @@ def write_report(path, report: AdmissibilityReport):
 
 
 REPORT_FLAGS = ("weak_ok", "small_scale_converged", "plateau_ok", "admissible")
+
+
+def _fingerprint(obj: dict, path: Path) -> str:
+    value = obj.get("wavelet_fingerprint")
+    if not isinstance(value, str):
+        raise FormatError(f"{path}: needs the string key 'wavelet_fingerprint'")
+    return value
 
 
 def read_report(path) -> AdmissibilityReport:
@@ -209,45 +233,38 @@ def read_report(path) -> AdmissibilityReport:
             scales=scales,
             tail_lo=float(tr["tail_lo"]),
             tail_hi=float(tr["tail_hi"]),
+            wavelet_fingerprint=_fingerprint(obj, path),
             **flags,
         )
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, FormatError):
-            raise
         raise FormatError(f"malformed report {path}: {exc}") from exc
 
 
-def _matrix_csv(m: np.ndarray) -> str:
-    return "\n".join(",".join(repr(float(x)) for x in row) for row in m) + "\n"
-
-
-def _read_matrix_csv(path: Path, shape: tuple[int, int]) -> np.ndarray:
-    out = []
-    for i, row in enumerate(_read_text(path).splitlines(), start=1):
-        if not row.strip():
-            continue
-        try:
-            out.append([float(p) for p in row.split(",")])
-        except ValueError as exc:
-            raise FormatError("non-numeric field in matrix", line=i) from exc
-    data = np.array(out)
-    if data.shape != shape:
-        raise FormatError(f"{path}: expected matrix {shape}, got {data.shape}")
-    return data
-
-
 def write_scalogram(stem, scal: Scalogram | LineScalogram):
-    """Write <stem>.json plus <stem>.re.csv / <stem>.im.csv matrices."""
+    """Write the payload <stem>.npy, then the header <stem>.json."""
     stem = Path(stem)
     if isinstance(scal, Scalogram):
         kind = "circle"
-        extra = {"n_angles": int(scal.angles.n_samples), "n_max": int(scal.n_max)}
+        extra = {
+            "n_angles": int(scal.angles.n_samples),
+            "n_max": int(scal.n_max),
+            "wavelet_fingerprint": scal.wavelet_fingerprint,
+        }
     else:
         kind = "line"
         extra = {
             "window": [float(scal.grid.lo), float(scal.grid.hi)],
             "n_samples": int(scal.grid.n_samples),
         }
+    values = np.ascontiguousarray(scal.values, dtype=PAYLOAD_DTYPE)
+    # np.save's bytes, written and hashed from the array's own memory
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(values))
+    data = values.reshape(-1).view(np.uint8)
+    digest = hashlib.sha256(header.getvalue())
+    digest.update(data)
+    payload_path = Path(str(stem) + ".npy")
+    atomic_write_text(payload_path, header.getvalue(), data)
     meta = {
         "schema": SCALOGRAM_SCHEMA,
         "kind": kind,
@@ -255,19 +272,42 @@ def write_scalogram(stem, scal: Scalogram | LineScalogram):
         "scale_max": float(scal.scales.a_max),
         "scale_count": int(scal.scales.count),
         **extra,
-        "re": stem.name + ".re.csv",
-        "im": stem.name + ".im.csv",
+        "payload": payload_path.name,
+        "dtype": PAYLOAD_DTYPE,
+        "shape": list(scal.values.shape),
+        "sha256": digest.hexdigest(),
     }
     atomic_write_text(Path(str(stem) + ".json"), _dump_json(meta))
-    atomic_write_text(Path(str(stem) + ".re.csv"), _matrix_csv(scal.values.real))
-    atomic_write_text(Path(str(stem) + ".im.csv"), _matrix_csv(scal.values.imag))
+
+
+def _read_payload(stem: Path, meta: dict, shape: tuple[int, int]) -> np.ndarray:
+    """Load the payload named by the header, checked against digest, dtype and shape."""
+    if meta["dtype"] != PAYLOAD_DTYPE:
+        raise FormatError(f"{stem}: payload dtype must be {PAYLOAD_DTYPE!r}, header says {meta['dtype']!r}")
+    if tuple(meta["shape"]) != shape:
+        raise FormatError(f"{stem}: header shape {meta['shape']} does not match the grids {list(shape)}")
+    path = stem.parent / meta["payload"]
+    data = _read_bytes(path, "payload ")
+    if hashlib.sha256(data).hexdigest() != meta["sha256"]:
+        raise FormatError(f"payload {path} does not match the header's sha256")
+    values = np.lib.format.read_array(io.BytesIO(data), allow_pickle=False)
+    if values.dtype != np.dtype(PAYLOAD_DTYPE) or values.shape != shape:
+        raise FormatError(f"payload {path} holds {values.dtype.str} {values.shape}, "
+                          f"header says {PAYLOAD_DTYPE} {shape}")
+    return values
 
 
 def read_scalogram(stem) -> Scalogram | LineScalogram:
     stem = Path(stem)
     meta = _read_json(Path(str(stem) + ".json"))
-    if meta.get("schema") != SCALOGRAM_SCHEMA:
-        raise FormatError(f"unknown scalogram schema {meta.get('schema')!r}")
+    schema = meta.get("schema")
+    if schema == SCALOGRAM_V1_SCHEMA:
+        raise FormatError(
+            f"{stem}.json is a {SCALOGRAM_V1_SCHEMA} scalogram, which is no longer read; "
+            f"rerun `circlet cwt` to write {SCALOGRAM_SCHEMA}"
+        )
+    if schema != SCALOGRAM_SCHEMA:
+        raise FormatError(f"unknown scalogram schema {schema!r}")
     try:
         count = int(meta["scale_count"])
         kind = meta["kind"]
@@ -277,9 +317,7 @@ def read_scalogram(stem) -> Scalogram | LineScalogram:
             shape = (count, int(meta["n_samples"]))
         else:
             raise FormatError(f"unknown scalogram kind {kind!r}")
-        re = _read_matrix_csv(stem.parent / meta["re"], shape)
-        im = _read_matrix_csv(stem.parent / meta["im"], shape)
-        values = re + 1j * im
+        values = _read_payload(stem, meta, shape)
         scales = ScaleGrid(float(meta["scale_min"]), float(meta["scale_max"]), count)
         if kind == "circle":
             return Scalogram(
@@ -287,6 +325,7 @@ def read_scalogram(stem) -> Scalogram | LineScalogram:
                 angles=CircleGrid(int(meta["n_angles"])),
                 values=values,
                 n_max=int(meta["n_max"]),
+                wavelet_fingerprint=_fingerprint(meta, stem),
             )
         lo, hi = (float(x) for x in meta["window"])
         return LineScalogram(
@@ -295,8 +334,6 @@ def read_scalogram(stem) -> Scalogram | LineScalogram:
             values=values,
         )
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, FormatError):
-            raise
         raise FormatError(f"malformed scalogram {stem}: {exc}") from exc
 
 

@@ -18,7 +18,9 @@ mode sum K(w, r) = sum_n hp_n(w) conj(basis_n(r)) (geometric convergence
 since |(w-1)/(w+1)| < 1 on the half-plane).
 
 Laguerre polynomials are evaluated by the standard three-term upward
-recurrence; factorial ratios go through log-gamma.
+recurrence; factorial ratios go through log-gamma.  scipy supplies the
+Gauss-Laguerre nodes and is imported only by the two quadratures, so
+importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, roots_laguerre
 
 from .line import LogGrid, RPlusFunction
 
@@ -72,7 +73,7 @@ def genlaguerre(n: int, m: float, r) -> np.ndarray:
 
 def log_norm_rplus(spec: LaguerreBasisSpec, n: int) -> float:
     """ln of the squared half-line normalizer G(n+2k)/G(n+1)."""
-    return float(gammaln(n + 2.0 * spec.k) - gammaln(n + 1.0))
+    return math.lgamma(n + 2.0 * spec.k) - math.lgamma(n + 1.0)
 
 
 def laguerre_basis(spec: LaguerreBasisSpec, n: int, r) -> np.ndarray:
@@ -164,10 +165,10 @@ def log_norm_halfplane(spec: LaguerreBasisSpec, n: int) -> float:
     k = spec.k
     return float(
         np.log(np.pi)
-        + gammaln(n + 1.0)
-        + gammaln(2.0 * k - 1.0)
+        + math.lgamma(n + 1.0)
+        + math.lgamma(2.0 * k - 1.0)
         - (4.0 * k - 2.0) * np.log(2.0)
-        - gammaln(2.0 * k + n)
+        - math.lgamma(2.0 * k + n)
     )
 
 
@@ -197,7 +198,7 @@ def halfplane_basis(spec: LaguerreBasisSpec, n: int, w) -> np.ndarray:
 
 def _log_kernel_const(spec: LaguerreBasisSpec) -> float:
     """ln of the kernel constant 1 / (2 sqrt(pi (2k-2)!))."""
-    return -np.log(2.0) - 0.5 * (np.log(np.pi) + gammaln(2.0 * spec.k - 1.0))
+    return -np.log(2.0) - 0.5 * (np.log(np.pi) + math.lgamma(2.0 * spec.k - 1.0))
 
 
 def laplace_kernel(spec: LaguerreBasisSpec, w, r) -> np.ndarray:
@@ -234,6 +235,8 @@ def laplace_transform(
     sampled.  Warns when halving the node count moves the estimate (small
     Re(w) pushes f's variation under the nodes).
     """
+    from scipy.special import roots_laguerre
+
     w = require_halfplane(w)
     k = spec.k
     ln_c = _log_kernel_const(spec)
@@ -267,6 +270,8 @@ def gauss_laguerre_gram(spec: LaguerreBasisSpec, n_max: int, n_nodes: int = GL_N
     The integrand e^{-r} r^{2k-1} L_n L_m is weight times polynomial for
     half-integer k, so the rule is exact once 2 n_nodes - 1 covers the
     degree."""
+    from scipy.special import roots_laguerre
+
     u, wq = roots_laguerre(n_nodes)
     funcs = []
     for n in range(n_max + 1):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import Sampled
+from .circle import Sampled, _store_complex_values
 from .cwt import ScaleGrid
 
 DEFAULT_LINE_SAMPLES = 2048
@@ -148,13 +148,8 @@ class LineScalogram:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=complex)
-        if v.shape != (self.scales.count, self.grid.n_samples):
-            raise ValueError(
-                f"values shape {v.shape} does not match "
-                f"({self.scales.count}, {self.grid.n_samples})"
-            )
-        object.__setattr__(self, "values", v)
+        shape = (self.scales.count, self.grid.n_samples)
+        _store_complex_values(self, shape, lambda got: f"values shape {got} does not match {shape}")
 
 
 def _wavelet_stencil(gamma: LineSignal, grid: LineGrid, a: float) -> np.ndarray:

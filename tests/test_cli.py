@@ -112,6 +112,56 @@ def test_cwt_icwt_round_trip(tmp_path):
     assert err < 1e-2
 
 
+def _pipeline_inputs(tmp_path, n=256):
+    grid = CircleGrid(n)
+    sig = CircleSignal(grid, (np.cos(2 * grid.nodes) + 0.5 * np.sin(4 * grid.nodes)).astype(complex))
+    sig_path = tmp_path / "sig.csv"
+    write_signal(sig_path, sig)
+    return sig_path
+
+
+def test_cwt_reruns_byte_identical(tmp_path):
+    sig_path = _pipeline_inputs(tmp_path)
+    outputs = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        res = run(["cwt", "--builtin", "dog:2", "--signal", str(sig_path),
+                   "--scale-count", "40", "--out", str(tmp_path / name / "scal")])
+        assert res.returncode == 0, res.stderr
+        outputs.append([(tmp_path / name / f).read_bytes() for f in ("scal.json", "scal.npy")])
+        assert sorted(os.listdir(tmp_path / name)) == ["scal.json", "scal.npy"]
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("mixup", ["report", "wavelet"])
+def test_icwt_refuses_inputs_of_another_wavelet(tmp_path, mixup):
+    # a dog:3 report with a dog:2 scalogram and wavelet, or a dog:2 report
+    # and scalogram reconstructed with dog:3; either must not reconstruct
+    sig_path = _pipeline_inputs(tmp_path)
+    report_wavelet, icwt_wavelet = ("dog:3", "dog:2") if mixup == "report" else ("dog:2", "dog:3")
+    report = tmp_path / "report.json"
+    run(["admissibility", "--builtin", report_wavelet, "--scale-count", "40", "--out", str(report)])
+    assert report.exists()
+    stem = tmp_path / "scal"
+    res = run(["cwt", "--builtin", "dog:2", "--signal", str(sig_path), "--scale-count", "40",
+               "--out", str(stem)])
+    assert res.returncode == 0, res.stderr
+    res = run(["icwt", "--builtin", icwt_wavelet, "--scalogram", str(stem),
+               "--report", str(report), "--out", str(tmp_path / "rec.csv")])
+    assert res.returncode == 1
+    what = "report" if mixup == "report" else "scalogram"
+    assert res.stderr.startswith(f"circlet: error: the {what} belongs to another wavelet")
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "rec.csv").exists()
+
+
+def test_import_leaves_scipy_unloaded():
+    probe = "import sys, circlet.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 def test_line_cwt_gaussian_rejected(tmp_path):
     res = run(["line-cwt", "--builtin", "gauss", "--signal", "ignored.csv"])
     assert res.returncode == 2
@@ -171,3 +221,14 @@ def test_thread_cap_reaches_blas():
     if res.stdout.strip() == "none":
         pytest.skip("no OpenBLAS library is loaded")
     assert res.stdout.strip() == "1"
+
+
+def test_openblas_spin_short_unless_set():
+    probe = "import os, circlet; print(os.environ['OPENBLAS_THREAD_TIMEOUT'])"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    for preset, want in ((None, "4"), ("28", "28")):
+        if preset is not None:
+            env["OPENBLAS_THREAD_TIMEOUT"] = preset
+        res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == want

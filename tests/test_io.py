@@ -1,18 +1,27 @@
 """File formats: CSV signals with JSON sidecars, reports, scalograms."""
 
+import hashlib
+import io
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from circlet import (
     CircleGrid,
     CircleSignal,
     FormatError,
     LineGrid,
+    LineScalogram,
     LineSignal,
     ScaleGrid,
+    Scalogram,
     analyze,
     atomic_write_text,
     lambda_sequence,
@@ -225,6 +234,148 @@ def test_scalogram_missing_matrix(tmp_path):
     psi = CircleSignal(grid, np.cos(2 * grid.nodes).astype(complex))
     scal = analyze(psi, make_dog(2.0), ScaleGrid(0.5, 2.0, 4), n_max=4)
     write_scalogram(tmp_path / "scal", scal)
-    (tmp_path / "scal.im.csv").unlink()
+    (tmp_path / "scal.npy").unlink()
     with pytest.raises(FormatError):
         read_scalogram(tmp_path / "scal")
+
+
+# any complex128 bit pattern, NaN payloads and signed zeros included
+scalogram_values = st.tuples(st.integers(2, 5), st.integers(2, 8)).flatmap(
+    lambda shape: arrays("<c16", (shape[0], 2 * shape[1]),
+                         elements=st.complex_numbers(allow_nan=True, allow_infinity=True))
+)
+scale_grids = st.tuples(st.floats(1e-6, 1.0), st.floats(1.01, 1e6))
+
+
+@st.composite
+def scalograms(draw):
+    values = draw(scalogram_values)
+    a_min, factor = draw(scale_grids)
+    scales = ScaleGrid(a_min, a_min * factor, values.shape[0])
+    n = values.shape[1]
+    if draw(st.booleans()):
+        fingerprint = draw(st.text("0123456789abcdef", min_size=64, max_size=64))
+        return Scalogram(scales, CircleGrid(n), values, n_max=draw(st.integers(0, n // 4)),
+                         wavelet_fingerprint=fingerprint)
+    lo, width = draw(st.floats(-100.0, 100.0)), draw(st.floats(1e-3, 100.0))
+    return LineScalogram(scales, LineGrid(lo, lo + width, n), values)
+
+
+def _same_scalogram(a, b):
+    assert type(a) is type(b)
+    assert a.scales == b.scales
+    assert a.values.tobytes() == b.values.tobytes()
+    if isinstance(a, Scalogram):
+        assert (a.angles, a.n_max, a.wavelet_fingerprint) == (b.angles, b.n_max, b.wavelet_fingerprint)
+    else:
+        assert a.grid == b.grid
+
+
+@settings(max_examples=60, deadline=None)
+@given(scalograms())
+def test_scalogram_property_round_trip(scal):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "a"), Path(tmp, "b")
+        write_scalogram(first, scal)
+        _same_scalogram(read_scalogram(first), scal)
+        # the payload is byte for byte what np.save writes
+        buf = io.BytesIO()
+        np.save(buf, scal.values.astype("<c16"), allow_pickle=False)
+        assert Path(tmp, "a.npy").read_bytes() == buf.getvalue()
+        # a second write is byte-identical, header and payload alike
+        write_scalogram(second, scal)
+        assert Path(tmp, "a.npy").read_bytes() == Path(tmp, "b.npy").read_bytes()
+        header = json.loads(Path(tmp, "b.json").read_text())
+        header["payload"] = "a.npy"
+        assert json.loads(Path(tmp, "a.json").read_text()) == header
+        assert sorted(os.listdir(tmp)) == ["a.json", "a.npy", "b.json", "b.npy"]
+
+
+def _header(stem):
+    return json.loads(Path(str(stem) + ".json").read_text())
+
+
+def _rewrite_header(stem, patch):
+    header = _header(stem)
+    header.update(patch)
+    Path(str(stem) + ".json").write_text(json.dumps(header))
+
+
+@settings(max_examples=30, deadline=None)
+@given(scalograms(), st.data())
+def test_scalogram_corruption_refused(scal, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        stem = Path(tmp, "scal")
+        payload = Path(tmp, "scal.npy")
+        write_scalogram(stem, scal)
+        good = payload.read_bytes()
+
+        pos = data.draw(st.integers(0, len(good) - 1))
+        bit = data.draw(st.integers(0, 7))
+        flipped = bytearray(good)
+        flipped[pos] ^= 1 << bit
+        payload.write_bytes(bytes(flipped))
+        with pytest.raises(FormatError, match="sha256"):
+            read_scalogram(stem)
+
+        payload.write_bytes(good[:data.draw(st.integers(0, len(good) - 1))])
+        with pytest.raises(FormatError, match="sha256"):
+            read_scalogram(stem)
+
+        payload.write_bytes(good)
+        rows, cols = scal.values.shape
+        _rewrite_header(stem, {"shape": data.draw(st.sampled_from(
+            [[rows + 1, cols], [rows, cols + 2], [rows * cols], [rows, cols, 1]]))})
+        with pytest.raises(FormatError, match="shape"):
+            read_scalogram(stem)
+
+
+def _small_scalogram(tmp_path):
+    grid = CircleGrid(16)
+    psi = CircleSignal(grid, np.cos(2 * grid.nodes).astype(complex))
+    stem = tmp_path / "scal"
+    write_scalogram(stem, analyze(psi, make_dog(2.0), ScaleGrid(0.5, 2.0, 4), n_max=4))
+    return stem
+
+
+def test_scalogram_v1_header_refused(tmp_path):
+    stem = _small_scalogram(tmp_path)
+    _rewrite_header(stem, {"schema": "circlet/scalogram-v1", "re": "scal.re.csv", "im": "scal.im.csv"})
+    with pytest.raises(FormatError, match=r"circlet/scalogram-v1.*rerun `circlet cwt`"):
+        read_scalogram(stem)
+
+
+@pytest.mark.parametrize("bad", [
+    lambda v: v.astype("<c8"),  # another dtype
+    lambda v: v.reshape(v.shape[1], v.shape[0]),  # another shape
+])
+def test_payload_must_match_header_even_with_fresh_digest(tmp_path, bad):
+    stem = _small_scalogram(tmp_path)
+    buf = io.BytesIO()
+    np.save(buf, bad(np.load(tmp_path / "scal.npy")), allow_pickle=False)
+    (tmp_path / "scal.npy").write_bytes(buf.getvalue())
+    _rewrite_header(stem, {"sha256": hashlib.sha256(buf.getvalue()).hexdigest()})
+    with pytest.raises(FormatError, match="header says"):
+        read_scalogram(stem)
+
+
+@pytest.mark.parametrize("patch", [
+    {"dtype": "<c8"},
+    {"wavelet_fingerprint": None},
+    {"sha256": None},
+])
+def test_scalogram_header_fields_checked(tmp_path, patch):
+    stem = _small_scalogram(tmp_path)
+    _rewrite_header(stem, patch)
+    with pytest.raises(FormatError):
+        read_scalogram(stem)
+
+
+def test_report_without_fingerprint_refused(tmp_path):
+    path = tmp_path / "report.json"
+    write_report(path, lambda_sequence(make_dog(2.0), n_max=8))
+    obj = json.loads(path.read_text())
+    del obj["wavelet_fingerprint"]
+    path.write_text(json.dumps(obj))
+    with pytest.raises(FormatError, match="wavelet_fingerprint"):
+        read_report(path)
