@@ -9,12 +9,14 @@ little-endian complex128 (`<c16`), byte for byte what `np.save` writes
 without pickling, but written and hashed straight from the array's memory.
 The header holds the grids, the payload's file name, dtype, shape and
 sha256, and for a circle scalogram the wavelet fingerprint.  The reader
-checks the schema, the digest, and the loaded array's dtype and shape
+refuses a payload name that is not a bare file name beside the header,
+then checks the schema, the digest, and the loaded array's dtype and shape
 against the header and the grids; any mismatch is a FormatError.
 
-All writes are atomic (temp file in the target directory, then rename);
-text numbers use repr and the payload bytes depend only on the array, so
-repeated runs produce byte-identical files.
+All writes are atomic (temp file in the target directory, then rename) and
+leave the mode a plain open() would, 0o666 less the umask; text numbers
+use repr and the payload bytes depend only on the array, so repeated runs
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import hashlib
 import io
 import json
 import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -50,10 +51,18 @@ def _sidecar(path: Path) -> Path:
 
 
 def atomic_write_text(path: Path, *chunks: str | bytes | memoryview | np.ndarray):
-    """Write text, or bytes given as one or more buffers, to path through a temp file and a rename."""
+    """Write text, or bytes given as one or more buffers, to path through a temp file and a rename.
+
+    The temp file is created with mode 0o666 less the process umask (the
+    kernel applies it, so no thread ever changes the umask), which the
+    rename keeps: the same mode a plain open(path, "w") would give.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
+    # opened as mkstemp opens its file, but with 0o666 for the umask to reduce
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_CLOEXEC", 0) | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "w" if isinstance(chunks[0], str) else "wb") as fh:
             for chunk in chunks:
@@ -151,7 +160,10 @@ def read_signal(path) -> CircleSignal | LineSignal:
     if np.any(np.diff(coords) <= 0.0):
         bad = int(np.argwhere(np.diff(coords) <= 0.0)[0][0]) + 3
         raise FormatError("coordinates must be strictly increasing", line=bad)
-    values = data[:, 1] + (1j * data[:, 2] if len(header) == 3 else 0.0)
+    # assigned part by part: re + 1j * im would turn a -0.0 into +0.0
+    values = data[:, 1].astype(complex)
+    if len(header) == 3:
+        values.imag = data[:, 2]
     if meta["kind"] == KIND_CIRCLE:
         grid = CircleGrid(n)
         if np.max(np.abs(coords - grid.nodes)) > GRID_MATCH_TOL:
@@ -281,12 +293,20 @@ def write_scalogram(stem, scal: Scalogram | LineScalogram):
 
 
 def _read_payload(stem: Path, meta: dict, shape: tuple[int, int]) -> np.ndarray:
-    """Load the payload named by the header, checked against digest, dtype and shape."""
+    """Load the payload named by the header, checked against digest, dtype and shape.
+
+    The payload must be a bare file name beside the header, checked before
+    any file is opened.
+    """
+    name = meta["payload"]
+    # an absolute path, or one leaving the directory, holds a separator
+    if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise FormatError(f"{stem}: header field 'payload' must be a bare file name, got {name!r}")
     if meta["dtype"] != PAYLOAD_DTYPE:
         raise FormatError(f"{stem}: payload dtype must be {PAYLOAD_DTYPE!r}, header says {meta['dtype']!r}")
     if tuple(meta["shape"]) != shape:
         raise FormatError(f"{stem}: header shape {meta['shape']} does not match the grids {list(shape)}")
-    path = stem.parent / meta["payload"]
+    path = stem.parent / name
     data = _read_bytes(path, "payload ")
     if hashlib.sha256(data).hexdigest() != meta["sha256"]:
         raise FormatError(f"payload {path} does not match the header's sha256")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlet import (
     AliasingError,
@@ -132,6 +134,85 @@ def test_trig_interpolation_exact_on_modes():
     want = np.exp(2j * 7 * probe) + 0.3 * np.exp(-2j * 12 * probe)
     got = trig_interpolate(GRID, vals, probe)
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+def dense_trig_interpolate(grid, values, theta):
+    """The direct mode sum: an (targets x (N+1)) matrix of exponentials."""
+    n = grid.n_samples
+    u = np.fft.fft(np.asarray(values, dtype=complex)) / n
+    ks = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    # split the unpaired -n/2 mode across +-n/2
+    ks_ext = np.concatenate([ks, [n // 2]])
+    u_ext = np.concatenate([u, [0.5 * u[n // 2]]])
+    u_ext[n // 2] *= 0.5
+    t = np.atleast_1d(np.asarray(theta, dtype=float))
+    # fractional grid index; e^{2 pi i k j(t)/n} is e^{2 i k t} up to a fixed phase
+    j = (t + np.pi / 2) / grid.spacing - 0.5
+    out = np.exp(2j * np.pi * np.outer(j, ks_ext) / n) @ u_ext
+    if np.isscalar(theta) or np.ndim(theta) == 0:
+        return out[0]
+    return out.reshape(np.shape(theta))
+
+
+THETA_SHAPES = {
+    "scalar": lambda t: float(t[0]),
+    "0-d": lambda t: np.asarray(t[0]),
+    "1-D": lambda t: t,
+    "2-D": lambda t: t[: t.size // 3 * 3].reshape(3, -1),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    half_n=st.integers(2, 512),
+    seed=st.integers(0, 2**32 - 1),
+    span=st.sampled_from([np.pi / 2, 4.0]),
+    shape=st.sampled_from(sorted(THETA_SHAPES)),
+)
+def test_trig_interpolate_matches_dense_sum(half_n, seed, span, shape):
+    # full-band complex samples; targets inside and outside the chart (far
+    # out, the angle's own rounding times n already exceeds the bound)
+    grid = CircleGrid(2 * half_n)
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(grid.n_samples) + 1j * rng.standard_normal(grid.n_samples)
+    theta = THETA_SHAPES[shape](rng.uniform(-span, span, 99))
+    got = trig_interpolate(grid, vals, theta)
+    want = dense_trig_interpolate(grid, vals, theta)
+    assert np.shape(got) == np.shape(want) == np.shape(theta)
+    # relative to the signal's scale: one target may sit near a zero
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(vals))
+
+
+@pytest.mark.parametrize("n", [4096, 16384])
+def test_trig_interpolate_closed_form_at_large_n(n):
+    # samples of sum_k c_k e^{2ikt} for |k| <= n/4, built by one inverse FFT
+    grid = CircleGrid(n)
+    rng = np.random.default_rng(n)
+    k = np.arange(-(n // 4), n // 4 + 1)
+    c = (rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)) / (1.0 + np.abs(k))
+    spectrum = np.zeros(n, dtype=complex)
+    # e^{2ik theta_j} = e^{-ik pi + i pi k / n} e^{2 pi i k j / n} on the midpoint grid
+    spectrum[k % n] = c * np.exp(1j * np.pi * k * (1.0 / n - 1.0))
+    vals = n * np.fft.ifft(spectrum)
+    theta = rng.uniform(-4.0, 4.0, 200)
+    want = np.exp(2j * np.outer(theta, k)) @ c
+    got = trig_interpolate(grid, vals, theta)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [4, 6, 64, 1024])
+def test_trig_interpolate_real_in_real_out(n):
+    grid = CircleGrid(n)
+    vals = np.random.default_rng(n).standard_normal(n)
+    got = trig_interpolate(grid, vals, np.linspace(-4.0, 4.0, 301))
+    assert np.max(np.abs(got.imag)) <= 1e-14 * np.max(np.abs(got))
+
+
+def test_trig_interpolate_non_finite_angle_is_nan():
+    grid = CircleGrid(8)
+    with np.errstate(invalid="ignore"):
+        got = trig_interpolate(grid, np.arange(8.0), np.array([np.nan, np.inf, -np.inf, 0.3]))
+    assert np.all(np.isnan(got[:3])) and np.isfinite(got[3])
 
 
 def test_signal_call_without_evaluator_interpolates():

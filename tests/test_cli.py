@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -13,12 +14,12 @@ from circlet import CircleGrid, CircleSignal, read_signal, write_signal
 CMD = [sys.executable, "-m", "circlet.cli"]
 
 
-def run(args, env_extra=None, cwd=None):
+def run(args, env_extra=None, cwd=None, umask=-1):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        CMD + args, capture_output=True, text=True, env=env, cwd=cwd
+        CMD + args, capture_output=True, text=True, env=env, cwd=cwd, umask=umask
     )
 
 
@@ -131,6 +132,31 @@ def test_cwt_reruns_byte_identical(tmp_path):
         outputs.append([(tmp_path / name / f).read_bytes() for f in ("scal.json", "scal.npy")])
         assert sorted(os.listdir(tmp_path / name)) == ["scal.json", "scal.npy"]
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="umask and file modes are POSIX")
+def test_outputs_take_the_umask_mode(tmp_path):
+    # the mode a plain open(path, "w") gives: 0o666 less the umask
+    sig_path = _pipeline_inputs(tmp_path)
+    contents = []
+    for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+        out = tmp_path / f"umask{umask:03o}"
+        out.mkdir()
+        for args in (
+            ["admissibility", "--builtin", "dog:2", "--scale-count", "40", "--out", str(out / "report.json")],
+            ["cwt", "--builtin", "dog:2", "--signal", str(sig_path), "--scale-count", "40",
+             "--out", str(out / "scal")],
+            ["icwt", "--scalogram", str(out / "scal"), "--report", str(out / "report.json"),
+             "--out", str(out / "rec.csv")],
+        ):
+            res = run(args, umask=umask)
+            assert res.returncode == 0, res.stderr
+        names = sorted(os.listdir(out))
+        assert names == ["rec.csv", "rec.meta.json", "report.json", "scal.json", "scal.npy"]
+        assert {n: stat.filemode(os.stat(out / n).st_mode) for n in names} == dict.fromkeys(
+            names, stat.filemode(stat.S_IFREG | mode))
+        contents.append([(out / n).read_bytes() for n in names])
+    assert contents[0] == contents[1]
 
 
 @pytest.mark.parametrize("mixup", ["report", "wavelet"])

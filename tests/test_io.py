@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from circlet import (
+    AdmissibilityReport,
     CircleGrid,
     CircleSignal,
     FormatError,
@@ -379,3 +380,86 @@ def test_report_without_fingerprint_refused(tmp_path):
     path.write_text(json.dumps(obj))
     with pytest.raises(FormatError, match="wavelet_fingerprint"):
         read_report(path)
+
+
+@pytest.mark.parametrize("payload", ["../x.npy", "absolute", "", ".", "..", "sub/x.npy", "sub\\x.npy"])
+def test_scalogram_payload_must_be_a_bare_name(tmp_path, payload):
+    # a real copy of the payload, digest and all, lies outside the header's
+    # directory: the reader must refuse the name, not open the file
+    (tmp_path / "run").mkdir()
+    stem = _small_scalogram(tmp_path / "run")
+    outside = tmp_path / "x.npy"
+    outside.write_bytes((tmp_path / "run" / "scal.npy").read_bytes())
+    _rewrite_header(stem, {"payload": str(outside) if payload == "absolute" else payload})
+    with pytest.raises(FormatError, match=r"header field 'payload' must be a bare file name"):
+        read_scalogram(stem)
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def signals(draw):
+    n = 2 * draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        grid = CircleGrid(n)
+    else:
+        lo, width = draw(st.floats(-100.0, 100.0)), draw(st.floats(1e-3, 100.0))
+        grid = LineGrid(lo, lo + width, n)
+    values = np.zeros(n, dtype=complex)
+    values.real = draw(arrays(float, n, elements=finite_floats))
+    if draw(st.booleans()):
+        # complex: at least one non-zero imaginary part selects the re,im layout
+        values.imag = draw(arrays(float, n, elements=finite_floats).filter(lambda im: np.any(im != 0.0)))
+    cls = CircleSignal if isinstance(grid, CircleGrid) else LineSignal
+    return cls(grid, values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(signals())
+def test_signal_property_round_trip(sig):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "a.csv"), Path(tmp, "b.csv")
+        write_signal(first, sig)
+        back = read_signal(first)
+        assert type(back) is type(sig)
+        assert back.grid == sig.grid
+        assert back.values.tobytes() == sig.values.tobytes()
+        write_signal(second, back)
+        assert first.read_bytes() == second.read_bytes()
+        assert Path(tmp, "a.meta.json").read_bytes() == Path(tmp, "b.meta.json").read_bytes()
+
+
+VERDICT_FLAGS = ("weak_ok", "small_scale_converged", "plateau_ok", "admissible")
+
+
+@st.composite
+def reports(draw):
+    n_max = draw(st.integers(0, 6))
+    a_min, factor = draw(scale_grids)
+    flags = {key: draw(st.booleans()) for key in VERDICT_FLAGS}
+    return AdmissibilityReport(
+        n_max=n_max,
+        lambdas=draw(arrays(float, 2 * n_max + 1, elements=finite_floats)),
+        weak_integral=complex(draw(finite_floats)),
+        scales=ScaleGrid(a_min, a_min * factor, draw(st.integers(2, 500))),
+        tail_lo=draw(finite_floats),
+        tail_hi=draw(finite_floats),
+        wavelet_fingerprint=draw(st.text("0123456789abcdef", min_size=64, max_size=64)),
+        **flags,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(reports())
+def test_report_property_round_trip(report):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "a.json"), Path(tmp, "b.json")
+        write_report(first, report)
+        back = read_report(first)
+        for key in VERDICT_FLAGS + ("wavelet_fingerprint", "n_max", "scales", "tail_lo", "tail_hi",
+                                    "weak_integral"):
+            assert getattr(back, key) == getattr(report, key), key
+        assert back.lambdas.tobytes() == report.lambdas.tobytes()
+        write_report(second, back)
+        assert first.read_bytes() == second.read_bytes()
