@@ -87,7 +87,6 @@ from .io import (
     read_scalogram,
     read_signal,
     report_to_dict,
-    write_json,
     write_report,
     write_scalogram,
     write_signal,
@@ -222,7 +221,6 @@ __all__ = [
     "trig_interpolate",
     "wavelet_fingerprint",
     "weak_admissibility",
-    "write_json",
     "write_report",
     "write_scalogram",
     "write_signal",

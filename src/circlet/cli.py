@@ -17,7 +17,6 @@ import numpy as np
 from . import io as cio
 from .circle import DEFAULT_N_SAMPLES, CircleGrid, CircleSignal
 from .cwt import (
-    DEFAULT_N_MAX,
     DEFAULT_SCALE_COUNT,
     DEFAULT_SCALE_MAX,
     DEFAULT_SCALE_MIN,
@@ -168,13 +167,9 @@ def cmd_frame(args) -> int:
     # diagonal sum pi * sum_n lambda_n |psi^n|^2
     grid = gamma.grid
     probe = CircleSignal(grid, (np.cos(2 * grid.nodes) + 0.5 * np.sin(4 * grid.nodes)).astype(complex))
-    n_probe = min(report.n_max, grid.n_samples // 4)
-    coeffs = fourier_coeffs(probe, n_probe)
-    predicted = float(np.pi * np.sum(
-        report.lambdas[report.n_max - n_probe: report.n_max + n_probe + 1]
-        * np.abs(coeffs.values) ** 2
-    ))
-    scal = analyze(probe, gamma, scales=report.scales, n_max=n_probe)
+    coeffs = fourier_coeffs(probe, report.n_max)
+    predicted = float(np.pi * np.sum(report.lambdas * np.abs(coeffs.values) ** 2))
+    scal = analyze(probe, gamma, scales=report.scales, n_max=report.n_max)
     measured = scal.energy()
     rel = abs(measured - predicted) / predicted
     print(f"diagonal energy: {predicted!r}")
@@ -293,14 +288,14 @@ def build_parser() -> _Parser:
     s = sub.add_parser("admissibility", help="scale-integral admissibility report for a circle wavelet")
     _wavelet_flags(s)
     _scale_flags(s)
-    s.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
+    s.add_argument("--n-max", type=int, default=None)
     s.add_argument("--out", help="write the report JSON here")
     s.set_defaults(func=cmd_admissibility)
 
     s = sub.add_parser("frame", help="frame bounds and an energy cross-check")
     _wavelet_flags(s)
     _scale_flags(s)
-    s.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
+    s.add_argument("--n-max", type=int, default=None)
     s.set_defaults(func=cmd_frame)
 
     s = sub.add_parser("cwt", help="circle wavelet transform of a signal CSV")

@@ -31,10 +31,9 @@ they were computed for, and reconstruction refuses a mismatch.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import threading
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,9 +124,13 @@ def wavelet_fingerprint(gamma: CircleSignal) -> str:
     return h.hexdigest()
 
 
-def _check_n_max(n_samples: int, n_max: int):
+def _check_n_max(n_samples: int, n_max: int | None) -> int:
+    """n_max, refused above n_samples/4; None gives min(DEFAULT_N_MAX, n_samples/4)."""
+    if n_max is None:
+        return min(DEFAULT_N_MAX, n_samples // 4)
     if n_max > n_samples // 4:
         raise ValueError(f"n_max {n_max} exceeds n_samples/4 = {n_samples // 4}")
+    return n_max
 
 
 def _grid_phase(n_max: int, grid: CircleGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -176,10 +179,6 @@ def mode_synthesis(grid: CircleGrid, coeffs: FourierCoeffs) -> CircleSignal:
     return CircleSignal(grid, _mode_sum(coeffs.values / np.sqrt(np.pi), grid))
 
 
-_table_memo: OrderedDict = OrderedDict()
-_table_lock = threading.Lock()
-
-
 def dilated_coeffs(gamma: CircleSignal, scales: ScaleGrid, n_max: int = DEFAULT_N_MAX) -> np.ndarray:
     """Mode coefficients of the dilated wavelet, shape (2*n_max+1, count).
 
@@ -191,47 +190,38 @@ def dilated_coeffs(gamma: CircleSignal, scales: ScaleGrid, n_max: int = DEFAULT_
     The table is read-only and shared: the last TABLE_MEMO_SIZE tables are
     kept, keyed on the wavelet samples, the scale grid and n_max.
     """
-    key = (
-        gamma.values.tobytes(),
-        gamma.grid.n_samples,
-        scales.a_min,
-        scales.a_max,
-        scales.count,
-        n_max,
-    )
-    with _table_lock:
-        table = _table_memo.get(key)
-        if table is not None:
-            _table_memo.move_to_end(key)
-            return table
-    table = _dilated_table(gamma, scales, n_max)
+    return _memo_table(gamma.values.tobytes(), scales.a_min, scales.a_max, scales.count, n_max)
+
+
+@functools.lru_cache(maxsize=TABLE_MEMO_SIZE)
+def _memo_table(samples: bytes, a_min: float, a_max: float, count: int, n_max: int) -> np.ndarray:
+    """dilated_coeffs behind the memo; the sample count follows from the byte length."""
+    gv = np.frombuffer(samples, dtype=complex)
+    scales = ScaleGrid(a_min, a_max, count)
+    table = np.empty((2 * n_max + 1, count), dtype=complex)
+    table[n_max:] = _dilated_table(gv, scales, n_max)
+    # c_{-n}(gamma) = conj(c_n(conj gamma)), and a real wavelet is its own conjugate
+    mirror = table[n_max:] if not np.any(gv.imag) else _dilated_table(np.conj(gv), scales, n_max)
+    table[:n_max] = np.conj(mirror[:0:-1])
     table.flags.writeable = False
-    with _table_lock:
-        _table_memo[key] = table
-        while len(_table_memo) > TABLE_MEMO_SIZE:
-            _table_memo.popitem(last=False)
     return table
 
 
-def _dilated_table(gamma: CircleSignal, scales: ScaleGrid, n_max: int) -> np.ndarray:
-    """c_n(a) by cumulative powers of e^{-2 i dilate(u, a)}, TABLE_BLOCK scales at a time.
+def _dilated_table(gv: np.ndarray, scales: ScaleGrid, n_max: int) -> np.ndarray:
+    """c_n(a) for 0 <= n <= n_max by cumulative powers of e^{-2 i dilate(u, a)}.
 
-    For a real wavelet c_{-n} = conj(c_n), so only n >= 0 is summed.  The
-    block arrays are allocated once and overwritten in place, block by block.
+    gv holds the wavelet samples on the midpoint grid.  TABLE_BLOCK scales
+    at a time; the block arrays are allocated once and overwritten in place.
     """
-    u = gamma.grid.nodes
-    n = gamma.grid.n_samples
-    gv = gamma.values
-    real = not np.any(gv.imag)
+    n = len(gv)
+    u = CircleGrid(n).nodes
     cos2 = np.cos(u) ** 2
     tan = np.tan(u)
-    out = np.empty((2 * n_max + 1, scales.count), dtype=complex)
+    out = np.empty((n_max + 1, scales.count), dtype=complex)
     nodes = scales.nodes
     rows = min(TABLE_BLOCK, scales.count)
     mult_buf = np.empty((rows, n))
     p_buf, z_buf = np.empty((rows, n), dtype=complex), np.empty((rows, n), dtype=complex)
-    if not real:
-        q_buf, zc_buf = np.empty_like(p_buf), np.empty_like(z_buf)
     for lo in range(0, scales.count, TABLE_BLOCK):
         a = nodes[lo:lo + TABLE_BLOCK, None]
         cols = slice(lo, lo + a.shape[0])
@@ -248,19 +238,10 @@ def _dilated_table(gamma: CircleSignal, scales: ScaleGrid, n_max: int) -> np.nda
         np.arctan(mult, out=mult)
         np.multiply(-2j, mult, out=z)
         np.exp(z, out=z)
-        out[n_max, cols] = p.sum(axis=1)
-        if not real:
-            q, zc = q_buf[:a.shape[0]], zc_buf[:a.shape[0]]
-            q[...] = p
-            np.conj(z, out=zc)
+        out[0, cols] = p.sum(axis=1)
         for m in range(1, n_max + 1):
             p *= z
-            out[n_max + m, cols] = p.sum(axis=1)
-            if not real:
-                q *= zc
-                out[n_max - m, cols] = q.sum(axis=1)
-    if real:
-        out[:n_max] = np.conj(out[:n_max:-1])
+            out[m, cols] = p.sum(axis=1)
     return out
 
 
@@ -333,7 +314,7 @@ def _plateau_ok(lambdas: np.ndarray, n_max: int) -> bool:
 def lambda_sequence(
     gamma: CircleSignal,
     scales: ScaleGrid | None = None,
-    n_max: int = DEFAULT_N_MAX,
+    n_max: int | None = None,
 ) -> AdmissibilityReport:
     """Admissibility report: mode integrals L_n, weak condition, verdict.
 
@@ -342,9 +323,10 @@ def lambda_sequence(
     norm), every L_n positive with finite spread, a decaying small-scale
     integrand (otherwise the scale integral diverges at a -> 0), and a
     plateaued outer mode band (truncation heuristic; a warning explains
-    when it fails).
+    when it fails).  n_max defaults to min(DEFAULT_N_MAX, n_samples/4),
+    as in analyze.
     """
-    _check_n_max(gamma.grid.n_samples, n_max)
+    n_max = _check_n_max(gamma.grid.n_samples, n_max)
     scales = scales or default_scale_grid()
     coeffs = dilated_coeffs(gamma, scales, n_max)
     integrand = np.abs(coeffs) ** 2 / scales.nodes
@@ -476,8 +458,7 @@ def analyze(
     """
     scales = scales or default_scale_grid()
     angles = angles or psi.grid
-    if n_max is None:
-        n_max = min(DEFAULT_N_MAX, psi.grid.n_samples // 4)
+    n_max = _check_n_max(psi.grid.n_samples, n_max)
     ph = fourier_coeffs(psi, n_max)
     cg = dilated_coeffs(gamma, scales, n_max)
     out = _mode_sum(np.conj(cg.T) * ph.values, angles)  # (scales, angles)

@@ -35,7 +35,6 @@ from .errors import FormatError
 from .line import LineGrid, LineScalogram, LineSignal
 
 SIGNAL_SCHEMA = "circlet/signal-v1"
-REPORT_SCHEMA = "circlet/report-v1"
 SCALOGRAM_SCHEMA = "circlet/scalogram-v2"
 SCALOGRAM_V1_SCHEMA = "circlet/scalogram-v1"
 PAYLOAD_DTYPE = "<c16"
@@ -86,7 +85,9 @@ def write_signal(path, signal: CircleSignal | LineSignal):
     else:
         kind, window = KIND_LINE, [signal.grid.lo, signal.grid.hi]
     coords = signal.grid.nodes
-    complex_valued = bool(np.any(signal.values.imag != 0.0))
+    # a -0.0 imaginary part needs its column too, or it reads back as +0.0
+    imag = signal.values.imag
+    complex_valued = bool(np.any((imag != 0.0) | np.signbit(imag)))
     lines = ["coord,re,im" if complex_valued else "coord,re"]
     for c, v in zip(coords, signal.values):
         if complex_valued:
@@ -355,7 +356,3 @@ def read_scalogram(stem) -> Scalogram | LineScalogram:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed scalogram {stem}: {exc}") from exc
-
-
-def write_json(path, obj: dict):
-    atomic_write_text(Path(path), _dump_json(obj))

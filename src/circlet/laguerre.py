@@ -18,13 +18,13 @@ mode sum K(w, r) = sum_n hp_n(w) conj(basis_n(r)) (geometric convergence
 since |(w-1)/(w+1)| < 1 on the half-plane).
 
 Laguerre polynomials are evaluated by the standard three-term upward
-recurrence; factorial ratios go through log-gamma.  scipy supplies the
-Gauss-Laguerre nodes and is imported only by the two quadratures, so
-importing the package does not load it.
+recurrence; factorial ratios go through log-gamma.  The Gauss-Laguerre
+rule is Golub & Welsch's (Math. Comp. 23, 1969), in numpy alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -34,6 +34,7 @@ import numpy as np
 from .line import LogGrid, RPlusFunction
 
 GL_NODES_DEFAULT = 128
+GL_RULE_MEMO_SIZE = 4  # node counts kept; callers use 128 and 64
 
 
 class QuadratureConvergenceWarning(RuntimeWarning):
@@ -61,14 +62,23 @@ def genlaguerre(n: int, m: float, r) -> np.ndarray:
     """Generalized Laguerre polynomial L_n^{(m)}(r), upward three-term recurrence."""
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
-    r = np.asarray(r, dtype=float)
-    prev = np.ones_like(r)
-    if n == 0:
-        return prev
-    cur = 1.0 + m - r
-    for j in range(1, n):
+    _, cur, exponent, _ = _laguerre_recurrence(n, m, np.asarray(r, dtype=float))
+    return np.ldexp(cur, exponent)
+
+
+def _laguerre_recurrence(n: int, m: float, r: np.ndarray):
+    """L_{n-1}^{(m)}, L_n^{(m)} and sum_{k<n} L_k^{(m)}^2 at r as prev * 2^exponent,
+    cur * 2^exponent and total * 4^exponent: rescaling by powers of two
+    whenever |cur| exceeds 1 is exact and keeps the squares from overflowing."""
+    prev, cur, total = np.zeros_like(r), np.ones_like(r), np.zeros_like(r)
+    exponent = np.zeros(r.shape, dtype=int)
+    for j in range(n):
+        total += cur * cur
         prev, cur = cur, ((2.0 * j + 1.0 + m - r) * cur - (j + m) * prev) / (j + 1.0)
-    return cur
+        shift = np.maximum(np.frexp(cur)[1], 0)
+        prev, cur, total = np.ldexp(prev, -shift), np.ldexp(cur, -shift), np.ldexp(total, -2 * shift)
+        exponent += shift
+    return prev, cur, exponent, total
 
 
 def log_norm_rplus(spec: LaguerreBasisSpec, n: int) -> float:
@@ -222,6 +232,23 @@ def laplace_kernel_series(spec: LaguerreBasisSpec, w: complex, r: float, n_terms
     return total
 
 
+@functools.lru_cache(maxsize=GL_RULE_MEMO_SIZE)
+def _gauss_laguerre_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the rule for int_0^inf e^{-u} f(u) du.
+
+    Jacobi-matrix eigenvalues, one Newton step with L_n' = n (L_n - L_{n-1})/u,
+    then Christoffel weights, which keep the digits that 1/(u L_n'^2) loses.
+    """
+    i = np.arange(n_nodes, dtype=float)
+    u = np.linalg.eigvalsh(np.diag(2.0 * i + 1.0) + np.diag(i[1:], 1) + np.diag(i[1:], -1))
+    prev, cur, _, _ = _laguerre_recurrence(n_nodes, 0.0, u)
+    u -= u * cur / (n_nodes * (cur - prev))
+    _, _, exponent, total = _laguerre_recurrence(n_nodes, 0.0, u)
+    weights = np.ldexp(1.0 / total, -2 * exponent)
+    u.flags.writeable = weights.flags.writeable = False
+    return u, weights
+
+
 def laplace_transform(
     f: RPlusFunction,
     spec: LaguerreBasisSpec,
@@ -235,14 +262,12 @@ def laplace_transform(
     sampled.  Warns when halving the node count moves the estimate (small
     Re(w) pushes f's variation under the nodes).
     """
-    from scipy.special import roots_laguerre
-
     w = require_halfplane(w)
     k = spec.k
     ln_c = _log_kernel_const(spec)
 
     def estimate(nn: int) -> complex:
-        u, wq = roots_laguerre(nn)
+        u, wq = _gauss_laguerre_rule(nn)
         rr = 2.0 * u / w.real
         # K(w,r) with the e^{-u} modulus removed; the measure dr/r becomes du/u
         core = np.exp(ln_c + k * np.log(w.real) + k * np.log(rr)) * np.exp(
@@ -270,9 +295,7 @@ def gauss_laguerre_gram(spec: LaguerreBasisSpec, n_max: int, n_nodes: int = GL_N
     The integrand e^{-r} r^{2k-1} L_n L_m is weight times polynomial for
     half-integer k, so the rule is exact once 2 n_nodes - 1 covers the
     degree."""
-    from scipy.special import roots_laguerre
-
-    u, wq = roots_laguerre(n_nodes)
+    u, wq = _gauss_laguerre_rule(n_nodes)
     funcs = []
     for n in range(n_max + 1):
         # each row is r^{k-1/2} L_n / sqrt(norm); products give the integrand

@@ -182,10 +182,30 @@ def test_icwt_refuses_inputs_of_another_wavelet(tmp_path, mixup):
 
 
 def test_import_leaves_scipy_unloaded():
-    probe = "import sys, circlet.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    # neither the import nor the half-line commands, which run the
+    # Gauss-Laguerre rule, load scipy
+    for argv in ([], ["laguerre", "--k", "1.5", "--n-max", "8"], ["laplace"]):
+        probe = (f"import sys, circlet.cli; rc = circlet.cli.main({argv}) if {argv} else 0; "
+                 "print(sorted(m for m in sys.modules if m.startswith('scipy'))); sys.exit(rc)")
+        res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == "[]", argv
+
+
+def test_admissibility_default_n_max_follows_grid(tmp_path):
+    # --n-max defaults to min(64, n_samples/4), as for cwt
+    out = tmp_path / "report.json"
+    res = run(["admissibility", "--builtin", "dog:2", "--n-samples", "128", "--out", str(out)])
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    assert "admissible: yes" in res.stdout
+    report = json.loads(out.read_text())
+    assert [e["n"] for e in report["lambda"]] == list(range(-32, 33))
+    assert report["plateau_ok"] is True
+    res = run(["frame", "--builtin", "dog:2", "--n-samples", "128"])
+    assert res.returncode == 0, res.stderr
+    res = run(["admissibility", "--builtin", "dog:2", "--n-samples", "128", "--n-max", "33"])
+    assert res.returncode == 1
+    assert res.stderr.strip() == "circlet: error: n_max 33 exceeds n_samples/4 = 32"
 
 
 def test_line_cwt_gaussian_rejected(tmp_path):

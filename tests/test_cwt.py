@@ -443,8 +443,8 @@ def test_dilated_coeffs_memo_is_bounded(dog):
     sc = ScaleGrid(0.5, 2.0, 3)
     for n_max in range(1, TABLE_MEMO_SIZE + 4):
         dilated_coeffs(dog, sc, n_max)
-        assert len(cwt._table_memo) <= TABLE_MEMO_SIZE
-    assert len(cwt._table_memo) == TABLE_MEMO_SIZE
+        assert cwt._memo_table.cache_info().currsize <= TABLE_MEMO_SIZE
+    assert cwt._memo_table.cache_info().currsize == TABLE_MEMO_SIZE
 
 
 def test_dilated_coeffs_memo_under_threads(dog):
@@ -476,4 +476,4 @@ def test_dilated_coeffs_memo_under_threads(dog):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert len(cwt._table_memo) <= TABLE_MEMO_SIZE
+    assert cwt._memo_table.cache_info().currsize <= TABLE_MEMO_SIZE

@@ -430,6 +430,22 @@ def test_signal_property_round_trip(sig):
         assert Path(tmp, "a.meta.json").read_bytes() == Path(tmp, "b.meta.json").read_bytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(signals(), st.data())
+def test_signal_negative_zero_imaginary_round_trip(sig, data):
+    # all-zero imaginary parts, some of them -0.0, keep their sign bits
+    imag = data.draw(arrays(float, sig.grid.n_samples, elements=st.sampled_from([0.0, -0.0])))
+    values = sig.values.real.astype(complex)
+    values.imag = imag
+    sig = type(sig)(sig.grid, values)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "a.csv")
+        write_signal(path, sig)
+        back = read_signal(path)
+        assert np.array_equal(np.signbit(back.values.imag), np.signbit(imag))
+        assert back.values.tobytes() == sig.values.tobytes()
+
+
 VERDICT_FLAGS = ("weak_ok", "small_scale_converged", "plateau_ok", "admissible")
 
 

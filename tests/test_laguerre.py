@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import eval_genlaguerre
+from scipy.special import eval_genlaguerre, roots_laguerre
 
 from circlet import (
     LaguerreBasisSpec,
@@ -21,6 +21,7 @@ from circlet import (
     laplace_transform,
     rplus_generators,
 )
+from circlet.laguerre import _gauss_laguerre_rule, _laguerre_recurrence
 
 GRID = LogGrid(1e-3, 80.0, 6000)
 
@@ -35,6 +36,22 @@ def test_recurrence_against_scipy():
         ref = eval_genlaguerre(n, m, r)
         scale = np.maximum(np.abs(ref), 1.0)
         assert np.max(np.abs(ours - ref) / scale) < 1e-10
+
+
+@pytest.mark.parametrize("n_nodes", [8, 64, 128, 256])
+def test_gauss_laguerre_rule_against_scipy(n_nodes):
+    # scipy is the reference only; the library builds its own rule
+    u, w = _gauss_laguerre_rule(n_nodes)
+    u_ref, w_ref = roots_laguerre(n_nodes)
+    assert np.max(np.abs(u - u_ref) / u_ref) <= 1e-12
+    gap = np.abs(w - w_ref)
+    assert np.all((gap <= 1e-11 * w_ref) | (gap <= 1e-13))
+    assert _gauss_laguerre_rule(n_nodes) is _gauss_laguerre_rule(n_nodes)
+    assert not u.flags.writeable and not w.flags.writeable
+    # the recurrence is renormalised, so nothing overflows even where the
+    # weights underflow
+    with np.errstate(over="raise", invalid="raise"):
+        _laguerre_recurrence(n_nodes, 0.0, u_ref)
 
 
 def test_spec_validation():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlet import (
     AffineElement,
@@ -65,6 +67,32 @@ def test_compose_matches_matrix_product():
         direct = compose(g, h)
         via_matrix = iwasawa_decompose(matrix(g) @ matrix(h))
         assert close(direct, via_matrix, 1e-9)
+
+
+elements = st.builds(
+    lambda log_a, b, theta: GroupElement(math.exp(log_a), b, theta),
+    st.floats(-3.0, 3.0), st.floats(-5.0, 5.0), st.floats(-math.pi, math.pi),
+)
+
+
+def entries(m):
+    return np.array([m.m11, m.m12, m.m21, m.m22])
+
+
+@settings(max_examples=200, deadline=None)
+@given(elements, elements)
+def test_group_law_property(g, h):
+    # compose, inverse and iwasawa_decompose against products of the matrix
+    # oracle, compared as matrices so that the angle branch counts too;
+    # tolerances are relative to the factors' sizes
+    mg, mh = matrix(g), matrix(h)
+    size_g = np.linalg.norm(entries(mg))
+    size = size_g * np.linalg.norm(entries(mh))
+    product = mg @ mh
+    assert np.max(np.abs(entries(matrix(compose(g, h))) - entries(product))) <= 1e-13 * size
+    assert np.max(np.abs(entries(matrix(iwasawa_decompose(product))) - entries(product))) <= 1e-13 * size
+    assert np.max(np.abs(entries(matrix(inverse(g))) - entries(mg.inverse()))) <= 1e-13 * size_g
+    assert close(iwasawa_decompose(mg), g, 1e-12)
 
 
 def test_associativity():
