@@ -11,20 +11,22 @@ integral transform to the half-plane.
 Setting CIRCLET_THREADS to a positive integer caps the BLAS thread pools;
 it takes effect when circlet is imported before numpy.  So does the
 default OPENBLAS_THREAD_TIMEOUT=4, which makes idle OpenBLAS threads sleep
-at once instead of spinning.
+at once instead of spinning.  THREAD_CAP is the cap applied, else None.
 """
 
 import os as _os
 
 # the BLAS libraries read these once, when numpy first loads them; a bad
-# value is left for the command line to refuse
+# value applies no cap and is left for the command line to refuse
 try:
-    _cap = int(_os.environ.get("CIRCLET_THREADS", ""))
-except ValueError:
-    _cap = 0
-if _cap > 0:
+    THREAD_CAP = int(_os.environ["CIRCLET_THREADS"])
+except (KeyError, ValueError):
+    THREAD_CAP = 0
+if THREAD_CAP < 1:
+    THREAD_CAP = None
+else:
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ[_var] = str(_cap)
+        _os.environ[_var] = str(THREAD_CAP)
 # OpenBLAS otherwise keeps each idle thread spinning for 2^28 cycles (about
 # 0.1 s) once it loads and after every call.  circlet's BLAS calls are lone
 # matrix-vector products, so the spin only burns a core; in a short CLI

@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 negative verdict on a well-posed question (for
-example a wavelet that fails admissibility), 1 any error (bad input file,
-malformed arguments or values the library refuses, I/O failure).  All stdout output is deterministic for
-fixed arguments, so repeated runs are byte-identical.
+example a wavelet that fails admissibility), 1 any error: a malformed
+command line, a bad input file, a value the library refuses, a bad
+CIRCLET_THREADS or an I/O failure.  Every error ends as one stderr line
+`circlet: error: <message>`, with no traceback.  All stdout output is
+deterministic for fixed arguments, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import sys
 
 import numpy as np
 
+from . import THREAD_CAP
 from . import io as cio
 from .circle import DEFAULT_N_SAMPLES, CircleGrid, CircleSignal
 from .cwt import (
@@ -38,9 +41,10 @@ from .laguerre import (
     laplace_transform,
 )
 from .line import (
-    LineGrid,
+    DEFAULT_LINE_SAMPLES,
     LineSignal,
     LogGrid,
+    default_line_grid,
     line_admissibility,
     line_analyze,
     line_synthesize,
@@ -54,60 +58,61 @@ EXIT_NEGATIVE = 2
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; that code is reserved for negative
-    # verdicts here, so remap to the generic error code.
+    # verdicts here, so a usage error takes the path of every other error
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit_(EXIT_ERROR, f"{self.prog}: error: {message}")
+        raise ValueError(message)
 
 
-class SystemExit_(Exception):
-    def __init__(self, code, message=None):
-        self.code = code
-        self.message = message
+def _comma_list(convert, what: str):
+    """argparse type for a comma list of values, each parsed by convert."""
+    def parse(text: str) -> list:
+        try:
+            return [convert(tok) for tok in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad {what} list {text!r}") from None
+    return parse
 
 
-def _thread_cap() -> int | None:
-    """Validated CIRCLET_THREADS (applied at package import), or None when unset."""
-    raw = os.environ.get("CIRCLET_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise SystemExit_(EXIT_ERROR, f"circlet: CIRCLET_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise SystemExit_(EXIT_ERROR, f"circlet: CIRCLET_THREADS must be >= 1, got {cap}")
-    return cap
+def _move(tok: str) -> tuple[float, float]:
+    b, a = tok.split(":")
+    return float(b), float(a)
+
+
+def _point_count(text: str) -> int:
+    """argparse type for --points random:N."""
+    kind, _, count = text.partition(":")
+    if kind == "random" and count.isdecimal():
+        return int(count)
+    raise argparse.ArgumentTypeError(f"must look like random:N, got {text!r}")
 
 
 def _circle_builtin(name: str, n_samples: int) -> CircleSignal:
     parts = name.split(":")
     if parts[0] == "dog":
         if len(parts) < 2:
-            raise SystemExit_(EXIT_ERROR, "circlet: builtin dog needs a ratio, e.g. dog:2 or dog:2:balanced")
+            raise ValueError("builtin dog needs a ratio, e.g. dog:2 or dog:2:balanced")
         try:
             alpha = float(parts[1])
         except ValueError:
-            raise SystemExit_(EXIT_ERROR, f"circlet: bad dog ratio {parts[1]!r}")
-        balanced = True
-        if len(parts) > 2:
-            if parts[2] not in ("balanced", "unbalanced"):
-                raise SystemExit_(EXIT_ERROR, f"circlet: dog variant must be balanced or unbalanced, got {parts[2]!r}")
-            balanced = parts[2] == "balanced"
-        return make_dog(alpha, balanced=balanced, grid=CircleGrid(n_samples))
+            raise ValueError(f"bad dog ratio {parts[1]!r}")
+        variant = parts[2] if len(parts) > 2 else "balanced"
+        if variant not in ("balanced", "unbalanced"):
+            raise ValueError(f"dog variant must be balanced or unbalanced, got {variant!r}")
+        return make_dog(alpha, balanced=variant == "balanced", grid=CircleGrid(n_samples))
     if parts[0] == "gauss":
         return CircleSignal.from_evaluator(CircleGrid(n_samples), lambda t: np.exp(-np.tan(t) ** 2))
     if parts[0] == "constant":
         return CircleSignal.from_evaluator(CircleGrid(n_samples), np.ones_like)
-    raise SystemExit_(EXIT_ERROR, f"circlet: unknown circle builtin {parts[0]!r}")
+    raise ValueError(f"unknown circle builtin {parts[0]!r}")
 
 
 def _line_builtin(name: str, n_samples: int) -> LineSignal:
     if name == "mexican-hat":
-        return mexican_hat(LineGrid(-16.0, 16.0, n_samples))
+        return mexican_hat(default_line_grid(n_samples))
     if name == "gauss":
-        return LineSignal.from_evaluator(LineGrid(-16.0, 16.0, n_samples), lambda x: np.exp(-x * x / 2.0))
-    raise SystemExit_(EXIT_ERROR, f"circlet: unknown line builtin {name!r}")
+        return LineSignal.from_evaluator(default_line_grid(n_samples), lambda x: np.exp(-x * x / 2.0))
+    raise ValueError(f"unknown line builtin {name!r}")
 
 
 def _read_signal(path, kind: type) -> CircleSignal | LineSignal:
@@ -115,7 +120,7 @@ def _read_signal(path, kind: type) -> CircleSignal | LineSignal:
     sig = cio.read_signal(path)
     if not isinstance(sig, kind):
         have, need = ("line", "circle") if kind is CircleSignal else ("circle", "line")
-        raise SystemExit_(EXIT_ERROR, f"circlet: {path} holds a {have} signal, need a {need} signal")
+        raise ValueError(f"{path} holds a {have} signal, need a {need} signal")
     return sig
 
 
@@ -135,7 +140,7 @@ def _wavelet_flags(sub, line=False):
     default = "mexican-hat" if line else "dog:2:balanced"
     sub.add_argument("--builtin", default=default,
                      help=f"built-in wavelet (default {default})")
-    sub.add_argument("--n-samples", type=int, default=2048 if line else DEFAULT_N_SAMPLES,
+    sub.add_argument("--n-samples", type=int, default=DEFAULT_LINE_SAMPLES if line else DEFAULT_N_SAMPLES,
                      help="sample count when building a built-in wavelet")
 
 
@@ -221,26 +226,10 @@ def cmd_line_cwt(args) -> int:
 
 
 def cmd_euclid(args) -> int:
-    radii = []
-    for tok in args.R_list.split(","):
-        try:
-            radii.append(float(tok))
-        except ValueError:
-            raise SystemExit_(EXIT_ERROR, f"circlet: bad radius {tok!r}")
-    pairs = []
-    for tok in args.pairs.split(","):
-        bits = tok.split(":")
-        if len(bits) != 2:
-            raise SystemExit_(EXIT_ERROR, f"circlet: pairs must be b:a, got {tok!r}")
-        try:
-            pairs.append((float(bits[0]), float(bits[1])))
-        except ValueError:
-            raise SystemExit_(EXIT_ERROR, f"circlet: bad pair {tok!r}")
-    grid = LineGrid(-16.0, 16.0, args.n_samples)
-    f = LineSignal.from_evaluator(grid, smooth_bump(1.0))
-    for b, a in pairs:
+    f = LineSignal.from_evaluator(default_line_grid(args.n_samples), smooth_bump(1.0))
+    for b, a in args.pairs:
         errs = []
-        for r in radii:
+        for r in args.R_list:
             err = euclidean_limit_error(f, b, a, ContractionParams(radius=r))
             errs.append(err)
             print(f"b={b!r} a={a!r} R={r!r} error={err!r}")
@@ -259,14 +248,8 @@ def cmd_laguerre(args) -> int:
 
 def cmd_laplace(args) -> int:
     spec = LaguerreBasisSpec(k=args.k)
-    if not args.points.startswith("random:"):
-        raise SystemExit_(EXIT_ERROR, f"circlet: --points must look like random:N, got {args.points!r}")
-    try:
-        n_points = int(args.points.split(":", 1)[1])
-    except ValueError:
-        raise SystemExit_(EXIT_ERROR, f"circlet: bad point count in {args.points!r}")
     rng = np.random.default_rng(args.seed)
-    ws = rng.uniform(0.5, 2.0, n_points) + 1j * rng.uniform(-2.0, 2.0, n_points)
+    ws = rng.uniform(0.5, 2.0, args.points) + 1j * rng.uniform(-2.0, 2.0, args.points)
     grid = LogGrid(1e-4, 200.0, 4000)
     worst = 0.0
     for n in range(args.n_max + 1):
@@ -275,7 +258,7 @@ def cmd_laplace(args) -> int:
             got = laplace_transform(f, spec, w)
             want = complex(halfplane_basis(spec, n, w))
             worst = max(worst, abs(got - want))
-    print(f"checked modes 0..{args.n_max} at {n_points} points")
+    print(f"checked modes 0..{args.n_max} at {args.points} points")
     print(f"max transform error: {worst!r}")
     return EXIT_OK
 
@@ -322,9 +305,10 @@ def build_parser() -> _Parser:
     s.set_defaults(func=cmd_line_cwt)
 
     s = sub.add_parser("euclid", help="flat-limit contraction errors for given moves and radii")
-    s.add_argument("--R-list", default="10,100,1000")
-    s.add_argument("--pairs", default="0.7:2.0,-1.0:0.5", help="comma list of b:a moves")
-    s.add_argument("--n-samples", type=int, default=2048)
+    s.add_argument("--R-list", type=_comma_list(float, "radius"), default="10,100,1000")
+    s.add_argument("--pairs", type=_comma_list(_move, "b:a move"), default="0.7:2.0,-1.0:0.5",
+                   help="comma list of b:a moves")
+    s.add_argument("--n-samples", type=int, default=DEFAULT_LINE_SAMPLES)
     s.set_defaults(func=cmd_euclid)
 
     s = sub.add_parser("laguerre", help="orthonormality check for the radial ladder basis")
@@ -335,7 +319,7 @@ def build_parser() -> _Parser:
     s = sub.add_parser("laplace", help="compare the integral transform with its closed form")
     s.add_argument("--k", type=float, default=1.0)
     s.add_argument("--n-max", type=int, default=4)
-    s.add_argument("--points", default="random:5")
+    s.add_argument("--points", type=_point_count, default="random:5", help="random:N, N seeded points")
     s.set_defaults(func=cmd_laplace)
 
     return p
@@ -343,16 +327,14 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     try:
-        _thread_cap()
+        if THREAD_CAP is None and "CIRCLET_THREADS" in os.environ:
+            raise ValueError(f"CIRCLET_THREADS must be a positive integer, got {os.environ['CIRCLET_THREADS']!r}")
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except SystemExit_ as exc:
-        if exc.message:
-            print(exc.message, file=sys.stderr)
-        return exc.code
     except (CircletError, OSError, ValueError) as exc:
-        # ValueError: an argument value the library refuses, such as a
-        # one-node scale grid or a Laguerre weight that is not a half-integer
+        # ValueError: a malformed command line, or an argument value the
+        # library refuses, such as a one-node scale grid or a Laguerre
+        # weight that is not a half-integer
         print(f"circlet: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

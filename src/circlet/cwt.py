@@ -165,10 +165,10 @@ def _mode_projection(values: np.ndarray, grid: CircleGrid, n_max: int) -> np.nda
     return np.fft.fft(values, axis=-1)[..., bins] * np.conj(phase)
 
 
-def fourier_coeffs(psi: CircleSignal, n_max: int = DEFAULT_N_MAX) -> FourierCoeffs:
+def fourier_coeffs(psi: CircleSignal, n_max: int | None = None) -> FourierCoeffs:
     """Coefficients of psi in the orthonormal mode basis, by the midpoint rule."""
     n = psi.grid.n_samples
-    _check_n_max(n, n_max)
+    n_max = _check_n_max(n, n_max)
     _guard_aliasing(psi, "fourier_coeffs")
     vals = (np.sqrt(np.pi) / n) * _mode_projection(psi.values, psi.grid, n_max)
     return FourierCoeffs(n_max, vals)
@@ -179,7 +179,7 @@ def mode_synthesis(grid: CircleGrid, coeffs: FourierCoeffs) -> CircleSignal:
     return CircleSignal(grid, _mode_sum(coeffs.values / np.sqrt(np.pi), grid))
 
 
-def dilated_coeffs(gamma: CircleSignal, scales: ScaleGrid, n_max: int = DEFAULT_N_MAX) -> np.ndarray:
+def dilated_coeffs(gamma: CircleSignal, scales: ScaleGrid, n_max: int | None = None) -> np.ndarray:
     """Mode coefficients of the dilated wavelet, shape (2*n_max+1, count).
 
     Row n + n_max holds c_n(a) over the scale nodes.  Evaluated in the
@@ -188,8 +188,10 @@ def dilated_coeffs(gamma: CircleSignal, scales: ScaleGrid, n_max: int = DEFAULT_
     moderate scales is part of the test contract.
 
     The table is read-only and shared: the last TABLE_MEMO_SIZE tables are
-    kept, keyed on the wavelet samples, the scale grid and n_max.
+    kept, keyed on the wavelet samples, the scale grid and n_max.  The
+    default n_max follows the wavelet's grid, as analyze's follows the signal's.
     """
+    n_max = _check_n_max(gamma.grid.n_samples, None) if n_max is None else n_max
     return _memo_table(gamma.values.tobytes(), scales.a_min, scales.a_max, scales.count, n_max)
 
 

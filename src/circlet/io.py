@@ -1,7 +1,8 @@
 """Deterministic file formats: signal CSVs, admissibility reports, scalograms.
 
 Signals are CSV tables `coord,re[,im]` with a JSON sidecar `<stem>.meta.json`
-recording the grid kind, sample count and window.  Reports are JSON.
+recording the grid kind, sample count and window.  Reports are JSON
+(`circlet/report-v1`) and keep the weak integral's imaginary part.
 
 A scalogram (`circlet/scalogram-v2`) is a JSON header `<stem>.json` plus a
 binary payload `<stem>.npy`: the (scales, angles|positions) array as
@@ -37,6 +38,7 @@ from .line import LineGrid, LineScalogram, LineSignal
 SIGNAL_SCHEMA = "circlet/signal-v1"
 SCALOGRAM_SCHEMA = "circlet/scalogram-v2"
 SCALOGRAM_V1_SCHEMA = "circlet/scalogram-v1"
+REPORT_SCHEMA = "circlet/report-v1"
 PAYLOAD_DTYPE = "<c16"
 
 KIND_CIRCLE = "circle-midpoint"
@@ -111,11 +113,14 @@ def _read_bytes(path: Path, what: str = "") -> bytes:
         raise FormatError(f"cannot read {what}{path}: {exc}") from exc
 
 
-def _read_json(path: Path, what: str = ""):
+def _read_json(path: Path, what: str = "") -> dict:
     try:
-        return json.loads(_read_bytes(path, what))
+        obj = json.loads(_read_bytes(path, what))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{what}{path} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise FormatError(f"{what}{path} does not hold a JSON object")
+    return obj
 
 
 def _parse_csv(path: Path) -> tuple[list[str], np.ndarray]:
@@ -181,6 +186,7 @@ def read_signal(path) -> CircleSignal | LineSignal:
 
 def report_to_dict(report: AdmissibilityReport) -> dict:
     return {
+        "schema": REPORT_SCHEMA,
         "lambda": [
             {"n": int(n), "value": float(v)}
             for n, v in zip(report.ns, report.lambdas)
@@ -188,6 +194,7 @@ def report_to_dict(report: AdmissibilityReport) -> dict:
         "sup": report.sup_lambda,
         "inf": report.inf_lambda,
         "weak_integral": float(report.weak_integral.real),
+        "weak_integral_imag": float(report.weak_integral.imag),
         "weak_ok": bool(report.weak_ok),
         "small_scale_converged": bool(report.small_scale_converged),
         "plateau_ok": bool(report.plateau_ok),
@@ -225,6 +232,9 @@ def read_report(path) -> AdmissibilityReport:
     """
     path = Path(path)
     obj = _read_json(path)
+    if obj.get("schema") != REPORT_SCHEMA:
+        raise FormatError(f"{path} is not a {REPORT_SCHEMA} report (schema {obj.get('schema')!r}); "
+                          f"rerun `circlet admissibility --out` to write one")
     try:
         entries = sorted((int(e["n"]), float(e["value"])) for e in obj["lambda"])
         tr = obj["truncation"]
@@ -242,7 +252,7 @@ def read_report(path) -> AdmissibilityReport:
         return AdmissibilityReport(
             n_max=n_max,
             lambdas=lambdas,
-            weak_integral=complex(obj["weak_integral"]),
+            weak_integral=complex(float(obj["weak_integral"]), float(obj["weak_integral_imag"])),
             scales=scales,
             tail_lo=float(tr["tail_lo"]),
             tail_hi=float(tr["tail_hi"]),

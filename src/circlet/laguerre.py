@@ -249,12 +249,7 @@ def _gauss_laguerre_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return u, weights
 
 
-def laplace_transform(
-    f: RPlusFunction,
-    spec: LaguerreBasisSpec,
-    w: complex,
-    n_nodes: int = GL_NODES_DEFAULT,
-) -> complex:
+def laplace_transform(f: RPlusFunction, spec: LaguerreBasisSpec, w: complex) -> complex:
     """int_0^inf dr/r K(w, r) f(r) by Gauss-Laguerre in u = r Re(w)/2.
 
     The kernel's |e^{-r w/2}| = e^{-u} is exactly the quadrature weight, so
@@ -276,8 +271,8 @@ def laplace_transform(
         vals = f(rr)
         return complex(np.sum(wq * core * vals / u))
 
-    full = estimate(n_nodes)
-    half = estimate(max(8, n_nodes // 2))
+    full = estimate(GL_NODES_DEFAULT)
+    half = estimate(GL_NODES_DEFAULT // 2)
     tol = 1e-8 * max(abs(full), 1e-30) + 1e-14
     if abs(full - half) > tol:
         warnings.warn(
@@ -289,13 +284,13 @@ def laplace_transform(
     return full
 
 
-def gauss_laguerre_gram(spec: LaguerreBasisSpec, n_max: int, n_nodes: int = GL_NODES_DEFAULT) -> np.ndarray:
+def gauss_laguerre_gram(spec: LaguerreBasisSpec, n_max: int) -> np.ndarray:
     """Gram matrix <basis_n | basis_m> on L2(R+, dr/r) by Gauss-Laguerre.
 
     The integrand e^{-r} r^{2k-1} L_n L_m is weight times polynomial for
-    half-integer k, so the rule is exact once 2 n_nodes - 1 covers the
-    degree."""
-    u, wq = _gauss_laguerre_rule(n_nodes)
+    half-integer k, so the rule is exact once 2 GL_NODES_DEFAULT - 1 covers
+    the degree."""
+    u, wq = _gauss_laguerre_rule(GL_NODES_DEFAULT)
     funcs = []
     for n in range(n_max + 1):
         # each row is r^{k-1/2} L_n / sqrt(norm); products give the integrand

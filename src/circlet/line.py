@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import Sampled, _store_complex_values
-from .cwt import ScaleGrid
+from .cwt import MODE_FLOOR, ScaleGrid
 
 DEFAULT_LINE_SAMPLES = 2048
 
@@ -52,6 +52,10 @@ class LineGrid:
     def freqs(self) -> np.ndarray:
         """Angular frequencies of the periodized window, FFT order."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n_samples, d=self.spacing)
+
+
+def default_line_grid(n_samples: int = DEFAULT_LINE_SAMPLES) -> LineGrid:
+    return LineGrid(-16.0, 16.0, n_samples)
 
 
 def _interp_linear(x: np.ndarray, xp: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -126,7 +130,7 @@ def line_admissibility(gamma: LineSignal) -> LineAdmissibility:
 
 def mexican_hat(grid: LineGrid | None = None) -> LineSignal:
     """Second-derivative-of-Gaussian wavelet (1 - x^2) e^{-x^2/2}."""
-    grid = grid or LineGrid(-16.0, 16.0, DEFAULT_LINE_SAMPLES)
+    grid = grid or default_line_grid()
 
     def hat(x):
         x = np.asarray(x, dtype=float)
@@ -184,13 +188,12 @@ def line_synthesize(
     scalogram: LineScalogram,
     gamma: LineSignal,
     adm: LineAdmissibility,
-    mode_floor: float = 1e-12,
 ) -> LineSignal:
     """Reconstruct from int int W(b,a) (U(a,b) gamma)(x) db da/a^2.
 
     Normalized per frequency half-line by 2 pi C_sgn(k) (the exact
     resolution constant); frequencies on a half-line with constant below
-    mode_floor * C_total are dropped, k = 0 included.
+    MODE_FLOOR * C_total are dropped, k = 0 included.
     """
     g = scalogram.grid
     scales = scalogram.scales
@@ -200,7 +203,7 @@ def line_synthesize(
         st = _wavelet_stencil(gamma, g, a)
         acc_hat += weights[j] * np.fft.fft(scalogram.values[j]) * np.fft.fft(st)
     k = g.freqs
-    floor = mode_floor * max(adm.c_total, 1e-300)
+    floor = MODE_FLOOR * max(adm.c_total, 1e-300)
     scale_fac = np.zeros(g.n_samples)
     pos = (k > 0) & (adm.c_pos > floor)
     neg = (k < 0) & (adm.c_neg > floor)

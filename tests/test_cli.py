@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from circlet import CircleGrid, CircleSignal, read_signal, write_signal
+from circlet import CircleGrid, CircleSignal, LineGrid, LineSignal, read_signal, write_signal
 
 CMD = [sys.executable, "-m", "circlet.cli"]
 
@@ -206,6 +206,35 @@ def test_admissibility_default_n_max_follows_grid(tmp_path):
     res = run(["admissibility", "--builtin", "dog:2", "--n-samples", "128", "--n-max", "33"])
     assert res.returncode == 1
     assert res.stderr.strip() == "circlet: error: n_max 33 exceeds n_samples/4 = 32"
+
+
+@pytest.mark.parametrize("args, env, says", [
+    (["no-such-command"], None, "invalid choice"),
+    (["admissibility", "--n-max", "q"], None, "--n-max"),
+    (["euclid", "--R-list", "10,x"], None, "--R-list"),
+    (["euclid", "--pairs", "0.7:2.0,-1.0"], None, "--pairs"),
+    (["euclid", "--pairs", "0.7:x"], None, "--pairs"),
+    (["laplace", "--points", "grid:5"], None, "--points"),
+    (["laplace", "--points", "random:x"], None, "--points"),
+    (["admissibility", "--builtin", "dog:x"], None, "dog ratio"),
+    (["admissibility", "--builtin", "dog:2:odd"], None, "balanced or unbalanced"),
+    (["admissibility", "--builtin", "nope"], None, "unknown circle builtin"),
+    (["cwt", "--signal", "{line}", "--out", "{tmp}/scal"], None, "holds a line signal"),
+    (["admissibility"], {"CIRCLET_THREADS": "abc"}, "CIRCLET_THREADS"),
+    (["admissibility"], {"CIRCLET_THREADS": "0"}, "CIRCLET_THREADS"),
+    (["admissibility", "--scale-count", "1"], None, "2 scale nodes"),
+], ids=["subcommand", "n-max", "R-list", "pairs-arity", "pairs-value", "points-kind", "points-count",
+        "dog-ratio", "dog-variant", "builtin", "line-signal", "threads-abc", "threads-0", "scale-count"])
+def test_refusals_share_one_shape(tmp_path, args, env, says):
+    line = tmp_path / "line.csv"
+    write_signal(line, LineSignal.from_evaluator(LineGrid(-8.0, 8.0, 64), lambda x: np.exp(-x * x)))
+    res = run([a.format(line=line, tmp=tmp_path) for a in args], env_extra=env)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+    last = res.stderr.splitlines()[-1]
+    assert last.startswith("circlet: error: ") and says in last
+    assert sorted(os.listdir(tmp_path)) == ["line.csv", "line.meta.json"]
 
 
 def test_line_cwt_gaussian_rejected(tmp_path):

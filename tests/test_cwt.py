@@ -83,6 +83,14 @@ def test_fourier_coeffs_rejects_aliased():
         fourier_coeffs(psi, 16)
 
 
+def test_default_n_max_follows_grid():
+    # min(DEFAULT_N_MAX, n_samples/4), as analyze uses
+    psi = CircleSignal(CircleGrid(128), np.cos(2 * CircleGrid(128).nodes))
+    assert fourier_coeffs(psi).n_max == 32
+    assert analyze(psi, make_dog(2.0, grid=psi.grid), scales=ScaleGrid(0.5, 2.0, 3)).n_max == 32
+    assert dilated_coeffs(make_dog(2.0, grid=psi.grid), ScaleGrid(0.5, 2.0, 3)).shape == (65, 3)
+
+
 def test_fourier_coeffs_caps_n_max():
     psi = two_mode_signal()
     with pytest.raises(ValueError):

@@ -203,6 +203,35 @@ def test_report_round_trip(tmp_path):
         assert back.scales.count == report.scales.count
 
 
+def test_report_keeps_complex_weak_integral(tmp_path):
+    # an imaginary mean makes the weak integral complex and fails weak_ok;
+    # the value read back must still say why
+    dog = make_dog(2.0, grid=CircleGrid(256))
+    gamma = CircleSignal(dog.grid, dog.values + 0.01j * np.exp(-np.tan(dog.grid.nodes) ** 2))
+    report = lambda_sequence(gamma, n_max=16)
+    assert report.weak_integral.imag > 1e-3 and not report.weak_ok
+    path = tmp_path / "report.json"
+    write_report(path, report)
+    assert json.loads(path.read_text())["schema"] == "circlet/report-v1"
+    back = read_report(path)
+    assert np.array([back.weak_integral]).tobytes() == np.array([report.weak_integral]).tobytes()
+    assert back.weak_ok is False
+
+
+@pytest.mark.parametrize("schema", [None, "circlet/report-v0"])
+def test_report_of_another_schema_refused(tmp_path, schema):
+    path = tmp_path / "report.json"
+    write_report(path, lambda_sequence(make_dog(2.0), n_max=8))
+    obj = json.loads(path.read_text())
+    if schema is None:
+        del obj["schema"]
+    else:
+        obj["schema"] = schema
+    path.write_text(json.dumps(obj))
+    with pytest.raises(FormatError, match=r"circlet/report-v1.*rerun `circlet admissibility"):
+        read_report(path)
+
+
 @pytest.mark.parametrize("flag", ["weak_ok", "small_scale_converged", "plateau_ok"])
 def test_report_without_flag_refused(tmp_path, flag):
     path = tmp_path / "report.json"
@@ -370,6 +399,19 @@ def test_scalogram_header_fields_checked(tmp_path, patch):
     _rewrite_header(stem, patch)
     with pytest.raises(FormatError):
         read_scalogram(stem)
+
+
+@pytest.mark.parametrize("reader", ["report", "scalogram", "signal"])
+def test_json_that_is_not_an_object_refused(tmp_path, reader):
+    # a report, scalogram header or signal sidecar holding a bare number
+    for name in ("x.json", "x.meta.json"):
+        (tmp_path / name).write_text("5")
+    (tmp_path / "x.csv").write_text("coord,re\n0.0,1.0\n")
+    read, path = {"report": (read_report, tmp_path / "x.json"),
+                  "scalogram": (read_scalogram, tmp_path / "x"),
+                  "signal": (read_signal, tmp_path / "x.csv")}[reader]
+    with pytest.raises(FormatError, match="does not hold a JSON object"):
+        read(path)
 
 
 def test_report_without_fingerprint_refused(tmp_path):
