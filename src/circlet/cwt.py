@@ -125,9 +125,16 @@ def wavelet_fingerprint(gamma: CircleSignal) -> str:
 
 
 def _check_n_max(n_samples: int, n_max: int | None) -> int:
-    """n_max, refused above n_samples/4; None gives min(DEFAULT_N_MAX, n_samples/4)."""
+    """The mode band |n| <= n_max that a grid of n_samples resolves.
+
+    None gives min(DEFAULT_N_MAX, n_samples/4).  A given n_max is refused
+    below 1 and above n_samples/4.  Every wavelet and signal grid a
+    transform touches is checked this way, so no table holds aliased modes.
+    """
     if n_max is None:
         return min(DEFAULT_N_MAX, n_samples // 4)
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     if n_max > n_samples // 4:
         raise ValueError(f"n_max {n_max} exceeds n_samples/4 = {n_samples // 4}")
     return n_max
@@ -188,10 +195,11 @@ def dilated_coeffs(gamma: CircleSignal, scales: ScaleGrid, n_max: int | None = N
     moderate scales is part of the test contract.
 
     The table is read-only and shared: the last TABLE_MEMO_SIZE tables are
-    kept, keyed on the wavelet samples, the scale grid and n_max.  The
-    default n_max follows the wavelet's grid, as analyze's follows the signal's.
+    kept, keyed on the wavelet samples, the scale grid and n_max.  n_max
+    is checked against the wavelet's grid, and defaults to what that grid
+    resolves, as analyze's follows the signal's.
     """
-    n_max = _check_n_max(gamma.grid.n_samples, None) if n_max is None else n_max
+    n_max = _check_n_max(gamma.grid.n_samples, n_max)
     return _memo_table(gamma.values.tobytes(), scales.a_min, scales.a_max, scales.count, n_max)
 
 

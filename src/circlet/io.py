@@ -1,8 +1,9 @@
 """Deterministic file formats: signal CSVs, admissibility reports, scalograms.
 
 Signals are CSV tables `coord,re[,im]` with a JSON sidecar `<stem>.meta.json`
-recording the grid kind, sample count and window.  Reports are JSON
-(`circlet/report-v1`) and keep the weak integral's imaginary part.
+(`circlet/signal-v1`) recording the grid kind, sample count and window.
+Reports are JSON (`circlet/report-v1`) and keep the weak integral's
+imaginary part.
 
 A scalogram (`circlet/scalogram-v2`) is a JSON header `<stem>.json` plus a
 binary payload `<stem>.npy`: the (scales, angles|positions) array as
@@ -11,8 +12,13 @@ without pickling, but written and hashed straight from the array's memory.
 The header holds the grids, the payload's file name, dtype, shape and
 sha256, and for a circle scalogram the wavelet fingerprint.  The reader
 refuses a payload name that is not a bare file name beside the header,
-then checks the schema, the digest, and the loaded array's dtype and shape
-against the header and the grids; any mismatch is a FormatError.
+then checks the digest, and the loaded array's dtype and shape against the
+header and the grids.
+
+Every reader passes its sidecar, report or header through one gate,
+`_header`: the file must hold a JSON object of the expected schema, and a
+missing key or a field of the wrong type or range is a FormatError naming
+the file, in a signal sidecar as in a report or scalogram header.
 
 All writes are atomic (temp file in the target directory, then rename) and
 leave the mode a plain open() would, 0o666 less the umask; text numbers
@@ -26,6 +32,7 @@ import hashlib
 import io
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +44,6 @@ from .line import LineGrid, LineScalogram, LineSignal
 
 SIGNAL_SCHEMA = "circlet/signal-v1"
 SCALOGRAM_SCHEMA = "circlet/scalogram-v2"
-SCALOGRAM_V1_SCHEMA = "circlet/scalogram-v1"
 REPORT_SCHEMA = "circlet/report-v1"
 PAYLOAD_DTYPE = "<c16"
 
@@ -106,25 +112,38 @@ def write_signal(path, signal: CircleSignal | LineSignal):
     atomic_write_text(_sidecar(path), _dump_json(meta))
 
 
-def _read_bytes(path: Path, what: str = "") -> bytes:
+def _read_bytes(path: Path, what: str) -> bytes:
     try:
         return path.read_bytes()
     except OSError as exc:
-        raise FormatError(f"cannot read {what}{path}: {exc}") from exc
+        raise FormatError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def _read_json(path: Path, what: str = "") -> dict:
+@contextmanager
+def _header(path: Path, schema: str, rerun: str, what: str):
+    """Yield the JSON object in path, refused unless its schema is `schema`.
+
+    A missing key or a field of the wrong type or range, met in the
+    with-block while the caller builds its object, becomes a FormatError
+    naming the file; `rerun` is the command that writes a good one.
+    """
     try:
         obj = json.loads(_read_bytes(path, what))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{what}{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise FormatError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
-        raise FormatError(f"{what}{path} does not hold a JSON object")
-    return obj
+        raise FormatError(f"{what} {path} does not hold a JSON object")
+    if obj.get("schema") != schema:
+        raise FormatError(f"{what} {path} has schema {obj.get('schema')!r}, expected {schema}; "
+                          f"rerun `{rerun}` to write one")
+    try:
+        yield obj
+    except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
+        raise FormatError(f"malformed {what} {path}: {exc}") from exc
 
 
 def _parse_csv(path: Path) -> tuple[list[str], np.ndarray]:
-    rows = _read_bytes(path).decode().splitlines()
+    rows = _read_bytes(path, "signal").decode().splitlines()
     if not rows:
         raise FormatError("empty signal file", line=1)
     header = [h.strip() for h in rows[0].split(",")]
@@ -152,36 +171,30 @@ def read_signal(path) -> CircleSignal | LineSignal:
     """Read a signal CSV + sidecar, validating grid structure."""
     path = Path(path)
     header, data = _parse_csv(path)
-    side = _sidecar(path)
-    meta = _read_json(side, "sidecar ")
-    for key in ("schema", "kind", "n_samples", "window"):
-        if key not in meta:
-            raise FormatError(f"sidecar {side} lacks {key!r}")
-    if meta["schema"] != SIGNAL_SCHEMA:
-        raise FormatError(f"unknown signal schema {meta['schema']!r}")
-    n = int(meta["n_samples"])
-    if data.shape[0] != n:
-        raise FormatError(f"sidecar says {n} samples, file has {data.shape[0]}")
-    coords = data[:, 0]
-    if np.any(np.diff(coords) <= 0.0):
-        bad = int(np.argwhere(np.diff(coords) <= 0.0)[0][0]) + 3
-        raise FormatError("coordinates must be strictly increasing", line=bad)
-    # assigned part by part: re + 1j * im would turn a -0.0 into +0.0
-    values = data[:, 1].astype(complex)
-    if len(header) == 3:
-        values.imag = data[:, 2]
-    if meta["kind"] == KIND_CIRCLE:
-        grid = CircleGrid(n)
-        if np.max(np.abs(coords - grid.nodes)) > GRID_MATCH_TOL:
-            raise FormatError("coordinates are not the midpoint angle grid")
-        return CircleSignal(grid, values)
-    if meta["kind"] == KIND_LINE:
-        lo, hi = float(meta["window"][0]), float(meta["window"][1])
-        grid = LineGrid(lo, hi, n)
-        if np.max(np.abs(coords - grid.nodes)) > GRID_MATCH_TOL * max(1.0, hi - lo):
-            raise FormatError("coordinates are not the uniform window grid")
-        return LineSignal(grid, values)
-    raise FormatError(f"unknown grid kind {meta['kind']!r}")
+    with _header(_sidecar(path), SIGNAL_SCHEMA, "circlet.write_signal", "sidecar") as meta:
+        n = int(meta["n_samples"])
+        lo, hi = (float(x) for x in meta["window"])
+        if data.shape[0] != n:
+            raise FormatError(f"sidecar says {n} samples, file has {data.shape[0]}")
+        coords = data[:, 0]
+        if np.any(np.diff(coords) <= 0.0):
+            bad = int(np.argwhere(np.diff(coords) <= 0.0)[0][0]) + 3
+            raise FormatError("coordinates must be strictly increasing", line=bad)
+        # assigned part by part: re + 1j * im would turn a -0.0 into +0.0
+        values = data[:, 1].astype(complex)
+        if len(header) == 3:
+            values.imag = data[:, 2]
+        if meta["kind"] == KIND_CIRCLE:
+            grid = CircleGrid(n)
+            if np.max(np.abs(coords - grid.nodes)) > GRID_MATCH_TOL:
+                raise FormatError("coordinates are not the midpoint angle grid")
+            return CircleSignal(grid, values)
+        if meta["kind"] == KIND_LINE:
+            grid = LineGrid(lo, hi, n)
+            if np.max(np.abs(coords - grid.nodes)) > GRID_MATCH_TOL * max(1.0, hi - lo):
+                raise FormatError("coordinates are not the uniform window grid")
+            return LineSignal(grid, values)
+        raise FormatError(f"unknown grid kind {meta['kind']!r}")
 
 
 def report_to_dict(report: AdmissibilityReport) -> dict:
@@ -231,17 +244,12 @@ def read_report(path) -> AdmissibilityReport:
     refused rather than given guessed values.
     """
     path = Path(path)
-    obj = _read_json(path)
-    if obj.get("schema") != REPORT_SCHEMA:
-        raise FormatError(f"{path} is not a {REPORT_SCHEMA} report (schema {obj.get('schema')!r}); "
-                          f"rerun `circlet admissibility --out` to write one")
-    try:
+    with _header(path, REPORT_SCHEMA, "circlet admissibility --out", "report") as obj:
         entries = sorted((int(e["n"]), float(e["value"])) for e in obj["lambda"])
         tr = obj["truncation"]
         scales = ScaleGrid(float(tr["a_min"]), float(tr["a_max"]), int(tr["count"]))
-        ns = np.array([n for n, _ in entries])
-        n_max = int(ns.max())
-        if not np.array_equal(ns, np.arange(-n_max, n_max + 1)):
+        n_max = len(entries) // 2
+        if [n for n, _ in entries] != list(range(-n_max, n_max + 1)):
             raise FormatError("lambda entries must cover -n_max..n_max")
         lambdas = np.array([v for _, v in entries])
         flags = {}
@@ -259,8 +267,6 @@ def read_report(path) -> AdmissibilityReport:
             wavelet_fingerprint=_fingerprint(obj, path),
             **flags,
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed report {path}: {exc}") from exc
 
 
 def write_scalogram(stem, scal: Scalogram | LineScalogram):
@@ -318,7 +324,7 @@ def _read_payload(stem: Path, meta: dict, shape: tuple[int, int]) -> np.ndarray:
     if tuple(meta["shape"]) != shape:
         raise FormatError(f"{stem}: header shape {meta['shape']} does not match the grids {list(shape)}")
     path = stem.parent / name
-    data = _read_bytes(path, "payload ")
+    data = _read_bytes(path, "payload")
     if hashlib.sha256(data).hexdigest() != meta["sha256"]:
         raise FormatError(f"payload {path} does not match the header's sha256")
     values = np.lib.format.read_array(io.BytesIO(data), allow_pickle=False)
@@ -330,39 +336,20 @@ def _read_payload(stem: Path, meta: dict, shape: tuple[int, int]) -> np.ndarray:
 
 def read_scalogram(stem) -> Scalogram | LineScalogram:
     stem = Path(stem)
-    meta = _read_json(Path(str(stem) + ".json"))
-    schema = meta.get("schema")
-    if schema == SCALOGRAM_V1_SCHEMA:
-        raise FormatError(
-            f"{stem}.json is a {SCALOGRAM_V1_SCHEMA} scalogram, which is no longer read; "
-            f"rerun `circlet cwt` to write {SCALOGRAM_SCHEMA}"
-        )
-    if schema != SCALOGRAM_SCHEMA:
-        raise FormatError(f"unknown scalogram schema {schema!r}")
-    try:
-        count = int(meta["scale_count"])
-        kind = meta["kind"]
-        if kind == "circle":
-            shape = (count, int(meta["n_angles"]))
-        elif kind == "line":
-            shape = (count, int(meta["n_samples"]))
-        else:
-            raise FormatError(f"unknown scalogram kind {kind!r}")
-        values = _read_payload(stem, meta, shape)
-        scales = ScaleGrid(float(meta["scale_min"]), float(meta["scale_max"]), count)
-        if kind == "circle":
+    with _header(Path(str(stem) + ".json"), SCALOGRAM_SCHEMA, "circlet cwt", "scalogram") as meta:
+        scales = ScaleGrid(float(meta["scale_min"]), float(meta["scale_max"]), int(meta["scale_count"]))
+        if meta["kind"] == "circle":
+            angles = CircleGrid(int(meta["n_angles"]))
             return Scalogram(
                 scales=scales,
-                angles=CircleGrid(int(meta["n_angles"])),
-                values=values,
+                angles=angles,
+                values=_read_payload(stem, meta, (scales.count, angles.n_samples)),
                 n_max=int(meta["n_max"]),
                 wavelet_fingerprint=_fingerprint(meta, stem),
             )
-        lo, hi = (float(x) for x in meta["window"])
-        return LineScalogram(
-            scales=scales,
-            grid=LineGrid(lo, hi, int(meta["n_samples"])),
-            values=values,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed scalogram {stem}: {exc}") from exc
+        if meta["kind"] == "line":
+            lo, hi = (float(x) for x in meta["window"])
+            grid = LineGrid(lo, hi, int(meta["n_samples"]))
+            return LineScalogram(scales=scales, grid=grid,
+                                 values=_read_payload(stem, meta, (scales.count, grid.n_samples)))
+        raise FormatError(f"unknown scalogram kind {meta['kind']!r}")

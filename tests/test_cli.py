@@ -223,8 +223,12 @@ def test_admissibility_default_n_max_follows_grid(tmp_path):
     (["admissibility"], {"CIRCLET_THREADS": "abc"}, "CIRCLET_THREADS"),
     (["admissibility"], {"CIRCLET_THREADS": "0"}, "CIRCLET_THREADS"),
     (["admissibility", "--scale-count", "1"], None, "2 scale nodes"),
+    # a 1.79 EiB table: larger than any address space, so it fails at once
+    (["admissibility", "--scale-count", "1000000000000000"], None, "Unable to allocate"),
+    (["admissibility", "--n-max", "0"], None, "n_max must be at least 1, got 0"),
 ], ids=["subcommand", "n-max", "R-list", "pairs-arity", "pairs-value", "points-kind", "points-count",
-        "dog-ratio", "dog-variant", "builtin", "line-signal", "threads-abc", "threads-0", "scale-count"])
+        "dog-ratio", "dog-variant", "builtin", "line-signal", "threads-abc", "threads-0", "scale-count",
+        "scale-memory", "n-max-0"])
 def test_refusals_share_one_shape(tmp_path, args, env, says):
     line = tmp_path / "line.csv"
     write_signal(line, LineSignal.from_evaluator(LineGrid(-8.0, 8.0, 64), lambda x: np.exp(-x * x)))
@@ -235,6 +239,32 @@ def test_refusals_share_one_shape(tmp_path, args, env, says):
     last = res.stderr.splitlines()[-1]
     assert last.startswith("circlet: error: ") and says in last
     assert sorted(os.listdir(tmp_path)) == ["line.csv", "line.meta.json"]
+
+
+def test_malformed_sidecar_field_exits_one(tmp_path):
+    line = tmp_path / "line.csv"
+    write_signal(line, LineSignal.from_evaluator(LineGrid(-8.0, 8.0, 64), lambda x: np.exp(-x * x)))
+    side = tmp_path / "line.meta.json"
+    side.write_text(json.dumps({**json.loads(side.read_text()), "window": 5}))
+    res = run(["line-cwt", "--signal", str(line)])
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    assert len(res.stderr.splitlines()) == 1
+    assert res.stderr.startswith(f"circlet: error: malformed sidecar {side}: ")
+
+
+@pytest.mark.parametrize("args, says", [
+    (["--n-samples", "128"], "n_max 64 exceeds n_samples/4 = 32"),
+    (["--n-max", "-3"], "n_max must be at least 1, got -3"),
+])
+def test_cwt_refuses_modes_the_grids_do_not_resolve(tmp_path, args, says):
+    # a 128-sample wavelet resolves |n| <= 32, short of a 1024-sample signal's 64
+    sig_path = _pipeline_inputs(tmp_path, n=1024)
+    res = run(["cwt", "--builtin", "dog:2", "--signal", str(sig_path), "--scale-count", "40",
+               "--out", str(tmp_path / "scal"), *args])
+    assert res.returncode == 1
+    assert res.stderr.splitlines() == [f"circlet: error: {says}"]
+    assert sorted(os.listdir(tmp_path)) == ["sig.csv", "sig.meta.json"]
 
 
 def test_line_cwt_gaussian_rejected(tmp_path):

@@ -97,6 +97,28 @@ def test_fourier_coeffs_caps_n_max():
         fourier_coeffs(psi, GRID.n_samples // 4 + 1)
 
 
+def test_coarse_wavelet_refuses_modes_its_grid_does_not_resolve():
+    # a 1024-sample signal runs at n_max 64; a 128-sample wavelet resolves 32
+    psi = CircleSignal(CircleGrid(1024), np.cos(2 * CircleGrid(1024).nodes))
+    coarse = make_dog(2.0, grid=CircleGrid(128))
+    with pytest.raises(ValueError, match=r"^n_max 64 exceeds n_samples/4 = 32$"):
+        analyze(psi, coarse, scales=ScaleGrid(0.5, 2.0, 3))
+    with pytest.raises(ValueError, match=r"^n_max 33 exceeds n_samples/4 = 32$"):
+        dilated_coeffs(coarse, ScaleGrid(0.5, 2.0, 3), 33)
+    assert analyze(psi, coarse, scales=ScaleGrid(0.5, 2.0, 3), n_max=32).n_max == 32
+
+
+@pytest.mark.parametrize("n_max", [0, -1, -3])
+def test_n_max_below_one_refused(dog, n_max):
+    psi = two_mode_signal()
+    for call in (lambda: fourier_coeffs(psi, n_max),
+                 lambda: dilated_coeffs(dog, ScaleGrid(0.5, 2.0, 3), n_max),
+                 lambda: lambda_sequence(dog, n_max=n_max),
+                 lambda: analyze(psi, dog, scales=ScaleGrid(0.5, 2.0, 3), n_max=n_max)):
+        with pytest.raises(ValueError, match=rf"^n_max must be at least 1, got {n_max}$"):
+            call()
+
+
 def test_dilated_coeffs_match_acted_signal(dog):
     """The scale-resolved coefficients computed in the undilated variable
     must agree with literally transforming the wavelet and reading its

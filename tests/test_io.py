@@ -521,3 +521,77 @@ def test_report_property_round_trip(report):
         assert back.lambdas.tobytes() == report.lambdas.tobytes()
         write_report(second, back)
         assert first.read_bytes() == second.read_bytes()
+
+
+HUGE = object()  # stands for the JSON number 1e400, which parses as inf
+MISSING = object()
+
+
+def _pristine_header(kind: str, tmp: Path) -> tuple[Path, Path]:
+    """A valid file of one header kind: (what to read, its JSON header)."""
+    scales = ScaleGrid(0.5, 2.0, 4)
+    if kind.endswith("sidecar"):
+        grid = CircleGrid(8) if kind == "circle sidecar" else LineGrid(-1.0, 1.0, 8)
+        cls = CircleSignal if kind == "circle sidecar" else LineSignal
+        write_signal(tmp / "x.csv", cls(grid, np.cos(grid.nodes).astype(complex)))
+        return tmp / "x.csv", tmp / "x.meta.json"
+    if kind == "report":
+        write_report(tmp / "x.json", AdmissibilityReport(
+            n_max=2, lambdas=np.ones(5), weak_integral=0j, scales=scales, tail_lo=0.0, tail_hi=0.0,
+            wavelet_fingerprint="0" * 64, weak_ok=True, small_scale_converged=True, plateau_ok=True,
+            admissible=True))
+        return tmp / "x.json", tmp / "x.json"
+    values = np.zeros((4, 8), dtype=complex)
+    if kind == "circle scalogram":
+        scal = Scalogram(scales=scales, angles=CircleGrid(8), values=values, n_max=2,
+                         wavelet_fingerprint="0" * 64)
+    else:
+        scal = LineScalogram(scales=scales, grid=LineGrid(-1.0, 1.0, 8), values=values)
+    write_scalogram(tmp / "x", scal)
+    return tmp / "x", tmp / "x.json"
+
+
+SIDECAR_KEYS = ["schema", "kind", "n_samples", "window"]
+SCALOGRAM_KEYS = ["schema", "kind", "scale_min", "scale_max", "scale_count", "payload", "dtype", "shape",
+                  "sha256"]
+HEADER_KEYS = {
+    "circle sidecar": SIDECAR_KEYS,
+    "line sidecar": SIDECAR_KEYS,
+    "report": ["schema", "lambda", "sup", "inf", "weak_integral", "weak_integral_imag", *VERDICT_FLAGS,
+               "wavelet_fingerprint", "truncation", "truncation.a_min", "truncation.a_max",
+               "truncation.count", "truncation.tail_lo", "truncation.tail_hi"],
+    "circle scalogram": SCALOGRAM_KEYS + ["n_angles", "n_max", "wavelet_fingerprint"],
+    "line scalogram": SCALOGRAM_KEYS + ["window", "n_samples"],
+}
+READERS = {"sidecar": read_signal, "report": read_report, "scalogram": read_scalogram}
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+                         st.text(max_size=4))
+json_values = st.one_of(
+    json_scalars, st.just(HUGE), st.just(MISSING),
+    st.lists(json_scalars, max_size=3),
+    st.dictionaries(st.text(max_size=3), json_scalars, max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(HEADER_KEYS)), st.data(), json_values)
+def test_malformed_header_field_is_a_format_error(kind, data, value):
+    # any one field of any header set to a JSON value of another type, or
+    # removed, is either read or refused as a FormatError, never a crash
+    key = data.draw(st.sampled_from(HEADER_KEYS[kind]))
+    read = READERS[kind.split()[-1]]
+    with tempfile.TemporaryDirectory() as tmp:
+        target, header = _pristine_header(kind, Path(tmp))
+        read(target)
+        obj = json.loads(header.read_text())
+        *outer, last = key.split(".")
+        holder = obj[outer[0]] if outer else obj
+        if value is MISSING:
+            del holder[last]
+        else:
+            holder[last] = "1e400 placeholder" if value is HUGE else value
+        header.write_text(json.dumps(obj).replace('"1e400 placeholder"', "1e400"))
+        try:
+            read(target)
+        except FormatError:
+            pass
