@@ -39,7 +39,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import AliasingError, GridMismatchError
+from .errors import AliasingError, GridMismatchError, require_positive
 
 DEFAULT_N_SAMPLES = 1024
 ALIAS_ENERGY_TOL = 1e-8
@@ -67,8 +67,7 @@ def reduce_half_angle(theta):
 
 def dilate_angle(theta, a: float):
     """Dilated angle arctan(a tan theta); a diffeomorphism of the chart."""
-    if not a > 0.0:
-        raise ValueError(f"dilation must be positive, got {a}")
+    require_positive("dilation", a)
     return np.arctan(a * np.tan(np.asarray(theta, dtype=float)))
 
 
@@ -79,8 +78,7 @@ def multiplier(a: float, theta):
     the cocycle multiplier(a*a', theta) =
     multiplier(a, dilate_angle(theta, a')) * multiplier(a', theta).
     """
-    if not a > 0.0:
-        raise ValueError(f"dilation must be positive, got {a}")
+    require_positive("dilation", a)
     c2 = np.cos(np.asarray(theta, dtype=float)) ** 2
     return a / (a * a + (1.0 - a * a) * c2)
 
@@ -194,6 +192,14 @@ def spectrum_tail_fraction(signal: CircleSignal) -> float:
     return float(np.sum(np.abs(u[hi]) ** 2)) / total
 
 
+def edge_fraction(values: np.ndarray, width: int = 1) -> float:
+    """Largest |value| of the `width` outermost samples at either end over the
+    peak |value|, 0 for a zero signal; the one measure every decay guard reads."""
+    mag = np.abs(values)
+    peak = float(mag.max())
+    return float(max(mag[:width].max(), mag[-width:].max())) / peak if peak > 0.0 else 0.0
+
+
 def _guard_aliasing(signal: CircleSignal, what: str):
     frac = spectrum_tail_fraction(signal)
     if frac > ALIAS_ENERGY_TOL:
@@ -258,8 +264,7 @@ def rep_action(
     L2 chart norm exactly invariant.  The result carries a closed-form
     evaluator whenever the input does.
     """
-    if not (a > 0.0 and np.isfinite(a)):
-        raise ValueError(f"dilation must be positive and finite, got {a}")
+    require_positive("dilation", a)
     alpha = (params or RepParams()).alpha
     inv = 1.0 / a
 

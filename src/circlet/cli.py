@@ -44,7 +44,6 @@ from .laguerre import (
 from .line import (
     DEFAULT_LINE_SAMPLES,
     LineSignal,
-    LogGrid,
     default_line_grid,
     line_admissibility,
     line_analyze,
@@ -251,7 +250,7 @@ def cmd_laplace(args) -> int:
     spec = LaguerreBasisSpec(k=args.k)
     rng = np.random.default_rng(args.seed)
     ws = rng.uniform(0.5, 2.0, args.points) + 1j * rng.uniform(-2.0, 2.0, args.points)
-    grid = LogGrid(1e-4, 200.0, 4000)
+    grid = ScaleGrid(1e-4, 200.0, 4000)
     worst = 0.0
     for n in range(args.n_max + 1):
         f = laguerre_function(spec, n, grid)

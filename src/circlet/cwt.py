@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import CircleGrid, CircleSignal, _guard_aliasing, _store_complex_values, rep_action
-from .errors import DecayError
+from .circle import CircleGrid, CircleSignal, _guard_aliasing, _store_complex_values, edge_fraction, rep_action
+from .errors import DecayError, require_positive
 
 DEFAULT_N_MAX = 64
 DEFAULT_SCALE_MIN = 1e-3
@@ -58,17 +58,29 @@ TABLE_MEMO_SIZE = 4  # dilated-coefficient tables kept for reuse
 
 @dataclass(frozen=True)
 class ScaleGrid:
-    """Log-uniform scale nodes on [a_min, a_max] with trapezoid weights in ln a."""
+    """Log-uniform nodes on [a_min, a_max] carrying da/a: the circle's and the
+    line's scales, and the half-line's radii (`line.LogGrid` is this class)."""
 
     a_min: float
     a_max: float
     count: int
 
     def __post_init__(self):
-        if not (0.0 < self.a_min < self.a_max):
-            raise ValueError(f"need 0 < a_min < a_max, got [{self.a_min}, {self.a_max}]")
+        if not (0.0 < self.a_min < self.a_max < np.inf):
+            raise ValueError(f"need 0 < a_min < a_max < inf, got [{self.a_min}, {self.a_max}]")
         if self.count < 2:
             raise ValueError(f"need at least 2 scale nodes, got {self.count}")
+
+    @property
+    def n_samples(self) -> int:
+        return self.count
+
+    @property
+    def spacing(self) -> float:
+        """Step in ln a, the quadrature step of da/a."""
+        return np.log(self.a_max / self.a_min) / (self.count - 1)
+
+    log_spacing = spacing
 
     @property
     def nodes(self) -> np.ndarray:
@@ -77,8 +89,7 @@ class ScaleGrid:
     @property
     def log_weights(self) -> np.ndarray:
         """Trapezoid weights for int f d(ln a)."""
-        d = np.log(self.a_max / self.a_min) / (self.count - 1)
-        w = np.full(self.count, d)
+        w = np.full(self.count, self.spacing)
         w[0] *= 0.5
         w[-1] *= 0.5
         return w
@@ -262,15 +273,13 @@ def weak_admissibility(gamma: CircleSignal, strict: bool = True):
     signals whose outermost samples exceed 1e-6 of the peak are rejected
     (strict=True) or flagged (strict=False, returning (value, decay_ok)).
     """
-    v = gamma.values
-    peak = float(np.max(np.abs(v)))
-    edge = float(max(np.abs(v[0]), np.abs(v[-1])))
-    decay_ok = peak == 0.0 or edge <= WEAK_DECAY_TOL * peak
-    value = complex(gamma.grid.spacing * np.sum(v / np.cos(gamma.grid.nodes)))
+    frac = edge_fraction(gamma.values)
+    decay_ok = frac <= WEAK_DECAY_TOL
+    value = complex(gamma.grid.spacing * np.sum(gamma.values / np.cos(gamma.grid.nodes)))
     if strict:
         if not decay_ok:
             raise DecayError(
-                f"edge samples carry {edge:.3e} against peak {peak:.3e}; "
+                f"edge samples carry {frac:.3e} of the peak (> {WEAK_DECAY_TOL:.0e}); "
                 "the 1/cos(theta) integrand needs decay at the chart ends"
             )
         return value
@@ -410,8 +419,7 @@ def make_dog(
     (historical variant; its weak integral is (1 - sqrt(alpha)) times the
     bump's and does not vanish).
     """
-    if not (alpha_scale > 0.0 and np.isfinite(alpha_scale)):
-        raise ValueError(f"alpha_scale must be positive and finite, got {alpha_scale}")
+    require_positive("alpha_scale", alpha_scale)
     if alpha_scale == 1.0:
         raise ValueError("alpha_scale = 1 gives the zero signal; use a value != 1")
     grid = grid or CircleGrid(1024)

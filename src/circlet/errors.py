@@ -1,6 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `require_positive`, the
+one check that a dilation, radius, width or ratio is positive and finite."""
 
 from __future__ import annotations
+
+import math
 
 
 class CircletError(Exception):
@@ -32,3 +35,9 @@ class FormatError(CircletError):
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
+
+
+def require_positive(name: str, value: float) -> None:
+    """Raise ValueError "<name> must be positive and finite, got <value>" unless 0 < value < inf."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")

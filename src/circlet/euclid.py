@@ -23,8 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from .circle import CircleGrid, CircleSignal, RepParams, dilate_angle, multiplier, rep_action
-from .errors import DecayError, SupportEscapeError
+from .circle import CircleGrid, CircleSignal, RepParams, edge_fraction, rep_action
+from .errors import DecayError, SupportEscapeError, require_positive
 from .line import LineGrid, LineSignal, affine_action
 
 EDGE_DECAY_TOL = 1e-8
@@ -38,8 +38,7 @@ class ContractionParams:
     radius: float = 1.0
 
     def __post_init__(self):
-        if not (self.radius > 0.0 and np.isfinite(self.radius)):
-            raise ValueError(f"radius must be positive and finite, got {self.radius}")
+        require_positive("radius", self.radius)
 
 
 def i_r_map(gamma: CircleSignal, line_grid: LineGrid, params: ContractionParams) -> LineSignal:
@@ -61,12 +60,10 @@ def i_r_inverse(f: LineSignal, circle_grid: CircleGrid, params: ContractionParam
     values are negligible.
     """
     R = params.radius
-    v = f.values
-    peak = float(np.max(np.abs(v)))
-    edge = float(max(np.abs(v[0]), np.abs(v[-1])))
-    if peak > 0.0 and edge > EDGE_DECAY_TOL * peak:
+    frac = edge_fraction(f.values)
+    if frac > EDGE_DECAY_TOL:
         raise DecayError(
-            f"window edge carries {edge:.3e} against peak {peak:.3e}; "
+            f"window edge carries {frac:.3e} of the peak (> {EDGE_DECAY_TOL:.0e}); "
             "the chart lift would alias the tails"
         )
 
@@ -106,8 +103,7 @@ def check_intertwining(
 
 def contract_point(b: float, a: float, params: ContractionParams) -> tuple[float, float]:
     """Affine group point (b, a) -> chart point (arctan(b/R), a)."""
-    if not (a > 0.0 and np.isfinite(a)):
-        raise ValueError(f"dilation must be positive and finite, got {a}")
+    require_positive("dilation", a)
     return float(np.arctan(b / params.radius)), a
 
 
@@ -159,8 +155,7 @@ def euclidean_limit_error(
 
 def smooth_bump(halfwidth: float = 1.0) -> Callable:
     """Standard compactly supported mollifier on [-halfwidth, halfwidth]."""
-    if not halfwidth > 0.0:
-        raise ValueError(f"halfwidth must be positive, got {halfwidth}")
+    require_positive("halfwidth", halfwidth)
 
     def bump(x):
         x = np.asarray(x, dtype=float)

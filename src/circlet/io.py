@@ -143,27 +143,31 @@ def _header(path: Path, schema: str, rerun: str, what: str):
 
 
 def _parse_csv(path: Path) -> tuple[list[str], np.ndarray]:
-    rows = _read_bytes(path, "signal").decode().splitlines()
+    """Header and numbers of a signal CSV; every FormatError names the path and the line."""
+    raw = _read_bytes(path, "signal")
+    try:
+        rows = raw.decode().splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: byte 0x{raw[exc.start]:02x} is not UTF-8",
+                          line=raw.count(b"\n", 0, exc.start) + 1) from exc
     if not rows:
-        raise FormatError("empty signal file", line=1)
+        raise FormatError(f"{path}: empty signal file", line=1)
     header = [h.strip() for h in rows[0].split(",")]
     if header not in (["coord", "re"], ["coord", "re", "im"]):
-        raise FormatError(
-            f"header must be coord,re[,im], got {rows[0]!r}", line=1
-        )
+        raise FormatError(f"{path}: header must be coord,re[,im], got {rows[0]!r}", line=1)
     width = len(header)
     data = np.empty((len(rows) - 1, width), dtype=float)
     for i, row in enumerate(rows[1:], start=2):
         parts = row.split(",")
         if len(parts) != width:
-            raise FormatError(f"expected {width} fields, got {len(parts)}", line=i)
+            raise FormatError(f"{path}: expected {width} fields, got {len(parts)}", line=i)
         try:
             data[i - 2] = [float(p) for p in parts]
         except ValueError as exc:
-            raise FormatError(f"non-numeric field in {row!r}", line=i) from exc
+            raise FormatError(f"{path}: non-numeric field in {row!r}", line=i) from exc
     if not np.all(np.isfinite(data)):
         bad = int(np.argwhere(~np.isfinite(data).all(axis=1))[0][0]) + 2
-        raise FormatError("non-finite value", line=bad)
+        raise FormatError(f"{path}: non-finite value", line=bad)
     return header, data
 
 
@@ -175,11 +179,11 @@ def read_signal(path) -> CircleSignal | LineSignal:
         n = int(meta["n_samples"])
         lo, hi = (float(x) for x in meta["window"])
         if data.shape[0] != n:
-            raise FormatError(f"sidecar says {n} samples, file has {data.shape[0]}")
+            raise FormatError(f"{path}: sidecar says {n} samples, file has {data.shape[0]}")
         coords = data[:, 0]
         if np.any(np.diff(coords) <= 0.0):
             bad = int(np.argwhere(np.diff(coords) <= 0.0)[0][0]) + 3
-            raise FormatError("coordinates must be strictly increasing", line=bad)
+            raise FormatError(f"{path}: coordinates must be strictly increasing", line=bad)
         # assigned part by part: re + 1j * im would turn a -0.0 into +0.0
         values = data[:, 1].astype(complex)
         if len(header) == 3:
@@ -187,12 +191,12 @@ def read_signal(path) -> CircleSignal | LineSignal:
         if meta["kind"] == KIND_CIRCLE:
             grid = CircleGrid(n)
             if np.max(np.abs(coords - grid.nodes)) > GRID_MATCH_TOL:
-                raise FormatError("coordinates are not the midpoint angle grid")
+                raise FormatError(f"{path}: coordinates are not the midpoint angle grid")
             return CircleSignal(grid, values)
         if meta["kind"] == KIND_LINE:
             grid = LineGrid(lo, hi, n)
             if np.max(np.abs(coords - grid.nodes)) > GRID_MATCH_TOL * max(1.0, hi - lo):
-                raise FormatError("coordinates are not the uniform window grid")
+                raise FormatError(f"{path}: coordinates are not the uniform window grid")
             return LineSignal(grid, values)
         raise FormatError(f"unknown grid kind {meta['kind']!r}")
 

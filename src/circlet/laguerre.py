@@ -31,7 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .line import LogGrid, RPlusFunction
+from .circle import edge_fraction
+from .cwt import ScaleGrid
+from .line import RPlusFunction
 
 GL_NODES_DEFAULT = 128
 GL_RULE_MEMO_SIZE = 4  # node counts kept; callers use 128 and 64
@@ -97,7 +99,7 @@ def laguerre_basis(spec: LaguerreBasisSpec, n: int, r) -> np.ndarray:
     return envelope * genlaguerre(n, 2.0 * spec.k - 1.0, r)
 
 
-def laguerre_function(spec: LaguerreBasisSpec, n: int, grid: LogGrid) -> RPlusFunction:
+def laguerre_function(spec: LaguerreBasisSpec, n: int, grid: ScaleGrid) -> RPlusFunction:
     """basis_n wrapped as an RPlusFunction with an exact evaluator."""
     return RPlusFunction.from_evaluator(grid, lambda r: laguerre_basis(spec, n, r))
 
@@ -140,17 +142,17 @@ def rplus_generators(which: str, f: RPlusFunction, spec: LaguerreBasisSpec) -> R
     """Apply one half-line generator ('a', 'b' or 'theta') on the log grid.
 
     Derivatives are finite differences in ln r (4th order inside, one-sided
-    at the ends); a warning fires when the function has not decayed at the
-    grid ends, where the stencils degrade.
+    at the ends), which need at least 8 nodes; a warning fires when the
+    function has not decayed at the grid ends, where the stencils degrade.
     """
-    h = f.grid.log_spacing
+    if f.grid.n_samples < 8:
+        raise ValueError(f"n_samples must be >= 8, got {f.grid.n_samples}")
+    h = f.grid.spacing
     r = f.grid.nodes
     v = f.values
-    peak = float(np.max(np.abs(v)))
-    edge = float(max(np.abs(v[:2]).max(), np.abs(v[-2:]).max()))
     # power-law vanishing toward r = 0 is slow; only flag edges that carry
     # an appreciable fraction of the peak
-    if peak > 0.0 and edge > 1e-2 * peak:
+    if edge_fraction(v, 2) > 1e-2:
         warnings.warn(
             "function has not decayed at the log-grid ends; "
             "one-sided edge stencils will dominate the error there",
@@ -182,10 +184,13 @@ def log_norm_halfplane(spec: LaguerreBasisSpec, n: int) -> float:
     )
 
 
-def require_halfplane(w: complex) -> complex:
-    w = complex(w)
-    if not (w.real > 0.0 and np.isfinite(w.real) and np.isfinite(w.imag)):
-        raise ValueError(f"half-plane point needs Re(w) > 0, got {w}")
+def require_halfplane(w) -> np.ndarray:
+    """w (a point or an array of points) as a complex array, refused unless
+    every point is finite with Re(w) > 0; the one half-plane check."""
+    w = np.asarray(w, dtype=complex)
+    ok = (w.real > 0.0) & np.isfinite(w)
+    if not ok.all():
+        raise ValueError(f"half-plane point needs Re(w) > 0, got {w[~ok].flat[0]}")
     return w
 
 
@@ -193,9 +198,7 @@ def halfplane_basis(spec: LaguerreBasisSpec, n: int, w) -> np.ndarray:
     """Orthonormal half-plane family hp_n(w), Re(w) > 0."""
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    w = np.asarray(w, dtype=complex)
-    if np.any(w.real <= 0.0):
-        raise ValueError("half-plane points need Re(w) > 0")
+    w = require_halfplane(w)
     k = spec.k
     disk = (w - 1.0) / (w + 1.0)  # |disk| < 1 on the half-plane
     return (
@@ -213,10 +216,8 @@ def _log_kernel_const(spec: LaguerreBasisSpec) -> float:
 
 def laplace_kernel(spec: LaguerreBasisSpec, w, r) -> np.ndarray:
     """Closed-form kernel K(w, r) = Re(w)^k r^k e^{-r w/2} / (2 sqrt(pi (2k-2)!))."""
-    w = np.asarray(w, dtype=complex)
+    w = require_halfplane(w)
     r = np.asarray(r, dtype=float)
-    if np.any(w.real <= 0.0):
-        raise ValueError("half-plane points need Re(w) > 0")
     if np.any(r <= 0.0):
         raise ValueError("kernel lives on r > 0")
     k = spec.k
@@ -225,7 +226,7 @@ def laplace_kernel(spec: LaguerreBasisSpec, w, r) -> np.ndarray:
 
 def laplace_kernel_series(spec: LaguerreBasisSpec, w: complex, r: float, n_terms: int) -> complex:
     """Partial mode sum sum_{n<n_terms} hp_n(w) basis_n(r); converges geometrically."""
-    w = require_halfplane(w)
+    w = complex(require_halfplane(w))
     total = 0.0 + 0.0j
     for n in range(n_terms):
         total += complex(halfplane_basis(spec, n, w)) * float(laguerre_basis(spec, n, r))
@@ -257,7 +258,7 @@ def laplace_transform(f: RPlusFunction, spec: LaguerreBasisSpec, w: complex) -> 
     sampled.  Warns when halving the node count moves the estimate (small
     Re(w) pushes f's variation under the nodes).
     """
-    w = require_halfplane(w)
+    w = complex(require_halfplane(w))
     k = spec.k
     ln_c = _log_kernel_const(spec)
 

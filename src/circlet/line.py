@@ -11,7 +11,7 @@ with the k = 0 bin excluded.  Reconstruction divides per half-line by
 
 The companion Fourier-picture action on L2(R+, da/a),
     (U(a', b') phi)(a) = e^{-i a b'} phi(a' a),
-lives on a log-uniform grid.
+lives on the circle's log-uniform ScaleGrid, here also named LogGrid.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import Sampled, _store_complex_values
-from .cwt import MODE_FLOOR, ScaleGrid
+from .circle import Sampled, _store_complex_values, edge_fraction
+from .cwt import MODE_FLOOR, WEAK_DECAY_TOL, WEAK_VERDICT_TOL, ScaleGrid
+from .errors import require_positive
 
 DEFAULT_LINE_SAMPLES = 2048
 
@@ -75,8 +76,7 @@ class LineSignal(Sampled):
 
 def affine_action(f: LineSignal, a: float, b: float) -> LineSignal:
     """Unitary affine action a^(-1/2) f((x-b)/a) on the same grid."""
-    if not (a > 0.0 and np.isfinite(a)):
-        raise ValueError(f"dilation must be positive and finite, got {a}")
+    require_positive("dilation", a)
 
     def acted(x):
         return a ** -0.5 * f((np.asarray(x, dtype=float) - b) / a)
@@ -94,7 +94,8 @@ def spectrum(f: LineSignal) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LineAdmissibility:
-    """Admissibility constant split by frequency sign; c_total = c_pos + c_neg."""
+    """Admissibility constant split by frequency sign; c_total = c_pos + c_neg.
+    `converged` is the weak condition (decay and zero mean, see line_admissibility)."""
 
     c_total: float
     c_pos: float
@@ -106,9 +107,11 @@ class LineAdmissibility:
 def line_admissibility(gamma: LineSignal) -> LineAdmissibility:
     """Discrete admissibility integral sum_k |G^(k)|^2/|k| dk, k = 0 excluded.
 
-    The k = 0 bin is excluded from the sum, so convergence is judged by
-    whether |G^|^2/|k| decays toward the smallest kept frequencies; a
-    wavelet with nonvanishing mean fails that and is flagged divergent.
+    The k = 0 bin is excluded, so convergence is the circle's weak
+    condition carried over by x = tan(theta), which turns
+    int gamma/cos(theta) dtheta into int G dx: edge samples within
+    WEAK_DECAY_TOL of the peak and |sum G| <= WEAK_VERDICT_TOL sum |G|, an
+    L1 ratio free of the window length and the wavelet's scale.
     """
     g = gamma.grid
     sp = spectrum(gamma)
@@ -119,11 +122,9 @@ def line_admissibility(gamma: LineSignal) -> LineAdmissibility:
     dens[nz] = np.abs(sp[nz]) ** 2 / np.abs(k[nz])
     c_pos = float(np.sum(dens[k > 0]) * dk)
     c_neg = float(np.sum(dens[k < 0]) * dk)
-    peak = float(dens.max()) if dens.size else 0.0
-    # the smallest nonzero |k| bin on each side must sit well below the peak;
-    # a diverging 1/|k| density instead peaks right there
-    small = np.argsort(np.abs(np.where(nz, k, np.inf)))[:2]
-    converged = peak == 0.0 or float(dens[small].max()) < 1e-1 * peak
+    v = gamma.values
+    converged = (edge_fraction(v) <= WEAK_DECAY_TOL
+                 and abs(np.sum(v)) <= WEAK_VERDICT_TOL * np.sum(np.abs(v)))
     admissible = bool(converged and c_pos > 0.0 and c_neg > 0.0)
     return LineAdmissibility(c_pos + c_neg, c_pos, c_neg, bool(converged), admissible)
 
@@ -139,8 +140,8 @@ def mexican_hat(grid: LineGrid | None = None) -> LineSignal:
     return LineSignal.from_evaluator(grid, hat)
 
 
-# the line transform runs on the circle's log-uniform scale grid
-LineScaleGrid = ScaleGrid
+# the line's scales and the half-line's radii run on the circle's scale grid
+LineScaleGrid = LogGrid = ScaleGrid
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,32 +213,6 @@ def line_synthesize(
     return LineSignal(g, np.fft.ifft(acc_hat * scale_fac))
 
 
-@dataclass(frozen=True)
-class LogGrid:
-    """Log-uniform grid on [r_min, r_max] carrying the measure dr/r."""
-
-    r_min: float
-    r_max: float
-    n_samples: int
-
-    def __post_init__(self):
-        if not (0.0 < self.r_min < self.r_max):
-            raise ValueError(f"need 0 < r_min < r_max, got [{self.r_min}, {self.r_max}]")
-        if self.n_samples < 8:
-            raise ValueError(f"n_samples must be >= 8, got {self.n_samples}")
-
-    @property
-    def spacing(self) -> float:
-        """Step in ln r, the quadrature step of dr/r."""
-        return np.log(self.r_max / self.r_min) / (self.n_samples - 1)
-
-    log_spacing = spacing
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return np.geomspace(self.r_min, self.r_max, self.n_samples)
-
-
 @dataclass(frozen=True, eq=False)
 class RPlusFunction(Sampled):
     """Function on the positive half-line with the scale-invariant measure,
@@ -249,8 +224,7 @@ class RPlusFunction(Sampled):
 
 def rplus_action(phi: RPlusFunction, a: float, b: float) -> RPlusFunction:
     """Fourier-picture affine action (U(a,b) phi)(r) = e^{-i r b} phi(a r)."""
-    if not (a > 0.0 and np.isfinite(a)):
-        raise ValueError(f"dilation must be positive and finite, got {a}")
+    require_positive("dilation", a)
 
     def acted(r):
         r = np.asarray(r, dtype=float)

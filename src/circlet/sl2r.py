@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import require_positive
+
 DET_TOL = 1e-8
 
 
@@ -63,10 +65,9 @@ class GroupElement:
     theta: float
 
     def __post_init__(self):
-        if not (self.a > 0.0 and math.isfinite(self.a)):
-            raise ValueError(f"dilation must be positive and finite, got {self.a}")
-        if not math.isfinite(self.b):
-            raise ValueError(f"translation must be finite, got {self.b}")
+        AffineElement(self.a, self.b)  # checks the dilation and the translation
+        if not math.isfinite(self.theta):
+            raise ValueError(f"rotation must be finite, got {self.theta}")
         object.__setattr__(self, "theta", reduce_angle(self.theta))
 
     @staticmethod
@@ -82,8 +83,9 @@ class AffineElement:
     b: float
 
     def __post_init__(self):
-        if not (self.a > 0.0 and math.isfinite(self.a)):
-            raise ValueError(f"dilation must be positive and finite, got {self.a}")
+        require_positive("dilation", self.a)
+        if not math.isfinite(self.b):
+            raise ValueError(f"translation must be finite, got {self.b}")
 
 
 def matrix(g: GroupElement) -> Sl2Matrix:

@@ -2,14 +2,18 @@
 
 import json
 import os
+import re
+import shlex
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from circlet import CircleGrid, CircleSignal, LineGrid, LineSignal, read_signal, write_signal
+from circlet import (CircleGrid, CircleSignal, LineGrid, LineScalogram, LineSignal, read_scalogram,
+                     read_signal, write_signal)
 
 CMD = [sys.executable, "-m", "circlet.cli"]
 
@@ -226,9 +230,13 @@ def test_admissibility_default_n_max_follows_grid(tmp_path):
     # a 1.79 EiB table: larger than any address space, so it fails at once
     (["admissibility", "--scale-count", "1000000000000000"], None, "Unable to allocate"),
     (["admissibility", "--n-max", "0"], None, "n_max must be at least 1, got 0"),
+    # 1e400 reads as inf: an ill-posed question, not a negative verdict
+    (["admissibility", "--scale-max", "1e400"], None, "need 0 < a_min < a_max < inf, got [0.001, inf]"),
+    (["euclid", "--R-list", "inf,10"], None, "radius must be positive and finite, got inf"),
+    (["euclid", "--pairs", "0.7:nan"], None, "dilation must be positive and finite, got nan"),
 ], ids=["subcommand", "n-max", "R-list", "pairs-arity", "pairs-value", "points-kind", "points-count",
         "dog-ratio", "dog-variant", "builtin", "line-signal", "threads-abc", "threads-0", "scale-count",
-        "scale-memory", "n-max-0"])
+        "scale-memory", "n-max-0", "scale-max-inf", "R-list-inf", "pairs-nan"])
 def test_refusals_share_one_shape(tmp_path, args, env, says):
     line = tmp_path / "line.csv"
     write_signal(line, LineSignal.from_evaluator(LineGrid(-8.0, 8.0, 64), lambda x: np.exp(-x * x)))
@@ -265,6 +273,67 @@ def test_cwt_refuses_modes_the_grids_do_not_resolve(tmp_path, args, says):
     assert res.returncode == 1
     assert res.stderr.splitlines() == [f"circlet: error: {says}"]
     assert sorted(os.listdir(tmp_path)) == ["sig.csv", "sig.meta.json"]
+
+
+def test_undecodable_signal_exits_one(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"coord,re\n0.0,\xff\n")
+    res = run(["cwt", "--signal", str(bad), "--out", str(tmp_path / "scal")])
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    assert res.stderr.splitlines() == [f"circlet: error: line 2: {bad}: byte 0xff is not UTF-8"]
+
+
+def _write_packet(path):
+    """cos(5x) e^{-x^2/2} on the default line window [-16, 16), 2048 samples."""
+    grid = LineGrid(-16.0, 16.0, 2048)
+    write_signal(path, LineSignal.from_evaluator(grid, lambda x: np.cos(5.0 * x) * np.exp(-0.5 * x * x)))
+
+
+def _round_trip_error(stdout):
+    return float(re.search(r"round trip relative error: (\S+)", stdout).group(1))
+
+
+def test_line_cwt_round_trip_writes_the_scalogram(tmp_path):
+    _write_packet(tmp_path / "line.csv")
+    args = ["line-cwt", "--builtin", "mexican-hat", "--signal", str(tmp_path / "line.csv"),
+            "--scale-min", "1e-2", "--scale-max", "1e2", "--scale-count", "200", "--roundtrip"]
+    first = run(args + ["--out", str(tmp_path / "a")])
+    assert first.returncode == 0, first.stderr
+    assert _round_trip_error(first.stdout) < 1e-2
+    scal = read_scalogram(tmp_path / "a")
+    assert isinstance(scal, LineScalogram)
+    assert scal.values.shape == (200, 2048)
+    second = run(args + ["--out", str(tmp_path / "b")])
+    assert second.stdout == first.stdout.replace(str(tmp_path / "a"), str(tmp_path / "b"))
+    for ext in (".npy", ".json"):
+        a, b = (tmp_path / f"{stem}{ext}" for stem in "ab")
+        assert a.read_bytes() == b.read_bytes().replace(b'"b.npy"', b'"a.npy"')
+
+
+def test_euclid_defaults_shrink_both_moves():
+    res = run(["euclid"])
+    assert res.returncode == 0, res.stderr
+    shrink = [float(v) for v in re.findall(r"shrink factor=(\S+)", res.stdout)]
+    assert len(shrink) == 2 and min(shrink) > 50
+
+
+def test_readme_command_block_runs(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    grid = CircleGrid(1024)
+    write_signal(tmp_path / "sig.csv", CircleSignal(grid, np.cos(2 * grid.nodes) + 0.5 * np.sin(4 * grid.nodes)))
+    _write_packet(tmp_path / "line.csv")
+    lines = block.strip().splitlines()
+    assert len(lines) == 8
+    for line in lines:
+        prog, *args = shlex.split(line)
+        assert prog == "circlet"
+        res = run(args, cwd=tmp_path)
+        assert res.returncode == 0, (line, res.stderr)
+        assert "Traceback" not in res.stderr
+        if args[0] == "line-cwt":
+            assert _round_trip_error(res.stdout) < 1e-2
 
 
 def test_line_cwt_gaussian_rejected(tmp_path):

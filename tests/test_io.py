@@ -595,3 +595,53 @@ def test_malformed_header_field_is_a_format_error(kind, data, value):
             read(target)
         except FormatError:
             pass
+
+
+def test_undecodable_byte_names_file_and_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"coord,re\n0.0,\xff\n")
+    with pytest.raises(FormatError) as err:
+        read_signal(path)
+    assert err.value.line == 2
+    assert str(err.value) == f"line 2: {path}: byte 0xff is not UTF-8"
+
+
+def test_csv_errors_name_the_file(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("coord,re\n0.0,1.0\n0.1,oops\n")
+    with pytest.raises(FormatError) as err:
+        read_signal(path)
+    assert str(err.value).startswith(f"line 3: {path}: non-numeric field")
+
+
+def test_sidecar_not_json(tmp_path):
+    path = tmp_path / "sig.csv"
+    write_signal(path, circle_two_mode())
+    (tmp_path / "sig.meta.json").write_text("{not json")
+    with pytest.raises(FormatError, match="is not valid JSON"):
+        read_signal(path)
+
+
+def test_empty_csv_refused_on_line_one(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(FormatError, match="empty signal file") as err:
+        read_signal(path)
+    assert err.value.line == 1
+
+
+def test_line_coordinates_off_the_window_grid(tmp_path):
+    path = tmp_path / "line.csv"
+    write_signal(path, LineSignal(LineGrid(-4.0, 4.0, 16), np.ones(16)))
+    rows = path.read_text().splitlines()
+    shifted = [rows[0]] + [f"{float(c) + 1e-6!r},{v}" for c, v in (r.split(",") for r in rows[1:])]
+    path.write_text("\n".join(shifted) + "\n")
+    with pytest.raises(FormatError, match="uniform window grid"):
+        read_signal(path)
+
+
+def test_atomic_write_cleans_up_a_failed_write(tmp_path):
+    target = tmp_path / "out.bin"
+    with pytest.raises(TypeError):
+        atomic_write_text(target, b"first chunk", 5)
+    assert os.listdir(tmp_path) == []

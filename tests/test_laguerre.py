@@ -184,3 +184,12 @@ def test_basis_rejects_nonpositive_radius():
     spec = LaguerreBasisSpec(k=1.0)
     with pytest.raises(ValueError):
         laguerre_basis(spec, 0, np.array([0.0, 1.0]))
+
+
+def test_generators_need_eight_nodes():
+    # the one-sided edge stencils reach seven nodes in; the grid itself takes any count
+    spec = LaguerreBasisSpec(k=2.0)
+    short = laguerre_function(spec, 0, LogGrid(1e-2, 80.0, 7))
+    with pytest.raises(ValueError, match="n_samples must be >= 8, got 7"):
+        rplus_generators("a", short, spec)
+    rplus_generators("a", laguerre_function(spec, 0, LogGrid(1e-2, 80.0, 8)), spec)

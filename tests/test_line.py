@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlet import (
     LineGrid,
@@ -9,6 +11,7 @@ from circlet import (
     LineSignal,
     LogGrid,
     RPlusFunction,
+    ScaleGrid,
     affine_action,
     line_admissibility,
     line_analyze,
@@ -170,3 +173,36 @@ def test_rplus_action_phase_and_dilation():
     r = grid.nodes
     want = np.exp(-1j * r * 0.7) * (2.0 * r) * np.exp(-0.5 * 2.0 * r)
     assert np.max(np.abs(acted.values - want)) < 1e-12
+
+
+def test_mexican_hat_admissible_on_a_short_window():
+    # the verdict is the weak condition: decay and zero mean, not a window-length heuristic
+    adm = line_admissibility(mexican_hat(LineGrid(-8.0, 8.0, 256)))
+    assert adm.converged and adm.admissible
+    assert adm.c_total == pytest.approx(1.0004280687584532, rel=1e-9)
+    assert line_admissibility(mexican_hat()).c_total == pytest.approx(1.0000252366267923, rel=1e-9)
+
+
+def test_mexican_hat_cut_off_by_the_window_refused():
+    adm = line_admissibility(mexican_hat(LineGrid(-4.0, 4.0, 128)))
+    assert not adm.converged
+    assert not adm.admissible
+
+
+@settings(max_examples=40, deadline=None)
+@given(width=st.floats(0.25, 2.0), half=st.floats(1.0, 4.0), n=st.integers(64, 1024).map(lambda m: 2 * m))
+def test_line_verdict_ignores_window_and_scale(width, half, n):
+    # a window of 8..32 widths that samples each width at least twice
+    lo = -8.0 * half * width
+    grid = LineGrid(lo, -lo, max(n, int(np.ceil(-4.0 * lo / width / 2)) * 2))
+    hat = LineSignal.from_evaluator(grid, lambda x: (1 - (x / width) ** 2) * np.exp(-0.5 * (x / width) ** 2))
+    gauss = LineSignal.from_evaluator(grid, lambda x: np.exp(-0.5 * (x / width) ** 2))
+    assert line_admissibility(hat).admissible
+    assert not line_admissibility(gauss).converged
+
+
+def test_log_grid_is_the_scale_grid():
+    assert LogGrid is ScaleGrid is LineScaleGrid
+    g = LogGrid(1e-2, 1e2, 9)
+    assert g.n_samples == g.count == 9
+    assert np.allclose(g.log_weights[1:-1], g.spacing)
