@@ -8,10 +8,11 @@ in `cwt` turns any well-decaying chart signal into a reconstruction frame.
 and `laguerre` the discrete-series realization on the half-line with its
 integral transform to the half-plane.
 
-Setting CIRCLET_THREADS to a positive integer caps the BLAS thread pools;
-it takes effect when circlet is imported before numpy.  So does the
-default OPENBLAS_THREAD_TIMEOUT=4, which makes idle OpenBLAS threads sleep
-at once instead of spinning.  THREAD_CAP is the cap applied, else None.
+Setting CIRCLET_THREADS to a positive integer caps the BLAS thread pools,
+also an OpenBLAS that numpy loaded before circlet was imported.  The
+default OPENBLAS_THREAD_TIMEOUT=4 makes idle OpenBLAS threads sleep at
+once instead of spinning; it takes effect when circlet is imported before
+numpy.  THREAD_CAP is the cap applied, else None.
 """
 
 import os as _os
@@ -115,6 +116,7 @@ from .line import (
     LogGrid,
     RPlusFunction,
     affine_action,
+    dilated_spectra,
     line_admissibility,
     line_analyze,
     line_analyze_direct,
@@ -136,6 +138,38 @@ from .sl2r import (
     matrix,
     reduce_angle,
 )
+
+
+def _cap_loaded_openblas(cap: int) -> None:
+    """Set the thread count of every OpenBLAS already mapped into this process.
+
+    OpenBLAS reads OPENBLAS_NUM_THREADS only when it loads, so a numpy
+    imported before circlet would otherwise keep its default pool.  Nothing
+    happens where no OpenBLAS is loaded or /proc/self/maps cannot be read.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            libs = {line.split()[-1] for line in maps if "openblas" in line.lower()}
+    except OSError:
+        return
+    for lib in sorted(libs):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for sym in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                    "openblas_set_num_threads"):
+            fn = getattr(handle, sym, None)
+            if fn is not None:
+                fn.restype, fn.argtypes = None, [ctypes.c_int]
+                fn(cap)
+                break
+
+
+if THREAD_CAP is not None:
+    _cap_loaded_openblas(THREAD_CAP)
 
 __version__ = "0.1.0"
 
@@ -179,6 +213,7 @@ __all__ = [
     "default_scale_grid",
     "dilate_angle",
     "dilated_coeffs",
+    "dilated_spectra",
     "euclidean_limit_error",
     "fourier_coeffs",
     "frame_bounds",

@@ -50,6 +50,7 @@ from .line import (
     line_synthesize,
     mexican_hat,
 )
+from .sl2r import AffineElement
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -226,15 +227,19 @@ def cmd_line_cwt(args) -> int:
 
 
 def cmd_euclid(args) -> int:
+    # every radius and move is checked, and every error computed, before
+    # anything is printed, so an exit 1 leaves stdout empty
+    radii = [ContractionParams(radius=r) for r in args.R_list]
+    moves = [AffineElement(a, b) for b, a in args.pairs]
     f = LineSignal.from_evaluator(default_line_grid(args.n_samples), smooth_bump(1.0))
-    for b, a in args.pairs:
-        errs = []
-        for r in args.R_list:
-            err = euclidean_limit_error(f, b, a, ContractionParams(radius=r))
-            errs.append(err)
-            print(f"b={b!r} a={a!r} R={r!r} error={err!r}")
+    lines = []
+    for move in moves:
+        b, a = move.b, move.a
+        errs = [euclidean_limit_error(f, b, a, params) for params in radii]
+        lines += [f"b={b!r} a={a!r} R={p.radius!r} error={err!r}" for p, err in zip(radii, errs)]
         if len(errs) >= 2 and errs[-1] > 0:
-            print(f"b={b!r} a={a!r} shrink factor={errs[0] / errs[-1]!r}")
+            lines.append(f"b={b!r} a={a!r} shrink factor={errs[0] / errs[-1]!r}")
+    print("\n".join(lines))
     return EXIT_OK
 
 

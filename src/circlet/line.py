@@ -9,6 +9,15 @@ and the admissibility constant of a wavelet G is
 with the k = 0 bin excluded.  Reconstruction divides per half-line by
 2 pi C_sgn(k), the exact resolution constant for that frequency sign.
 
+The transform works in the Fourier domain, as the classical CWT does:
+per scale a, the signal's FFT times sqrt(2 pi a)/h G^(a k) on the grid's
+frequencies.  Those spectra come from the wavelet's samples alone by one
+chirp-z transform per scale (exact, since the targets a k are
+equispaced), so scales below the grid spacing do not alias.  Analysis and
+synthesis share one read-only table per (wavelet, grid, scale grid) from
+a small memo, as the circle's analysis and synthesis share
+`cwt.dilated_coeffs`.
+
 The companion Fourier-picture action on L2(R+, da/a),
     (U(a', b') phi)(a) = e^{-i a b'} phi(a' a),
 lives on the circle's log-uniform ScaleGrid, here also named LogGrid.
@@ -16,15 +25,17 @@ lives on the circle's log-uniform ScaleGrid, here also named LogGrid.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circle import Sampled, _store_complex_values, edge_fraction
-from .cwt import MODE_FLOOR, WEAK_DECAY_TOL, WEAK_VERDICT_TOL, ScaleGrid
+from .cwt import MODE_FLOOR, TABLE_MEMO_SIZE, WEAK_DECAY_TOL, WEAK_VERDICT_TOL, ScaleGrid
 from .errors import require_positive
 
 DEFAULT_LINE_SAMPLES = 2048
+SPECTRA_BLOCK = 8  # scales per batched block of the spectra build and of synthesis
 
 
 @dataclass(frozen=True)
@@ -157,26 +168,128 @@ class LineScalogram:
         _store_complex_values(self, shape, lambda got: f"values shape {got} does not match {shape}")
 
 
-def _wavelet_stencil(gamma: LineSignal, grid: LineGrid, a: float) -> np.ndarray:
-    """a^{-1/2} G(delta/a) on the signed circular offset grid of `grid`."""
-    n = grid.n_samples
-    offs = (np.arange(n) + n // 2) % n - n // 2
-    delta = offs * grid.spacing
-    return a ** -0.5 * gamma(delta / a)
+def dilated_spectra(gamma: LineSignal, grid: LineGrid, scales: ScaleGrid) -> np.ndarray:
+    """sqrt(2 pi a)/h G^(a k) for the scale nodes a (rows) at grid.freqs k (columns).
+
+    h is grid.spacing, and G^ is the spectrum of the wavelet's samples,
+    G^(kappa) = h_w/sqrt(2 pi) sum_j g_j e^{-i kappa x_j} on the wavelet's own
+    grid, set to zero past that grid's Nyquist pi/h_w.  Row a is the DFT on
+    `grid` of the dilated wavelet a^{-1/2} G(x/a), periodized rather than
+    sampled, so scales below the grid spacing do not alias.  Only the
+    samples enter, as in `cwt.dilated_coeffs`.
+
+    A real wavelet has G^(-kappa) = conj G^(kappa), and its table keeps only
+    the first n/2 + 1 columns (k >= 0 and the -n/2 bin); a complex wavelet's
+    keeps all n.  The table is read-only and shared: the last
+    TABLE_MEMO_SIZE tables are kept, keyed on the wavelet samples, its
+    window, the signal grid and the scale grid.
+    """
+    return _memo_spectra(gamma.values.tobytes(), gamma.grid, grid, scales)
+
+
+@functools.lru_cache(maxsize=TABLE_MEMO_SIZE)
+def _memo_spectra(samples: bytes, wgrid: LineGrid, grid: LineGrid, scales: ScaleGrid) -> np.ndarray:
+    """dilated_spectra behind the memo."""
+    g = np.frombuffer(samples, dtype=complex)
+    half = grid.n_samples // 2
+    table = _half_spectra(g, wgrid, grid, scales)
+    if np.any(g.imag):
+        # the spectrum at -kappa is the conjugate of conj(gamma)'s at +kappa
+        neg = _half_spectra(np.conj(g), wgrid, grid, scales)
+        table = np.concatenate([table[:, :half], np.conj(neg[:, half:0:-1])], axis=1)
+    else:
+        table[:, half] = np.conj(table[:, half])  # column n/2 is the -n/2 bin
+    table.flags.writeable = False
+    return table
+
+
+def _half_spectra(g: np.ndarray, wgrid: LineGrid, grid: LineGrid, scales: ScaleGrid) -> np.ndarray:
+    """dilated_spectra's columns at k = m dk for m = 0..n/2, by chirp-z.
+
+    With x_j = c + j' h_w (c the wavelet window's centre, j' = j - n_w/2),
+    a k_m x_j = a k_m c + alpha m j' with alpha = a h_w dk, and Bluestein's
+    m j' = (m^2 + j'^2 - (m - j')^2)/2 turns sum_j g_j e^{-i alpha m j'} into
+    a correlation with the chirp w_t = e^{-i alpha t^2/2}: one chirp per scale
+    serves the pre-multiply, the kernel and the post-multiply.  The sum is
+    exact to rounding because the targets a k_m are equispaced per scale.
+    SPECTRA_BLOCK scales at a time, each block only as wide as its unmasked
+    band.
+    """
+    n, nw, h, hw = grid.n_samples, wgrid.n_samples, grid.spacing, wgrid.spacing
+    centre = wgrid.lo + (nw // 2) * hw
+    abs_k = np.abs(grid.freqs[:n // 2 + 1])
+    pre = np.abs(np.arange(nw) - nw // 2)
+    out = np.zeros((scales.count, n // 2 + 1), dtype=complex)
+    nodes = scales.nodes
+    for lo in range(0, scales.count, SPECTRA_BLOCK):
+        a = nodes[lo:lo + SPECTRA_BLOCK, None]
+        keep = a * abs_k <= np.pi / hw
+        top = int(np.count_nonzero(keep[0]))  # the block's widest band, at its smallest scale
+        size = _fft_length(nw + top - 1)
+        # alpha t^2/2 = 2 pi (a h_w / (2 n h)) t^2
+        chirp = _cis(a * hw / (2.0 * n * h), np.arange(nw // 2 + top) ** 2)
+        # u_j = g_j w_j' and v_r = conj w_(r + 1 - n_w/2), so that the linear
+        # convolution (u * v)[m + n_w - 1] is sum_j g_j w_j' conj w_(m - j')
+        u = np.zeros((a.shape[0], size), dtype=complex)
+        np.multiply(chirp[:, pre], g, out=u[:, :nw])
+        v = np.zeros((a.shape[0], size), dtype=complex)
+        np.conjugate(chirp[:, np.abs(np.arange(nw + top - 1) - (nw // 2 - 1))], out=v[:, :nw + top - 1])
+        np.fft.fft(u, axis=1, out=u)
+        np.fft.fft(v, axis=1, out=v)
+        u *= v
+        np.fft.ifft(u, axis=1, out=u)
+        post = chirp[:, :top] * _cis(a * centre / (n * h), np.arange(top))
+        post *= np.sqrt(a) * hw / h * keep[:, :top]
+        np.multiply(u[:, nw - 1:nw - 1 + top], post, out=out[lo:lo + a.shape[0], :top])
+    return out
+
+
+def _fft_length(n: int) -> int:
+    """Smallest 2^p or 3 * 2^p not below n (pocketfft's fast lengths)."""
+    p = 1 << (n - 1).bit_length()
+    return 3 * p // 4 if 3 * p // 4 >= n else p
+
+
+def _cis(rate: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """e^{-2 pi i rate idx} for rates of shape (b, 1) and integers idx >= 0.
+
+    idx is split into four base-2^s digits, so each row evaluates 4 * 2^s
+    cosines and sines instead of one per entry.  Each digit's rate is
+    reduced mod 1 exactly before it meets a digit below 2^s, so a phase is
+    off by at most ~2^(s-53) turns however large rate * idx is.
+    """
+    s = max(-(-int(idx.max()).bit_length() // 4), 1)
+    digits = np.arange(1 << s)
+    out = None
+    for shift in range(0, 4 * s, s):
+        turns = (rate * 2.0 ** shift) % 1.0 * digits
+        turns *= -2.0 * np.pi
+        table = np.empty(turns.shape, dtype=complex)
+        np.cos(turns, out=table.real)
+        np.sin(turns, out=table.imag)
+        factor = table[:, (idx >> shift) & ((1 << s) - 1)]
+        out = factor if out is None else np.multiply(out, factor, out=out)
+    return out
 
 
 def line_analyze(psi: LineSignal, gamma: LineSignal, scales: ScaleGrid) -> LineScalogram:
-    """W(b, a) = <U(a,b) gamma | psi> for b on the signal grid, per-scale FFT.
+    """W(b, a) = <U(a,b) gamma | psi> for b on the signal grid.
 
-    Circular cross-correlation over the periodized window; both signals
-    must decay inside the window for the wraparound to be harmless.
+    Per scale, the product h fft(psi) conj(dilated_spectra) followed by one
+    batched inverse FFT: a circular cross-correlation over the periodized
+    window, so both signals must decay inside the window for the
+    wraparound to be harmless.
     """
     g = psi.grid
-    F = np.fft.fft(psi.values)
-    out = np.empty((scales.count, g.n_samples), dtype=complex)
-    for j, a in enumerate(scales.nodes):
-        st = _wavelet_stencil(gamma, g, a)
-        out[j] = g.spacing * np.fft.ifft(F * np.conj(np.fft.fft(st)))
+    table = dilated_spectra(gamma, g, scales)
+    n, w = g.n_samples, table.shape[1]
+    f = g.spacing * np.fft.fft(psi.values)
+    out = np.empty((scales.count, n), dtype=complex)
+    np.conjugate(table, out=out[:, :w])
+    out[:, :w] *= f[:w]
+    # a real wavelet's half table: conj G^(-k) = G^(k) for the columns not stored
+    np.multiply(table[:, n - w:0:-1], f[w:], out=out[:, w:])
+    np.fft.ifft(out, axis=1, out=out)
     return LineScalogram(scales=scales, grid=g, values=out)
 
 
@@ -192,17 +305,35 @@ def line_synthesize(
 ) -> LineSignal:
     """Reconstruct from int int W(b,a) (U(a,b) gamma)(x) db da/a^2.
 
-    Normalized per frequency half-line by 2 pi C_sgn(k) (the exact
-    resolution constant); frequencies on a half-line with constant below
-    MODE_FLOOR * C_total are dropped, k = 0 included.
+    In the frequency domain: each block of scalogram rows is transformed
+    by one batched FFT, multiplied by dilated_spectra and summed over
+    scales with the weights db da/a^2.  Normalized per frequency half-line
+    by 2 pi C_sgn(k) (the exact resolution constant); frequencies on a
+    half-line with constant below MODE_FLOOR * C_total are dropped, k = 0
+    included.
     """
     g = scalogram.grid
     scales = scalogram.scales
+    table = dilated_spectra(gamma, g, scales)
+    n, w = g.n_samples, table.shape[1]
     weights = g.spacing * scales.log_weights / scales.nodes  # db da/a^2
-    acc_hat = np.zeros(g.n_samples, dtype=complex)
-    for j, a in enumerate(scales.nodes):
-        st = _wavelet_stencil(gamma, g, a)
-        acc_hat += weights[j] * np.fft.fft(scalogram.values[j]) * np.fft.fft(st)
+    acc_hat = np.zeros(n, dtype=complex)
+    # one block buffer and no temporaries: large transients here fragment
+    # the heap that the caller's next scalogram is allocated from
+    buf = np.empty((min(SPECTRA_BLOCK, scales.count), n), dtype=complex)
+    for lo in range(0, scales.count, SPECTRA_BLOCK):
+        rows = scalogram.values[lo:lo + SPECTRA_BLOCK]
+        block = np.fft.fft(rows, axis=1, out=buf[:len(rows)])
+        block[:, :w] *= table[lo:lo + SPECTRA_BLOCK]
+        # times conj G^(k) for the columns a real wavelet's table does not store
+        tail = block[:, w:]
+        np.conjugate(tail, out=tail)
+        tail *= table[lo:lo + SPECTRA_BLOCK, n - w:0:-1]
+        np.conjugate(tail, out=tail)
+        # a weighted sum, not weights @ block: numpy's real @ complex is slow, and
+        # a BLAS product here wakes OpenBLAS's other threads and their buffers
+        block *= weights[lo:lo + SPECTRA_BLOCK, None]
+        acc_hat += block.sum(axis=0)
     k = g.freqs
     floor = MODE_FLOOR * max(adm.c_total, 1e-300)
     scale_fac = np.zeros(g.n_samples)

@@ -311,6 +311,26 @@ def test_line_cwt_round_trip_writes_the_scalogram(tmp_path):
         assert a.read_bytes() == b.read_bytes().replace(b'"b.npy"', b'"a.npy"')
 
 
+@pytest.mark.parametrize("args", [["--R-list", "10,inf"], ["--pairs", "0.7:2,0.7:nan"],
+                                  ["--pairs", "nan:2"], ["--pairs", "0:2,0:20", "--R-list", "1000,1"]],
+                         ids=["late-radius", "late-dilation", "translation", "support-escape"])
+def test_euclid_refusal_prints_no_partial_results(args):
+    res = run(["euclid"] + args)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("circlet: error: ")
+    assert "Traceback" not in res.stderr
+
+
+def test_line_cwt_default_scales_round_trip(tmp_path):
+    # the default scales reach 1e-3, 31x below the grid spacing of 1/32
+    grid = LineGrid(-16.0, 16.0, 1024)
+    write_signal(tmp_path / "odd.csv", LineSignal.from_evaluator(grid, lambda x: x * np.exp(-0.5 * x * x)))
+    res = run(["line-cwt", "--builtin", "mexican-hat", "--signal", str(tmp_path / "odd.csv"), "--roundtrip"])
+    assert res.returncode == 0, res.stderr
+    assert _round_trip_error(res.stdout) < 1e-3
+
+
 def test_euclid_defaults_shrink_both_moves():
     res = run(["euclid"])
     assert res.returncode == 0, res.stderr
@@ -391,6 +411,19 @@ def test_thread_cap_reaches_blas():
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     env["CIRCLET_THREADS"] = "1"
     res = subprocess.run([sys.executable, "-c", BLAS_PROBE], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    if res.stdout.strip() == "none":
+        pytest.skip("no OpenBLAS library is loaded")
+    assert res.stdout.strip() == "1"
+
+
+def test_thread_cap_reaches_blas_loaded_before_circlet():
+    # numpy, and with it OpenBLAS, loads before circlet reads CIRCLET_THREADS
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["CIRCLET_THREADS"] = "1"
+    res = subprocess.run([sys.executable, "-c", "import numpy\n" + BLAS_PROBE],
+                         capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
     if res.stdout.strip() == "none":
         pytest.skip("no OpenBLAS library is loaded")

@@ -1,10 +1,15 @@
 """Affine transform on the line and the half-line realization."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circlet import line
+from circlet.cwt import TABLE_MEMO_SIZE
 from circlet import (
     LineGrid,
     LineScaleGrid,
@@ -13,6 +18,7 @@ from circlet import (
     RPlusFunction,
     ScaleGrid,
     affine_action,
+    dilated_spectra,
     line_admissibility,
     line_analyze,
     line_analyze_direct,
@@ -206,3 +212,147 @@ def test_log_grid_is_the_scale_grid():
     g = LogGrid(1e-2, 1e2, 9)
     assert g.n_samples == g.count == 9
     assert np.allclose(g.log_weights[1:-1], g.spacing)
+
+
+def dense_spectra(gamma, grid, scales):
+    """sqrt(2 pi a)/h G^(a k) by the DTFT of the wavelet samples at every k, FFT order."""
+    x, hw = gamma.grid.nodes, gamma.grid.spacing
+    out = np.zeros((scales.count, grid.n_samples), dtype=complex)
+    for row, a in zip(out, scales.nodes):
+        kappa = a * grid.freqs
+        keep = np.abs(kappa) <= np.pi / hw
+        row[keep] = np.sqrt(a) * hw / grid.spacing * (np.exp(-1j * np.outer(kappa[keep], x)) @ gamma.values)
+    return out
+
+
+def l1_bound(gamma, grid, scales):
+    """Per-scale bound sqrt(2 pi a)/h * h_w/sqrt(2 pi) * sum |g_j| on every table entry."""
+    hw = gamma.grid.spacing
+    return np.sqrt(scales.nodes) * hw / grid.spacing * np.sum(np.abs(gamma.values))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    is_complex=st.booleans(),
+    same_grid=st.booleans(),
+    log_a=st.tuples(st.floats(np.log(1e-3), np.log(1e2)), st.floats(np.log(1e-3), np.log(1e2))),
+    count=st.integers(2, 6),
+)
+def test_dilated_spectra_match_dense_dtft(seed, is_complex, same_grid, log_a, count):
+    rng = np.random.default_rng(seed)
+    grid = LineGrid(-float(rng.uniform(1.0, 20.0)), float(rng.uniform(1.0, 20.0)), 2 * int(rng.integers(16, 256)))
+    wgrid = grid if same_grid else LineGrid(float(rng.uniform(-9.0, 3.0)), float(rng.uniform(4.0, 9.0)),
+                                            2 * int(rng.integers(8, 128)))
+    values = rng.normal(size=wgrid.n_samples) + (1j * rng.normal(size=wgrid.n_samples) if is_complex else 0.0)
+    gamma = LineSignal(wgrid, values)
+    lo, hi = sorted(np.exp(log_a))
+    scales = ScaleGrid(lo, max(hi, lo * 1.01), count)
+    table = dilated_spectra(gamma, grid, scales)
+    assert table.shape == (count, grid.n_samples if is_complex else grid.n_samples // 2 + 1)
+    # a max-relative scale would fail on rounding: at large a the true values can be ~1e-81
+    gap = np.abs(table - dense_spectra(gamma, grid, scales)[:, :table.shape[1]])
+    assert np.all(gap <= 1e-12 * l1_bound(gamma, grid, scales)[:, None])
+
+
+def test_dilated_spectra_of_the_mexican_hat():
+    # the hat (1 - x^2) e^{-x^2/2} has G^(k) = k^2 e^{-k^2/2}
+    mh = mexican_hat()
+    scales = ScaleGrid(1e-3, 1e2, 60)
+    table = dilated_spectra(mh, GRID, scales)
+    a = scales.nodes[:, None]
+    ak = a * np.abs(GRID.freqs[:GRID.n_samples // 2 + 1])
+    want = np.sqrt(2.0 * np.pi * a) / GRID.spacing * ak**2 * np.exp(-0.5 * ak**2)
+    want[ak > np.pi / GRID.spacing] = 0.0
+    assert np.all(np.abs(table - want) <= 1e-12 * l1_bound(mh, GRID, scales)[:, None])
+
+
+def test_dilated_spectra_memo_is_bounded_and_read_only():
+    mh = mexican_hat(LineGrid(-8.0, 8.0, 64))
+    first = dilated_spectra(mh, mh.grid, ScaleGrid(0.5, 2.0, 3))
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0] = 1.0
+    for count in range(3, TABLE_MEMO_SIZE + 6):
+        dilated_spectra(mh, mh.grid, ScaleGrid(0.5, 2.0, count))
+        assert line._memo_spectra.cache_info().currsize <= TABLE_MEMO_SIZE
+    assert line._memo_spectra.cache_info().currsize == TABLE_MEMO_SIZE
+
+
+def test_dilated_spectra_memo_under_threads():
+    # more threads than memo slots, each cycling through its own tables,
+    # with frequent thread switches to expose lost updates or evictions
+    # racing a hit
+    mh = mexican_hat(LineGrid(-8.0, 8.0, 64))
+    grids = {count: ScaleGrid(0.5, 2.0, count) for count in range(2, 10)}
+    want = {count: dense_spectra(mh, mh.grid, sc)[:, :33] for count, sc in grids.items()}
+    errors = []
+
+    def work(offset):
+        try:
+            for i in range(40):
+                count = 2 + (offset + i) % 8
+                got = dilated_spectra(mh, mh.grid, grids[count])
+                assert np.all(np.abs(got - want[count]) <= 1e-12 * l1_bound(mh, mh.grid, grids[count])[:, None])
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert line._memo_spectra.cache_info().currsize <= TABLE_MEMO_SIZE
+
+
+def test_dilated_spectra_memo_follows_content():
+    gamma = LineSignal(GRID, mexican_hat().values.copy())
+    scales = ScaleGrid(0.5, 2.0, 5)
+    first = dilated_spectra(gamma, GRID, scales)
+    assert dilated_spectra(gamma, GRID, scales) is first
+    gamma.values[900:1100] *= 0.5  # in-place edit of the wavelet samples
+    edited = dilated_spectra(gamma, GRID, scales)
+    assert not np.array_equal(edited, first)
+    assert np.allclose(edited, dense_spectra(gamma, GRID, scales)[:, :edited.shape[1]], rtol=0, atol=1e-10)
+
+
+def test_round_trip_builds_the_spectra_once():
+    f = band_signal()
+    mh = mexican_hat()
+    scales = LineScaleGrid(0.5, 2.0, 7)
+    line._memo_spectra.cache_clear()
+    line_synthesize(line_analyze(f, mh, scales), mh, line_admissibility(mh))
+    assert line._memo_spectra.cache_info().misses == 1
+
+
+def test_complex_wavelet_round_trips_like_its_real_part():
+    # hat + i (3x - x^3) e^{-x^2/2} has G^(k) = (k^2 + k^3) e^{-k^2/2}: C_+ != C_-,
+    # and the spectrum at -k is not the conjugate of the one at +k
+    f = band_signal()
+    scales = LineScaleGrid(1e-2, 1e2, 200)
+    errs = []
+    for odd in (0.0, 1.0):
+        gamma = LineSignal.from_evaluator(
+            GRID, lambda x, odd=odd: (1 - x * x + 1j * odd * (3 * x - x**3)) * np.exp(-0.5 * x * x))
+        adm = line_admissibility(gamma)
+        assert adm.admissible
+        rec = line_synthesize(line_analyze(f, gamma, scales), gamma, adm)
+        errs.append(LineSignal(GRID, rec.values - f.values).norm() / f.norm())
+    assert adm.c_pos > 10.0 * adm.c_neg
+    assert errs[1] < 3.0 * errs[0] < 1e-4
+
+
+def test_scales_below_the_grid_spacing_do_not_alias():
+    # the circle's default scale grid reaches 31x below the line grid's spacing
+    f = band_signal()
+    mh = mexican_hat()
+    rec = line_synthesize(line_analyze(f, mh, ScaleGrid(1e-3, 1e3, 400)), mh, line_admissibility(mh))
+    assert LineSignal(GRID, rec.values - f.values).norm() / f.norm() < 1e-3
+
