@@ -53,7 +53,6 @@ from .cwt import (
     ScaleGrid,
     Scalogram,
     analyze,
-    analyze_direct,
     default_scale_grid,
     dilated_coeffs,
     fourier_coeffs,
@@ -61,6 +60,7 @@ from .cwt import (
     lambda_sequence,
     make_dog,
     mode_synthesis,
+    reanalysis_error,
     synthesize,
     wavelet_fingerprint,
     weak_admissibility,
@@ -119,7 +119,6 @@ from .line import (
     dilated_spectra,
     line_admissibility,
     line_analyze,
-    line_analyze_direct,
     line_synthesize,
     mexican_hat,
     rplus_action,
@@ -204,7 +203,6 @@ __all__ = [
     "affine_compose",
     "affine_embed",
     "analyze",
-    "analyze_direct",
     "atomic_write_text",
     "casimir_apply",
     "check_intertwining",
@@ -234,7 +232,6 @@ __all__ = [
     "laplace_transform",
     "line_admissibility",
     "line_analyze",
-    "line_analyze_direct",
     "line_synthesize",
     "make_dog",
     "matrix",
@@ -244,6 +241,7 @@ __all__ = [
     "read_report",
     "read_scalogram",
     "read_signal",
+    "reanalysis_error",
     "reduce_angle",
     "reduce_half_angle",
     "rep_action",

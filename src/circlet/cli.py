@@ -30,6 +30,7 @@ from .cwt import (
     frame_bounds,
     lambda_sequence,
     make_dog,
+    reanalysis_error,
     synthesize,
 )
 from .errors import CircletError
@@ -200,11 +201,9 @@ def cmd_icwt(args) -> int:
     rec = synthesize(scal, gamma, report)
     if args.out:
         cio.write_signal(args.out, rec)
-    # deterministic self check: re-transform the reconstruction and compare
-    re_scal = analyze(rec, gamma, scales=scal.scales, n_max=scal.n_max)
-    num = float(np.sqrt(np.sum(np.abs(re_scal.values - scal.values) ** 2)))
-    den = float(np.sqrt(np.sum(np.abs(scal.values) ** 2)))
-    print(f"reanalysis relative error: {num / den!r}")
+    # deterministic self check: the scalogram against the analysis of the
+    # reconstruction, taken in mode space
+    print(f"reanalysis relative error: {reanalysis_error(scal, gamma, report, rec)!r}")
     return EXIT_OK
 
 

@@ -23,7 +23,15 @@ which needs gamma only at grid nodes and stays accurate at scales far
 below the grid spacing (the dilated-variable form cannot resolve those).
 The table c_n(a) depends only on the wavelet samples, the scale grid and
 n_max, so admissibility, analysis and reconstruction share one read-only
-copy from a small content-keyed memo.
+copy from a small content-keyed memo.  An admissibility report carries the
+table its L_n came from, and the written report keeps it beside the JSON,
+so reconstruction on the report's scale grid, in this process or another,
+builds no table; on another grid it builds its own.
+
+The reconstruction's self check, the relative l2 distance between the
+scalogram and the analysis of the reconstruction, is taken in mode space:
+by Parseval over the angle grid, one FFT of the scalogram gives both the
+in-band misfit and the energy the band cannot represent.
 
 Reports and scalograms are stamped with the fingerprint of the wavelet
 they were computed for, and reconstruction refuses a mismatch.
@@ -54,6 +62,7 @@ PLATEAU_SPREAD_TOL = 5e-2
 
 TABLE_BLOCK = 32  # scales per vectorised block of the dilated-coefficient kernel
 TABLE_MEMO_SIZE = 4  # dilated-coefficient tables kept for reuse
+SPECTRUM_BLOCK = 32  # scalogram rows per FFT block in synthesis and its self check
 
 
 @dataclass(frozen=True)
@@ -183,6 +192,14 @@ def _mode_projection(values: np.ndarray, grid: CircleGrid, n_max: int) -> np.nda
     return np.fft.fft(values, axis=-1)[..., bins] * np.conj(phase)
 
 
+def _row_spectra(values: np.ndarray):
+    """(rows, FFT over the last axis of values[rows]), SPECTRUM_BLOCK rows at a
+    time, so no spectrum of the whole 2-d array is held at once."""
+    for lo in range(0, len(values), SPECTRUM_BLOCK):
+        rows = slice(lo, lo + SPECTRUM_BLOCK)
+        yield rows, np.fft.fft(values[rows], axis=-1)
+
+
 def fourier_coeffs(psi: CircleSignal, n_max: int | None = None) -> FourierCoeffs:
     """Coefficients of psi in the orthonormal mode basis, by the midpoint rule."""
     n = psi.grid.n_samples
@@ -226,6 +243,11 @@ def _memo_table(samples: bytes, a_min: float, a_max: float, count: int, n_max: i
     table[:n_max] = np.conj(mirror[:0:-1])
     table.flags.writeable = False
     return table
+
+
+def mode_integrals(table: np.ndarray, scales: ScaleGrid) -> np.ndarray:
+    """L_n from a dilated-coefficient table: int |c_n(a)|^2 da/a^2 by log-trapezoid."""
+    return (np.abs(table) ** 2 / scales.nodes) @ scales.log_weights
 
 
 def _dilated_table(gv: np.ndarray, scales: ScaleGrid, n_max: int) -> np.ndarray:
@@ -301,6 +323,8 @@ class AdmissibilityReport:
     plateau_ok: bool
     admissible: bool
     wavelet_fingerprint: str  # of the wavelet the integrals belong to
+    # read-only dilated_coeffs (2*n_max+1, count) the lambdas came from, if kept
+    table: np.ndarray | None = None
 
     @property
     def ns(self) -> np.ndarray:
@@ -349,7 +373,7 @@ def lambda_sequence(
     scales = scales or default_scale_grid()
     coeffs = dilated_coeffs(gamma, scales, n_max)
     integrand = np.abs(coeffs) ** 2 / scales.nodes
-    lambdas = integrand @ scales.log_weights
+    lambdas = mode_integrals(coeffs, scales)
     tail_lo = float(integrand[:, 0].max())
     tail_hi = float(integrand[:, -1].max())
 
@@ -387,6 +411,7 @@ def lambda_sequence(
         plateau_ok=bool(plateau),
         admissible=admissible,
         wavelet_fingerprint=wavelet_fingerprint(gamma),
+        table=coeffs,
     )
 
 
@@ -484,15 +509,32 @@ def analyze(
                      wavelet_fingerprint=wavelet_fingerprint(gamma))
 
 
-def analyze_direct(
-    psi: CircleSignal,
+def _synthesis_table(
+    scalogram: Scalogram,
     gamma: CircleSignal,
-    a: float,
-    vartheta: float,
-) -> complex:
-    """Single coefficient <U(vartheta,a) gamma | psi> by direct quadrature."""
-    acted = rep_action(gamma, a, vartheta)
-    return acted.inner(psi)
+    report: AdmissibilityReport,
+) -> tuple[int, np.ndarray]:
+    """The band n_max of reconstruction and its c_n(a) on the scalogram's scales.
+
+    The band is the smaller of the report's and the scalogram's.  When the
+    report carries its table on the scalogram's scale grid, the table's
+    middle rows are used: bitwise the rows dilated_coeffs builds, since each
+    row comes from the same cumulative powers.  Otherwise dilated_coeffs
+    builds the table.  Raises ValueError when the scalogram or the report
+    was computed for another wavelet than gamma.
+    """
+    want = wavelet_fingerprint(gamma)
+    for what, have in (("scalogram", scalogram.wavelet_fingerprint),
+                       ("report", report.wavelet_fingerprint)):
+        if have != want:
+            raise ValueError(
+                f"the {what} belongs to another wavelet "
+                f"(fingerprint {have[:12]}..., this wavelet {want[:12]}...)"
+            )
+    n_max = min(report.n_max, scalogram.n_max)
+    if report.table is not None and report.scales == scalogram.scales:
+        return n_max, report.table[report.n_max - n_max:report.n_max + n_max + 1]
+    return n_max, dilated_coeffs(gamma, scalogram.scales, n_max)
 
 
 def synthesize(
@@ -507,22 +549,19 @@ def synthesize(
                  int dvartheta e^{-2 i m vartheta} W(vartheta, a),
     skipping modes with L_m below mode_floor * max(L).  The report may use
     its own (typically wider) scale grid; the scale integral here runs on
-    the scalogram's grid.  Raises ValueError when the scalogram or the
-    report was computed for another wavelet than gamma.
+    the scalogram's grid, with the report's table when it was computed on
+    that grid.  Raises ValueError when the scalogram or the report was
+    computed for another wavelet than gamma.
     """
-    want = wavelet_fingerprint(gamma)
-    for what, have in (("scalogram", scalogram.wavelet_fingerprint),
-                       ("report", report.wavelet_fingerprint)):
-        if have != want:
-            raise ValueError(
-                f"the {what} belongs to another wavelet "
-                f"(fingerprint {have[:12]}..., this wavelet {want[:12]}...)"
-            )
-    n_max = min(report.n_max, scalogram.n_max)
-    cg = dilated_coeffs(gamma, scalogram.scales, n_max)
+    n_max, cg = _synthesis_table(scalogram, gamma, report)
     angles = scalogram.angles
-    # inner angle integrals for all modes at once, (scales, modes)
-    inner = angles.spacing * _mode_projection(scalogram.values, angles, n_max)
+    # inner angle integrals for all modes, (scales, modes): _mode_projection by blocks of rows
+    bins, phase = _grid_phase(n_max, angles)
+    unphase = np.conj(phase)
+    inner = np.empty((scalogram.scales.count, 2 * n_max + 1), dtype=complex)
+    for rows, spectrum in _row_spectra(scalogram.values):
+        inner[rows] = spectrum[:, bins] * unphase
+    inner *= angles.spacing
     num = scalogram.scales.integrate_da_over_a2(cg * inner.T)
     lam = report.lambdas[report.n_max - n_max:report.n_max + n_max + 1]
     live = lam > mode_floor * report.sup_lambda
@@ -531,3 +570,37 @@ def synthesize(
     # the reconstruction approximates the analyzed signal, so it lands on
     # the scalogram's angle grid, not the wavelet's
     return mode_synthesis(angles, FourierCoeffs(n_max, psi_hat))
+
+
+def reanalysis_error(
+    scalogram: Scalogram,
+    gamma: CircleSignal,
+    report: AdmissibilityReport,
+    rec: CircleSignal,
+) -> float:
+    """Relative l2 distance, over all (scale, angle) nodes, between the
+    scalogram and the analysis of rec on the same grids.
+
+    rec is the reconstruction synthesize returns, whose modes lie in the
+    band of synthesis.  By Parseval over the N angles, per scale:
+        sum_k |W'(k) - W(k)|^2 = (1/N) sum_j |F'_j - F_j|^2,  F = fft(W),
+    and F' = N conj(c_n(a)) rec_n e^{2 i n theta_0} on the band's bins, 0
+    elsewhere.  So one FFT of the scalogram gives the in-band misfit and,
+    by masking the band's bins, the energy outside the band.  c_n(a) comes
+    from the same source as in synthesize.
+    """
+    n_max, cg = _synthesis_table(scalogram, gamma, report)
+    angles = scalogram.angles
+    if rec.grid != angles:
+        raise ValueError(f"rec has {rec.grid.n_samples} samples, the scalogram {angles.n_samples} angles")
+    bins, phase = _grid_phase(n_max, angles)
+    model = (angles.n_samples * phase * fourier_coeffs(rec, n_max).values) * np.conj(cg.T)
+    misfit_energy = in_band = out_of_band = 0.0
+    for rows, spectrum in _row_spectra(scalogram.values):
+        band = spectrum[:, bins]
+        misfit_energy += float(np.sum(np.abs(model[rows] - band) ** 2))
+        in_band += float(np.sum(np.abs(band) ** 2))
+        # what the band cannot hold: the other bins, masked, not a difference of totals
+        spectrum[:, bins] = 0.0
+        out_of_band += float(np.sum(np.abs(spectrum) ** 2))
+    return float(np.sqrt((misfit_energy + out_of_band) / (in_band + out_of_band)))

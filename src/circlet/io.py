@@ -3,17 +3,25 @@
 Signals are CSV tables `coord,re[,im]` with a JSON sidecar `<stem>.meta.json`
 (`circlet/signal-v1`) recording the grid kind, sample count and window.
 Reports are JSON (`circlet/report-v1`) and keep the weak integral's
-imaginary part.
+imaginary part.  A report that carries its dilated-coefficient table
+(`lambda_sequence`'s reports do) is written with the table as a payload
+beside it, named by its digest (`table-<16 hex digits>.npy`), and a
+`table` object in the JSON naming and checking it as a scalogram header
+does.  The reader also refuses a table whose mode integrals miss the
+report's lambdas by more than TABLE_MATCH_TOL of the largest; a report
+without a `table` object, such as an older file, reads with table None.
 
 A scalogram (`circlet/scalogram-v2`) is a JSON header `<stem>.json` plus a
 binary payload `<stem>.npy`: the (scales, angles|positions) array as
 little-endian complex128 (`<c16`), byte for byte what `np.save` writes
 without pickling, but written and hashed straight from the array's memory.
 The header holds the grids, the payload's file name, dtype, shape and
-sha256, and for a circle scalogram the wavelet fingerprint.  The reader
+sha256, and for a circle scalogram the wavelet fingerprint.  One payload
+writer and one reader serve scalograms and report tables.  The reader
 refuses a payload name that is not a bare file name beside the header,
-then checks the digest, and the loaded array's dtype and shape against the
-header and the grids.
+then checks the digest, and the payload's dtype and shape against the
+header and the grids; the array it returns is a view of the one buffer
+the file was read into.
 
 Every reader passes its sidecar, report or header through one gate,
 `_header`: the file must hold a JSON object of the expected schema, and a
@@ -38,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .circle import CircleGrid, CircleSignal
-from .cwt import AdmissibilityReport, ScaleGrid, Scalogram
+from .cwt import AdmissibilityReport, ScaleGrid, Scalogram, mode_integrals
 from .errors import FormatError
 from .line import LineGrid, LineScalogram, LineSignal
 
@@ -51,6 +59,8 @@ KIND_CIRCLE = "circle-midpoint"
 KIND_LINE = "line-uniform"
 
 GRID_MATCH_TOL = 1e-9
+TABLE_MATCH_TOL = 1e-12  # relative to the largest lambda
+NPY_HEADER_MAX = 10 + 10000  # magic, length field and the largest header np.load accepts
 
 
 def _sidecar(path: Path) -> Path:
@@ -112,11 +122,16 @@ def write_signal(path, signal: CircleSignal | LineSignal):
     atomic_write_text(_sidecar(path), _dump_json(meta))
 
 
-def _read_bytes(path: Path, what: str) -> bytes:
+def _read_bytes(path: Path, what: str) -> bytearray:
+    """The file's bytes, read into one writable buffer that a payload array can view."""
     try:
-        return path.read_bytes()
+        with open(path, "rb") as fh:
+            data = bytearray(os.fstat(fh.fileno()).st_size)
+            del data[fh.readinto(data):]
+            data += fh.read()  # what the size did not cover: a pipe's bytes, or a file that grew
     except OSError as exc:
         raise FormatError(f"cannot read {what} {path}: {exc}") from exc
+    return data
 
 
 @contextmanager
@@ -228,7 +243,27 @@ def report_to_dict(report: AdmissibilityReport) -> dict:
 
 
 def write_report(path, report: AdmissibilityReport):
-    atomic_write_text(Path(path), _dump_json(report_to_dict(report)))
+    """Write the report JSON, after its table payload when the report carries one.
+
+    The payload is named by its digest, table-<16 hex digits>.npy, so the
+    report's bytes do not depend on its own file name, and reports with
+    the same table share one payload.  A payload already holding these
+    bytes is left as it is: renaming a fresh copy over it would only start
+    the file system's writeback of the same bytes again.
+    """
+    path = Path(path)
+    obj = report_to_dict(report)
+    if report.table is not None:
+        chunks, checks = _payload(report.table)
+        payload = path.parent / f"table-{checks['sha256'][:16]}.npy"
+        try:
+            held = hashlib.sha256(payload.read_bytes()).hexdigest()
+        except OSError:
+            held = None
+        if held != checks["sha256"]:
+            atomic_write_text(payload, *chunks)
+        obj["table"] = {"payload": payload.name, **checks}
+    atomic_write_text(path, _dump_json(obj))
 
 
 REPORT_FLAGS = ("weak_ok", "small_scale_converged", "plateau_ok", "admissible")
@@ -245,7 +280,10 @@ def read_report(path) -> AdmissibilityReport:
     """Rebuild enough of a report from its JSON to drive reconstruction.
 
     The verdict flags are restored as written; a report without them is
-    refused rather than given guessed values.
+    refused rather than given guessed values.  A `table` object names the
+    coefficient payload, checked as a scalogram's is and refused unless its
+    mode integrals reproduce the lambdas; a report without one (an older
+    file) reads with table None.
     """
     path = Path(path)
     with _header(path, REPORT_SCHEMA, "circlet admissibility --out", "report") as obj:
@@ -261,6 +299,14 @@ def read_report(path) -> AdmissibilityReport:
             if not isinstance(obj.get(key), bool):
                 raise FormatError(f"{path}: report needs a true/false {key!r}")
             flags[key] = obj[key]
+        table = None
+        if "table" in obj:
+            table = _read_payload(path, obj["table"], (2 * n_max + 1, scales.count))
+            table.flags.writeable = False
+            deviation = np.abs(mode_integrals(table, scales) - lambdas)
+            if not np.all(deviation <= TABLE_MATCH_TOL * np.max(np.abs(lambdas))):
+                raise FormatError(f"{path}: the table's mode integrals disagree with the lambdas "
+                                  f"by up to {np.max(deviation):.3e}")
         return AdmissibilityReport(
             n_max=n_max,
             lambdas=lambdas,
@@ -269,6 +315,7 @@ def read_report(path) -> AdmissibilityReport:
             tail_lo=float(tr["tail_lo"]),
             tail_hi=float(tr["tail_hi"]),
             wavelet_fingerprint=_fingerprint(obj, path),
+            table=table,
             **flags,
         )
 
@@ -289,15 +336,6 @@ def write_scalogram(stem, scal: Scalogram | LineScalogram):
             "window": [float(scal.grid.lo), float(scal.grid.hi)],
             "n_samples": int(scal.grid.n_samples),
         }
-    values = np.ascontiguousarray(scal.values, dtype=PAYLOAD_DTYPE)
-    # np.save's bytes, written and hashed from the array's own memory
-    header = io.BytesIO()
-    np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(values))
-    data = values.reshape(-1).view(np.uint8)
-    digest = hashlib.sha256(header.getvalue())
-    digest.update(data)
-    payload_path = Path(str(stem) + ".npy")
-    atomic_write_text(payload_path, header.getvalue(), data)
     meta = {
         "schema": SCALOGRAM_SCHEMA,
         "kind": kind,
@@ -305,19 +343,36 @@ def write_scalogram(stem, scal: Scalogram | LineScalogram):
         "scale_max": float(scal.scales.a_max),
         "scale_count": int(scal.scales.count),
         **extra,
-        "payload": payload_path.name,
-        "dtype": PAYLOAD_DTYPE,
-        "shape": list(scal.values.shape),
-        "sha256": digest.hexdigest(),
     }
+    chunks, checks = _payload(scal.values)
+    payload = Path(str(stem) + ".npy")
+    atomic_write_text(payload, *chunks)
+    meta.update(payload=payload.name, **checks)
     atomic_write_text(Path(str(stem) + ".json"), _dump_json(meta))
 
 
-def _read_payload(stem: Path, meta: dict, shape: tuple[int, int]) -> np.ndarray:
-    """Load the payload named by the header, checked against digest, dtype and shape.
+def _payload(values: np.ndarray) -> tuple[tuple[bytes, np.ndarray], dict]:
+    """The .npy bytes of values as <c16, and the header fields dtype, shape and sha256 that check them.
 
-    The payload must be a bare file name beside the header, checked before
-    any file is opened.
+    The bytes are np.save's, as a header and a view of the array's own
+    memory, hashed without a copy.
+    """
+    values = np.ascontiguousarray(values, dtype=PAYLOAD_DTYPE)
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(values))
+    data = values.reshape(-1).view(np.uint8)
+    digest = hashlib.sha256(header.getvalue())
+    digest.update(data)
+    return (header.getvalue(), data), {"dtype": PAYLOAD_DTYPE, "shape": list(values.shape),
+                                       "sha256": digest.hexdigest()}
+
+
+def _read_payload(stem: Path, meta: dict, shape: tuple[int, int]) -> np.ndarray:
+    """Load the payload named by a header, checked against digest, dtype and shape.
+
+    The payload must be a bare file name beside the header (stem, a
+    scalogram's stem or a report's path), checked before any file is
+    opened.  The array is a view of the one buffer the file was read into.
     """
     name = meta["payload"]
     # an absolute path, or one leaving the directory, holds a separator
@@ -331,11 +386,16 @@ def _read_payload(stem: Path, meta: dict, shape: tuple[int, int]) -> np.ndarray:
     data = _read_bytes(path, "payload")
     if hashlib.sha256(data).hexdigest() != meta["sha256"]:
         raise FormatError(f"payload {path} does not match the header's sha256")
-    values = np.lib.format.read_array(io.BytesIO(data), allow_pickle=False)
-    if values.dtype != np.dtype(PAYLOAD_DTYPE) or values.shape != shape:
-        raise FormatError(f"payload {path} holds {values.dtype.str} {values.shape}, "
-                          f"header says {PAYLOAD_DTYPE} {shape}")
-    return values
+    # np.load's header parsing, on a copy of the header bytes alone
+    head = io.BytesIO(data[:NPY_HEADER_MAX])
+    version = np.lib.format.read_magic(head)
+    if version != (1, 0):
+        raise FormatError(f"payload {path} is .npy version {version}, need 1.0 as np.save writes")
+    dims, fortran_order, dtype = np.lib.format.read_array_header_1_0(head)
+    if dtype != np.dtype(PAYLOAD_DTYPE) or dims != shape:
+        raise FormatError(f"payload {path} holds {dtype.str} {dims}, header says {PAYLOAD_DTYPE} {shape}")
+    values = np.frombuffer(data, dtype=dtype, count=shape[0] * shape[1], offset=head.tell())
+    return values.reshape(shape[::-1]).T if fortran_order else values.reshape(shape)
 
 
 def read_scalogram(stem) -> Scalogram | LineScalogram:

@@ -293,11 +293,6 @@ def line_analyze(psi: LineSignal, gamma: LineSignal, scales: ScaleGrid) -> LineS
     return LineScalogram(scales=scales, grid=g, values=out)
 
 
-def line_analyze_direct(psi: LineSignal, gamma: LineSignal, a: float, b: float) -> complex:
-    """Single coefficient by direct quadrature (oracle route)."""
-    return affine_action(gamma, a, b).inner(psi)
-
-
 def line_synthesize(
     scalogram: LineScalogram,
     gamma: LineSignal,
@@ -337,10 +332,9 @@ def line_synthesize(
     k = g.freqs
     floor = MODE_FLOOR * max(adm.c_total, 1e-300)
     scale_fac = np.zeros(g.n_samples)
-    pos = (k > 0) & (adm.c_pos > floor)
-    neg = (k < 0) & (adm.c_neg > floor)
-    scale_fac[pos] = 1.0 / (2.0 * np.pi * adm.c_pos)
-    scale_fac[neg] = 1.0 / (2.0 * np.pi * adm.c_neg)
+    for half, c in ((k > 0, adm.c_pos), (k < 0, adm.c_neg)):
+        if c > floor:
+            scale_fac[half] = 1.0 / (2.0 * np.pi * c)
     return LineSignal(g, np.fft.ifft(acc_hat * scale_fac))
 
 

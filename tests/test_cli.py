@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from circlet import (CircleGrid, CircleSignal, LineGrid, LineScalogram, LineSignal, read_scalogram,
+from circlet import (CircleGrid, CircleSignal, LineGrid, LineScalogram, LineSignal, cli, cwt, read_scalogram,
                      read_signal, write_signal)
 
 CMD = [sys.executable, "-m", "circlet.cli"]
@@ -156,7 +156,9 @@ def test_outputs_take_the_umask_mode(tmp_path):
             res = run(args, umask=umask)
             assert res.returncode == 0, res.stderr
         names = sorted(os.listdir(out))
-        assert names == ["rec.csv", "rec.meta.json", "report.json", "scal.json", "scal.npy"]
+        table = json.loads((out / "report.json").read_text())["table"]["payload"]
+        assert re.fullmatch(r"table-[0-9a-f]{16}\.npy", table)
+        assert names == ["rec.csv", "rec.meta.json", "report.json", "scal.json", "scal.npy", table]
         assert {n: stat.filemode(os.stat(out / n).st_mode) for n in names} == dict.fromkeys(
             names, stat.filemode(stat.S_IFREG | mode))
         contents.append([(out / n).read_bytes() for n in names])
@@ -182,6 +184,120 @@ def test_icwt_refuses_inputs_of_another_wavelet(tmp_path, mixup):
     what = "report" if mixup == "report" else "scalogram"
     assert res.stderr.startswith(f"circlet: error: the {what} belongs to another wavelet")
     assert "Traceback" not in res.stderr
+    assert not (tmp_path / "rec.csv").exists()
+
+
+def _in_process(args, capsys):
+    rc = cli.main(args)
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+def _icwt_args(where, report="report.json", out="rec.csv"):
+    return ["icwt", "--scalogram", str(where / "scal"), "--report", str(where / report),
+            "--out", str(where / out)]
+
+
+def test_icwt_builds_no_table_with_the_reports(tmp_path, capsys, monkeypatch):
+    # the report carries the coefficient table of its scale grid: icwt on
+    # that grid builds none, and on another grid builds the one it needs
+    sig_path = _pipeline_inputs(tmp_path)
+    for args in (["admissibility", "--out", str(tmp_path / "report.json")],
+                 ["admissibility", "--scale-count", "40", "--out", str(tmp_path / "other.json")],
+                 ["cwt", "--signal", str(sig_path), "--out", str(tmp_path / "scal")]):
+        assert _in_process(args, capsys)[0] == 0
+    builds = []
+    build = cwt._dilated_table
+    monkeypatch.setattr(cwt, "_dilated_table", lambda *a: builds.append(a) or build(*a))
+    want = read_signal(sig_path).values
+    # the 40-node report's lambdas are not the quadrature of the scalogram's
+    # 400 nodes, so its reconstruction is close, not exact
+    for report, count, tol in (("report.json", 0, 1e-12), ("other.json", 1, 1e-4)):
+        cwt._memo_table.cache_clear()
+        builds.clear()
+        rc, out, err = _in_process(_icwt_args(tmp_path, report), capsys)
+        assert (rc, err) == (0, "")
+        assert len(builds) == count, report
+        assert out.startswith("reanalysis relative error: ")
+        rec = read_signal(tmp_path / "rec.csv").values
+        assert np.linalg.norm(rec - want) / np.linalg.norm(want) < tol, report
+
+
+@pytest.fixture(scope="module")
+def small_pipeline(tmp_path_factory):
+    """A report with its table and a scalogram, both on a 40-node scale grid."""
+    where = tmp_path_factory.mktemp("pipeline")
+    sig_path = _pipeline_inputs(where)
+    for args in (["admissibility", "--scale-count", "40", "--out", str(where / "report.json")],
+                 ["cwt", "--signal", str(sig_path), "--scale-count", "40", "--out", str(where / "scal")]):
+        assert cli.main(args) == 0
+    return where
+
+
+def _copy_pipeline(src, dst):
+    for path in src.iterdir():
+        (dst / path.name).write_bytes(path.read_bytes())
+    return json.loads((dst / "report.json").read_text())
+
+
+def _table_payload(where, report):
+    return where / report["table"]["payload"]
+
+
+def test_icwt_output_same_with_or_without_the_table(small_pipeline, tmp_path, capsys):
+    report = _copy_pipeline(small_pipeline, tmp_path)
+    del report["table"]
+    (tmp_path / "bare.json").write_text(json.dumps(report, indent=1) + "\n")
+    outputs = []
+    for name in ("report.json", "bare.json"):
+        rc, out, err = _in_process(_icwt_args(tmp_path, name, f"{name}.csv"), capsys)
+        assert (rc, err) == (0, ""), err
+        assert float(out.split(": ")[1]) < 1e-13
+        outputs.append((tmp_path / f"{name}.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def _flip_payload_byte(where, report):
+    data = bytearray(_table_payload(where, report).read_bytes())
+    data[-5] ^= 0x10
+    _table_payload(where, report).write_bytes(bytes(data))
+
+
+def _wrong_shape(where, report):
+    report["table"]["shape"][1] += 1
+
+
+def _disagreeing_lambda(where, report):
+    report["lambda"][3]["value"] *= 1.0 + 1e-9
+
+
+def _missing_payload(where, report):
+    _table_payload(where, report).unlink()
+
+
+def _payload_with_separator(where, report):
+    # a good copy of the payload, one directory down
+    (where / "sub").mkdir()
+    (where / "sub" / report["table"]["payload"]).write_bytes(_table_payload(where, report).read_bytes())
+    report["table"]["payload"] = "sub/" + report["table"]["payload"]
+
+
+@pytest.mark.parametrize("corrupt, says", [
+    (_flip_payload_byte, "sha256"),
+    (_wrong_shape, "shape"),
+    (_disagreeing_lambda, "disagree with the lambdas"),
+    (_missing_payload, "cannot read payload"),
+    (_payload_with_separator, "must be a bare file name"),
+])
+def test_icwt_refuses_a_corrupt_table(small_pipeline, tmp_path, corrupt, says):
+    report = _copy_pipeline(small_pipeline, tmp_path)
+    corrupt(tmp_path, report)
+    (tmp_path / "report.json").write_text(json.dumps(report, indent=1) + "\n")
+    res = run(_icwt_args(tmp_path))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1 and res.stderr.startswith("circlet: error: ")
+    assert says in res.stderr
     assert not (tmp_path / "rec.csv").exists()
 
 

@@ -1,11 +1,14 @@
 """Transform layer: mode coefficients, admissibility, analysis, reconstruction."""
 
+import dataclasses
 import sys
 import threading
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlet import (
     AliasingError,
@@ -14,7 +17,6 @@ from circlet import (
     DecayError,
     ScaleGrid,
     analyze,
-    analyze_direct,
     dilated_coeffs,
     fourier_coeffs,
     frame_bounds,
@@ -22,6 +24,7 @@ from circlet import (
     make_dog,
     mexican_hat,
     mode_synthesis,
+    reanalysis_error,
     rep_action,
     stereo_lift,
     synthesize,
@@ -220,6 +223,11 @@ def test_frame_bounds_warn_on_bad_report(dog):
         rep = lambda_sequence(dog, n_max=2)
     with pytest.warns(RuntimeWarning):
         frame_bounds(rep)
+
+
+def analyze_direct(psi, gamma, a, vartheta):
+    """Single coefficient <U(vartheta, a) gamma | psi> by direct quadrature (oracle route)."""
+    return rep_action(gamma, a, vartheta).inner(psi)
 
 
 def test_analyze_matches_direct_quadrature(dog):
@@ -507,3 +515,59 @@ def test_dilated_coeffs_memo_under_threads(dog):
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert cwt._memo_table.cache_info().currsize <= TABLE_MEMO_SIZE
+
+
+def test_report_carries_its_table(dog):
+    scales = ScaleGrid(0.1, 10.0, 50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        report = lambda_sequence(dog, scales, n_max=16)
+    assert report.table is dilated_coeffs(dog, scales, 16)
+    assert not report.table.flags.writeable
+
+
+@pytest.mark.parametrize("n_max", [8, 32])
+def test_synthesize_with_the_reports_table_is_bitwise(dog, dog_report, n_max):
+    # the report's middle rows are the table dilated_coeffs builds, bit for bit
+    scal = analyze(two_mode_signal(), dog, n_max=n_max)
+    rec = synthesize(scal, dog, dog_report)
+    bare = synthesize(scal, dog, dataclasses.replace(dog_report, table=None))
+    assert rec.values.tobytes() == bare.values.tobytes()
+
+
+def test_synthesize_on_another_grid_builds_its_table(dog, dog_report):
+    # a table on the report's grid cannot serve another scalogram grid
+    scales = ScaleGrid(1e-3, 1e3, 399)
+    scal = analyze(two_mode_signal(), dog, scales=scales, n_max=16)
+    wrong = np.ones_like(dog_report.table)
+    rec = synthesize(scal, dog, dataclasses.replace(dog_report, table=wrong))
+    bare = synthesize(scal, dog, dataclasses.replace(dog_report, table=None))
+    assert rec.values.tobytes() == bare.values.tobytes()
+
+
+def reanalysis_by_analyze(scal, gamma, rec):
+    """The self check by the route it replaces: re-analyze, compare on the grid."""
+    again = analyze(rec, gamma, scales=scal.scales, n_max=scal.n_max)
+    return float(np.linalg.norm(again.values - scal.values) / np.linalg.norm(scal.values))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_angles=st.sampled_from([256, 1024]), scal_n_max=st.integers(4, 64), data=st.data(),
+       log_noise=st.floats(-6.0, -1.0), seed=st.integers(0, 2**32 - 1), same_grid=st.booleans())
+def test_reanalysis_error_matches_reanalysis(dog, n_angles, scal_n_max, data, log_noise, seed, same_grid):
+    # a noisy scalogram, reconstructed with a report of a band at most the
+    # scalogram's, on its grid (the table route) or on another one
+    rng = np.random.default_rng(seed)
+    grid = CircleGrid(n_angles)
+    c = rng.normal(size=17) + 1j * rng.normal(size=17)
+    psi = CircleSignal(grid, np.exp(2j * np.outer(grid.nodes, np.arange(-8, 9))) @ c)
+    scal = analyze(psi, dog, scales=ORACLE_SCALES, n_max=scal_n_max)
+    noise = rng.normal(size=scal.values.shape) + 1j * rng.normal(size=scal.values.shape)
+    noisy = dataclasses.replace(scal, values=scal.values + 10.0**log_noise * np.abs(scal.values).max() * noise)
+    report_n_max = data.draw(st.integers(1, scal_n_max))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        report = lambda_sequence(dog, ORACLE_SCALES if same_grid else ScaleGrid(1e-2, 1e2, 41), report_n_max)
+    rec = synthesize(noisy, dog, report)
+    want = reanalysis_by_analyze(noisy, dog, rec)
+    assert abs(reanalysis_error(noisy, dog, report, rec) - want) <= 1e-9 * want

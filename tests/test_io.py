@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from circlet import (
     write_scalogram,
     write_signal,
 )
+from circlet.cwt import mode_integrals
 
 
 def circle_two_mode(n=64):
@@ -536,10 +538,11 @@ def _pristine_header(kind: str, tmp: Path) -> tuple[Path, Path]:
         write_signal(tmp / "x.csv", cls(grid, np.cos(grid.nodes).astype(complex)))
         return tmp / "x.csv", tmp / "x.meta.json"
     if kind == "report":
+        table = np.ones((5, 4), dtype=complex)
         write_report(tmp / "x.json", AdmissibilityReport(
-            n_max=2, lambdas=np.ones(5), weak_integral=0j, scales=scales, tail_lo=0.0, tail_hi=0.0,
-            wavelet_fingerprint="0" * 64, weak_ok=True, small_scale_converged=True, plateau_ok=True,
-            admissible=True))
+            n_max=2, lambdas=mode_integrals(table, scales), weak_integral=0j, scales=scales, tail_lo=0.0,
+            tail_hi=0.0, wavelet_fingerprint="0" * 64, weak_ok=True, small_scale_converged=True,
+            plateau_ok=True, admissible=True, table=table))
         return tmp / "x.json", tmp / "x.json"
     values = np.zeros((4, 8), dtype=complex)
     if kind == "circle scalogram":
@@ -559,7 +562,8 @@ HEADER_KEYS = {
     "line sidecar": SIDECAR_KEYS,
     "report": ["schema", "lambda", "sup", "inf", "weak_integral", "weak_integral_imag", *VERDICT_FLAGS,
                "wavelet_fingerprint", "truncation", "truncation.a_min", "truncation.a_max",
-               "truncation.count", "truncation.tail_lo", "truncation.tail_hi"],
+               "truncation.count", "truncation.tail_lo", "truncation.tail_hi",
+               "table", "table.payload", "table.dtype", "table.shape", "table.sha256"],
     "circle scalogram": SCALOGRAM_KEYS + ["n_angles", "n_max", "wavelet_fingerprint"],
     "line scalogram": SCALOGRAM_KEYS + ["window", "n_samples"],
 }
@@ -645,3 +649,85 @@ def test_atomic_write_cleans_up_a_failed_write(tmp_path):
     with pytest.raises(TypeError):
         atomic_write_text(target, b"first chunk", 5)
     assert os.listdir(tmp_path) == []
+
+
+def _table_report():
+    return lambda_sequence(make_dog(2.0), n_max=8)
+
+
+def test_report_writes_and_reads_its_table(tmp_path):
+    report = _table_report()
+    buf = io.BytesIO()
+    np.save(buf, report.table, allow_pickle=False)
+    digest = hashlib.sha256(buf.getvalue()).hexdigest()
+    payload = f"table-{digest[:16]}.npy"
+    # named by content: a second report of the same table shares the payload
+    for name in ("r.json", "s.json"):
+        write_report(tmp_path / name, report)
+    assert sorted(os.listdir(tmp_path)) == ["r.json", "s.json", payload]
+    assert (tmp_path / payload).read_bytes() == buf.getvalue()
+    assert (tmp_path / "r.json").read_bytes() == (tmp_path / "s.json").read_bytes()
+    obj = json.loads((tmp_path / "r.json").read_text())
+    assert obj["table"] == {"payload": payload, "dtype": "<c16", "shape": [17, 400], "sha256": digest}
+    back = read_report(tmp_path / "r.json")
+    assert back.table.tobytes() == report.table.tobytes()
+    assert back.lambdas.tobytes() == report.lambdas.tobytes()
+    assert not back.table.flags.writeable
+
+
+def test_rewritten_report_keeps_a_good_payload_and_mends_a_bad_one(tmp_path):
+    report = _table_report()
+    write_report(tmp_path / "r.json", report)
+    payload = tmp_path / json.loads((tmp_path / "r.json").read_text())["table"]["payload"]
+    inode = payload.stat().st_ino
+    write_report(tmp_path / "r.json", report)
+    assert payload.stat().st_ino == inode  # left in place, not replaced by a copy
+    payload.write_bytes(b"not the table")
+    write_report(tmp_path / "r.json", report)
+    assert read_report(tmp_path / "r.json").table.tobytes() == report.table.tobytes()
+
+
+def test_report_without_a_table_still_reads(tmp_path):
+    # an older report has no table object and no payload
+    report = _table_report()
+    write_report(tmp_path / "r.json", report)
+    obj = json.loads((tmp_path / "r.json").read_text())
+    (tmp_path / obj.pop("table")["payload"]).unlink()
+    (tmp_path / "r.json").write_text(json.dumps(obj))
+    back = read_report(tmp_path / "r.json")
+    assert back.table is None
+    assert back.lambdas.tobytes() == report.lambdas.tobytes()
+
+
+@pytest.mark.parametrize("bad", [
+    lambda v: v.astype("<c8"),  # another dtype
+    lambda v: v.reshape(v.shape[1], v.shape[0]),  # another shape
+    lambda v: v * (1.0 + 1e-9),  # integrals that miss the lambdas
+])
+def test_report_table_must_match_header_and_lambdas(tmp_path, bad):
+    write_report(tmp_path / "r.json", _table_report())
+    obj = json.loads((tmp_path / "r.json").read_text())
+    payload = tmp_path / obj["table"]["payload"]
+    buf = io.BytesIO()
+    np.save(buf, bad(np.load(payload)), allow_pickle=False)
+    payload.write_bytes(buf.getvalue())
+    obj["table"]["sha256"] = hashlib.sha256(buf.getvalue()).hexdigest()
+    (tmp_path / "r.json").write_text(json.dumps(obj))
+    with pytest.raises(FormatError, match="header says|disagree with the lambdas"):
+        read_report(tmp_path / "r.json")
+
+
+def test_payload_is_held_in_memory_once(tmp_path):
+    # reading a payload costs its own size, not a second copy of it
+    scales, angles = ScaleGrid(0.5, 2.0, 64), CircleGrid(2048)
+    values = np.ones((scales.count, angles.n_samples), dtype=complex)
+    write_scalogram(tmp_path / "scal", Scalogram(scales, angles, values, n_max=8, wavelet_fingerprint="0" * 64))
+    size = (tmp_path / "scal.npy").stat().st_size
+    tracemalloc.start()
+    try:
+        back = read_scalogram(tmp_path / "scal")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.values, values)
+    assert size < peak < 1.25 * size

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from circlet import line
 from circlet.cwt import TABLE_MEMO_SIZE
 from circlet import (
+    LineAdmissibility,
     LineGrid,
     LineScaleGrid,
     LineSignal,
@@ -21,7 +22,6 @@ from circlet import (
     dilated_spectra,
     line_admissibility,
     line_analyze,
-    line_analyze_direct,
     line_synthesize,
     mexican_hat,
     rplus_action,
@@ -103,6 +103,11 @@ def test_gaussian_flagged_divergent():
     adm = line_admissibility(g)
     assert not adm.converged
     assert not adm.admissible
+
+
+def line_analyze_direct(psi, gamma, a, b):
+    """Single coefficient <U(a, b) gamma | psi> by direct quadrature (oracle route)."""
+    return affine_action(gamma, a, b).inner(psi)
 
 
 def test_analyze_matches_direct():
@@ -356,3 +361,17 @@ def test_scales_below_the_grid_spacing_do_not_alias():
     rec = line_synthesize(line_analyze(f, mh, ScaleGrid(1e-3, 1e3, 400)), mh, line_admissibility(mh))
     assert LineSignal(GRID, rec.values - f.values).norm() / f.norm() < 1e-3
 
+
+
+def test_one_sided_report_reconstructs_one_half():
+    # a half-line constant of 0 drops that half instead of dividing by it
+    f = band_signal()
+    mh = mexican_hat()
+    adm = line_admissibility(mh)
+    scal = line_analyze(f, mh, LineScaleGrid(1e-2, 1e2, 200))
+    full = np.fft.fft(line_synthesize(scal, mh, adm).values)
+    half = np.fft.fft(line_synthesize(scal, mh, LineAdmissibility(adm.c_pos, adm.c_pos, 0.0, True, True)).values)
+    k = GRID.freqs
+    peak = np.abs(full).max()
+    assert np.max(np.abs(half[k <= 0])) < 1e-12 * peak
+    assert np.max(np.abs(half[k > 0] - full[k > 0])) < 1e-12 * peak
