@@ -35,6 +35,7 @@ else:
 # OpenBLAS accepts; a value the caller set is kept.
 _os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
+_bound_before = set(globals())
 from .circle import (
     CircleGrid,
     CircleSignal,
@@ -138,6 +139,11 @@ from .sl2r import (
     reduce_angle,
 )
 
+# the public names: what this import block binds, less the submodules it binds too
+__all__ = sorted(name for name, value in globals().items() if name not in _bound_before
+                 and not name.startswith("_") and not isinstance(value, type(_os)))
+del _bound_before
+
 
 def _cap_loaded_openblas(cap: int) -> None:
     """Set the thread count of every OpenBLAS already mapped into this process.
@@ -171,92 +177,3 @@ if THREAD_CAP is not None:
     _cap_loaded_openblas(THREAD_CAP)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdmissibilityReport",
-    "AffineElement",
-    "AliasingError",
-    "CircleGrid",
-    "CircleSignal",
-    "CircletError",
-    "ContractionParams",
-    "DecayError",
-    "FormatError",
-    "FourierCoeffs",
-    "GridMismatchError",
-    "GroupElement",
-    "LaguerreBasisSpec",
-    "LineAdmissibility",
-    "LineGrid",
-    "LineScaleGrid",
-    "LineScalogram",
-    "LineSignal",
-    "LogGrid",
-    "QuadratureConvergenceWarning",
-    "RPlusFunction",
-    "RepParams",
-    "ScaleGrid",
-    "Scalogram",
-    "Sl2Matrix",
-    "SupportEscapeError",
-    "affine_action",
-    "affine_compose",
-    "affine_embed",
-    "analyze",
-    "atomic_write_text",
-    "casimir_apply",
-    "check_intertwining",
-    "compose",
-    "contract_point",
-    "default_scale_grid",
-    "dilate_angle",
-    "dilated_coeffs",
-    "dilated_spectra",
-    "euclidean_limit_error",
-    "fourier_coeffs",
-    "frame_bounds",
-    "gauss_laguerre_gram",
-    "generator",
-    "genlaguerre",
-    "haar_weight",
-    "halfplane_basis",
-    "i_r_inverse",
-    "i_r_map",
-    "inverse",
-    "iwasawa_decompose",
-    "laguerre_basis",
-    "laguerre_function",
-    "lambda_sequence",
-    "laplace_kernel",
-    "laplace_kernel_series",
-    "laplace_transform",
-    "line_admissibility",
-    "line_analyze",
-    "line_synthesize",
-    "make_dog",
-    "matrix",
-    "mexican_hat",
-    "mode_synthesis",
-    "multiplier",
-    "read_report",
-    "read_scalogram",
-    "read_signal",
-    "reanalysis_error",
-    "reduce_angle",
-    "reduce_half_angle",
-    "rep_action",
-    "report_to_dict",
-    "rplus_action",
-    "rplus_generators",
-    "smooth_bump",
-    "spectrum",
-    "stereo_lift",
-    "stereo_project",
-    "synthesize",
-    "trig_interpolate",
-    "wavelet_fingerprint",
-    "weak_admissibility",
-    "write_report",
-    "write_scalogram",
-    "write_signal",
-]

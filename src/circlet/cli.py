@@ -81,12 +81,23 @@ def _move(tok: str) -> tuple[float, float]:
     return float(b), float(a)
 
 
+def _mode_count(text: str) -> int:
+    """argparse type for a highest mode n_max of at least 0."""
+    try:
+        n_max = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n_max < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {n_max}")
+    return n_max
+
+
 def _point_count(text: str) -> int:
-    """argparse type for --points random:N."""
+    """argparse type for --points random:N, N at least 1."""
     kind, _, count = text.partition(":")
-    if kind == "random" and count.isdecimal():
+    if kind == "random" and count.isdecimal() and int(count) >= 1:
         return int(count)
-    raise argparse.ArgumentTypeError(f"must look like random:N, got {text!r}")
+    raise argparse.ArgumentTypeError(f"must look like random:N with N at least 1, got {text!r}")
 
 
 def _circle_builtin(name: str, n_samples: int) -> CircleSignal:
@@ -208,13 +219,15 @@ def cmd_icwt(args) -> int:
 
 
 def cmd_line_cwt(args) -> int:
+    # inputs are read and checked first: exit 2 answers only a well-posed question
     gamma = _load_wavelet(args, LineSignal)
+    sig = _read_signal(args.signal, LineSignal)
+    scales = _scale_grid(args)
     adm = line_admissibility(gamma)
     if not adm.admissible:
         print("wavelet fails the line admissibility integral")
         return EXIT_NEGATIVE
-    sig = _read_signal(args.signal, LineSignal)
-    scal = line_analyze(sig, gamma, scales=_scale_grid(args))
+    scal = line_analyze(sig, gamma, scales=scales)
     if args.out:
         cio.write_scalogram(args.out, scal)
         print(f"wrote {args.out}.json ({scal.values.shape[0]} scales x {scal.values.shape[1]} positions)")
@@ -317,12 +330,12 @@ def build_parser() -> _Parser:
 
     s = sub.add_parser("laguerre", help="orthonormality check for the radial ladder basis")
     s.add_argument("--k", type=float, default=1.0)
-    s.add_argument("--n-max", type=int, default=8)
+    s.add_argument("--n-max", type=_mode_count, default=8)
     s.set_defaults(func=cmd_laguerre)
 
     s = sub.add_parser("laplace", help="compare the integral transform with its closed form")
     s.add_argument("--k", type=float, default=1.0)
-    s.add_argument("--n-max", type=int, default=4)
+    s.add_argument("--n-max", type=_mode_count, default=4)
     s.add_argument("--points", type=_point_count, default="random:5", help="random:N, N seeded points")
     s.set_defaults(func=cmd_laplace)
 

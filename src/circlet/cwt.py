@@ -181,9 +181,9 @@ def _mode_sum(weights: np.ndarray, grid: CircleGrid) -> np.ndarray:
     bins, phase = _grid_phase((weights.shape[-1] - 1) // 2, grid)
     folded = np.zeros(weights.shape[:-1] + (n,), dtype=complex)
     np.add.at(folded, (..., bins), weights * phase)
-    out = np.fft.ifft(folded, axis=-1)
-    out *= n
-    return out
+    np.fft.ifft(folded, axis=-1, out=folded)
+    folded *= n
+    return folded
 
 
 def _mode_projection(values: np.ndarray, grid: CircleGrid, n_max: int) -> np.ndarray:

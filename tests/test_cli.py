@@ -350,9 +350,19 @@ def test_admissibility_default_n_max_follows_grid(tmp_path):
     (["admissibility", "--scale-max", "1e400"], None, "need 0 < a_min < a_max < inf, got [0.001, inf]"),
     (["euclid", "--R-list", "inf,10"], None, "radius must be positive and finite, got inf"),
     (["euclid", "--pairs", "0.7:nan"], None, "dilation must be positive and finite, got nan"),
+    # line-cwt reads its inputs before it judges the wavelet
+    (["line-cwt", "--builtin", "gauss", "--signal", "{tmp}/missing.csv"], None, "cannot read signal"),
+    (["line-cwt", "--builtin", "gauss", "--signal", "{line}", "--scale-min", "-1"], None,
+     "need 0 < a_min < a_max < inf, got [-1.0, "),
+    # a question about no mode or no point is refused, not answered with 0.0
+    (["laguerre", "--n-max", "-1"], None, "argument --n-max: must be at least 0, got -1"),
+    (["laplace", "--n-max", "-1"], None, "argument --n-max: must be at least 0, got -1"),
+    (["laplace", "--points", "random:0"], None,
+     "argument --points: must look like random:N with N at least 1, got 'random:0'"),
 ], ids=["subcommand", "n-max", "R-list", "pairs-arity", "pairs-value", "points-kind", "points-count",
         "dog-ratio", "dog-variant", "builtin", "line-signal", "threads-abc", "threads-0", "scale-count",
-        "scale-memory", "n-max-0", "scale-max-inf", "R-list-inf", "pairs-nan"])
+        "scale-memory", "n-max-0", "scale-max-inf", "R-list-inf", "pairs-nan", "line-cwt-missing-signal",
+        "line-cwt-scale-min", "laguerre-n-max", "laplace-n-max", "points-zero"])
 def test_refusals_share_one_shape(tmp_path, args, env, says):
     line = tmp_path / "line.csv"
     write_signal(line, LineSignal.from_evaluator(LineGrid(-8.0, 8.0, 64), lambda x: np.exp(-x * x)))
@@ -473,7 +483,8 @@ def test_readme_command_block_runs(tmp_path):
 
 
 def test_line_cwt_gaussian_rejected(tmp_path):
-    res = run(["line-cwt", "--builtin", "gauss", "--signal", "ignored.csv"])
+    _write_packet(tmp_path / "line.csv")
+    res = run(["line-cwt", "--builtin", "gauss", "--signal", str(tmp_path / "line.csv")])
     assert res.returncode == 2
     assert "admissibility" in res.stdout
 

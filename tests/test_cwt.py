@@ -3,6 +3,7 @@
 import dataclasses
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -265,6 +266,21 @@ def test_analyze_dilation_covariance_on_axis(dog):
         lhs = analyze_direct(dilated, dog, a, 0.0)
         rhs = analyze_direct(psi, dog, a / a0, 0.0)
         assert abs(lhs - rhs) < 1e-10
+
+
+def test_analyze_holds_one_scalogram_sized_array(dog):
+    # the mode sum is transformed in place, so analyze's transient memory
+    # stays well below a second copy of its output
+    psi = two_mode_signal()
+    scales = ScaleGrid(1e-3, 1e3, 400)
+    dilated_coeffs(dog, scales)  # the memoised table is not analyze's transient
+    tracemalloc.start()
+    try:
+        scal = analyze(psi, dog, scales=scales)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * scal.values.nbytes
 
 
 def test_scalogram_energy_identity(dog, dog_report):
