@@ -181,17 +181,6 @@ def _signed_freqs(n: int) -> np.ndarray:
     return np.fft.fftfreq(n, d=1.0 / n).astype(int)
 
 
-def spectrum_tail_fraction(signal: CircleSignal) -> float:
-    """Fraction of signal energy in modes |n| > n_samples/4."""
-    u = np.fft.fft(signal.values)
-    total = float(np.sum(np.abs(u) ** 2))
-    if total == 0.0:
-        return 0.0
-    k = _signed_freqs(signal.grid.n_samples)
-    hi = np.abs(k) > signal.grid.n_samples // 4
-    return float(np.sum(np.abs(u[hi]) ** 2)) / total
-
-
 def edge_fraction(values: np.ndarray, width: int = 1) -> float:
     """Largest |value| of the `width` outermost samples at either end over the
     peak |value|, 0 for a zero signal; the one measure every decay guard reads."""
@@ -200,13 +189,18 @@ def edge_fraction(values: np.ndarray, width: int = 1) -> float:
     return float(max(mag[:width].max(), mag[-width:].max())) / peak if peak > 0.0 else 0.0
 
 
-def _guard_aliasing(signal: CircleSignal, what: str):
-    frac = spectrum_tail_fraction(signal)
-    if frac > ALIAS_ENERGY_TOL:
+def _checked_spectrum(signal: CircleSignal, what: str) -> np.ndarray:
+    """The samples' FFT, refused if modes above n_samples/4 carry > ALIAS_ENERGY_TOL of the energy."""
+    u = np.fft.fft(signal.values)
+    total = float(np.sum(np.abs(u) ** 2))
+    k = _signed_freqs(signal.grid.n_samples)
+    tail = float(np.sum(np.abs(u[np.abs(k) > signal.grid.n_samples // 4]) ** 2))
+    if total > 0.0 and tail / total > ALIAS_ENERGY_TOL:
         raise AliasingError(
-            f"{what}: modes above n_samples/4 carry {frac:.3e} of the energy "
+            f"{what}: modes above n_samples/4 carry {tail / total:.3e} of the energy "
             f"(> {ALIAS_ENERGY_TOL:.0e}); refine the grid"
         )
+    return u
 
 
 def trig_interpolate(grid: CircleGrid, values: np.ndarray, theta) -> np.ndarray:
@@ -277,12 +271,11 @@ def rep_action(
     return CircleSignal(grid, acted(grid.nodes), acted if gamma.evaluator is not None else None)
 
 
-def _spectral_derivative(grid: CircleGrid, values: np.ndarray) -> np.ndarray:
+def _spectral_derivative(grid: CircleGrid, spectrum: np.ndarray) -> np.ndarray:
     n = grid.n_samples
-    u = np.fft.fft(values)
     k = _signed_freqs(n).astype(float)
     k[n // 2] = 0.0  # unpaired Nyquist mode has no well-defined odd derivative
-    return np.fft.ifft(2j * k * u)
+    return np.fft.ifft(2j * k * spectrum)
 
 
 def generator(which: str, f: CircleSignal, params: RepParams | None = None) -> CircleSignal:
@@ -292,9 +285,8 @@ def generator(which: str, f: CircleSignal, params: RepParams | None = None) -> C
     rejects signals violating that within 1e-8 of their energy.
     """
     alpha = (params or RepParams()).alpha
-    _guard_aliasing(f, f"generator '{which}'")
     t = f.grid.nodes
-    df = _spectral_derivative(f.grid, f.values)
+    df = _spectral_derivative(f.grid, _checked_spectrum(f, f"generator '{which}'"))
     if which == "a":
         out = 0.5j * np.sin(2 * t) * df + 1j * alpha * np.cos(2 * t) * f.values
     elif which == "b":

@@ -37,6 +37,7 @@ from .errors import CircletError
 from .euclid import ContractionParams, euclidean_limit_error, smooth_bump
 from .laguerre import (
     LaguerreBasisSpec,
+    _check_ladder_n_max,
     gauss_laguerre_gram,
     halfplane_basis,
     laguerre_function,
@@ -210,11 +211,11 @@ def cmd_icwt(args) -> int:
     scal = cio.read_scalogram(args.scalogram)
     report = cio.read_report(args.report)
     rec = synthesize(scal, gamma, report)
+    # the self check comes before any write, so that an error leaves no file
+    err = reanalysis_error(scal, gamma, report, rec)
     if args.out:
         cio.write_signal(args.out, rec)
-    # deterministic self check: the scalogram against the analysis of the
-    # reconstruction, taken in mode space
-    print(f"reanalysis relative error: {reanalysis_error(scal, gamma, report, rec)!r}")
+    print(f"reanalysis relative error: {err!r}")
     return EXIT_OK
 
 
@@ -265,6 +266,7 @@ def cmd_laguerre(args) -> int:
 
 def cmd_laplace(args) -> int:
     spec = LaguerreBasisSpec(k=args.k)
+    _check_ladder_n_max(spec, args.n_max)
     rng = np.random.default_rng(args.seed)
     ws = rng.uniform(0.5, 2.0, args.points) + 1j * rng.uniform(-2.0, 2.0, args.points)
     grid = ScaleGrid(1e-4, 200.0, 4000)

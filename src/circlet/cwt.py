@@ -9,6 +9,10 @@ dilated wavelet.  On a midpoint angle grid the mode sum is one inverse FFT
 per scale (all scales batched), and the angle integral of reconstruction
 is one forward FFT.
 
+One band rule, 1 <= n_max <= N/4 (`_check_n_max`), holds wherever a mode
+band meets a grid of N points: the wavelet's, the signal's and a
+scalogram's angles, so every mode has its own FFT bin and none aliases.
+
 Admissibility is controlled by the per-mode scale integrals
     L_n = int_0^inf da/a^2 |c_n(a)|^2,
 approximated by log-trapezoid quadrature over ln a.  The necessary weak
@@ -46,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import CircleGrid, CircleSignal, _guard_aliasing, _store_complex_values, edge_fraction, rep_action
+from .circle import CircleGrid, CircleSignal, _checked_spectrum, _store_complex_values, edge_fraction, rep_action
 from .errors import DecayError, require_positive
 
 DEFAULT_N_MAX = 64
@@ -174,22 +178,16 @@ def _grid_phase(n_max: int, grid: CircleGrid) -> tuple[np.ndarray, np.ndarray]:
 def _mode_sum(weights: np.ndarray, grid: CircleGrid) -> np.ndarray:
     """sum_n weights[..., n + n_max] e^{2 i n theta} on grid, over the last axis.
 
-    Modes are folded into bins n mod N, so grids with fewer than
-    2 n_max + 1 points are handled exactly.
+    The band must fit the grid by the one band rule (_check_n_max), so
+    each mode has its own bin n mod N.
     """
     n = grid.n_samples
-    bins, phase = _grid_phase((weights.shape[-1] - 1) // 2, grid)
-    folded = np.zeros(weights.shape[:-1] + (n,), dtype=complex)
-    np.add.at(folded, (..., bins), weights * phase)
-    np.fft.ifft(folded, axis=-1, out=folded)
-    folded *= n
-    return folded
-
-
-def _mode_projection(values: np.ndarray, grid: CircleGrid, n_max: int) -> np.ndarray:
-    """sum_k values[..., k] e^{-2 i n theta_k} for |n| <= n_max, over the last axis."""
-    bins, phase = _grid_phase(n_max, grid)
-    return np.fft.fft(values, axis=-1)[..., bins] * np.conj(phase)
+    bins, phase = _grid_phase(_check_n_max(n, (weights.shape[-1] - 1) // 2), grid)
+    out = np.zeros(weights.shape[:-1] + (n,), dtype=complex)
+    out[..., bins] = weights * phase
+    np.fft.ifft(out, axis=-1, out=out)
+    out *= n
+    return out
 
 
 def _row_spectra(values: np.ndarray):
@@ -204,9 +202,9 @@ def fourier_coeffs(psi: CircleSignal, n_max: int | None = None) -> FourierCoeffs
     """Coefficients of psi in the orthonormal mode basis, by the midpoint rule."""
     n = psi.grid.n_samples
     n_max = _check_n_max(n, n_max)
-    _guard_aliasing(psi, "fourier_coeffs")
-    vals = (np.sqrt(np.pi) / n) * _mode_projection(psi.values, psi.grid, n_max)
-    return FourierCoeffs(n_max, vals)
+    spectrum = _checked_spectrum(psi, "fourier_coeffs")
+    bins, phase = _grid_phase(n_max, psi.grid)
+    return FourierCoeffs(n_max, (np.sqrt(np.pi) / n) * (spectrum[bins] * np.conj(phase)))
 
 
 def mode_synthesis(grid: CircleGrid, coeffs: FourierCoeffs) -> CircleSignal:
@@ -228,15 +226,14 @@ def dilated_coeffs(gamma: CircleSignal, scales: ScaleGrid, n_max: int | None = N
     resolves, as analyze's follows the signal's.
     """
     n_max = _check_n_max(gamma.grid.n_samples, n_max)
-    return _memo_table(gamma.values.tobytes(), scales.a_min, scales.a_max, scales.count, n_max)
+    return _memo_table(gamma.values.tobytes(), scales, n_max)
 
 
 @functools.lru_cache(maxsize=TABLE_MEMO_SIZE)
-def _memo_table(samples: bytes, a_min: float, a_max: float, count: int, n_max: int) -> np.ndarray:
+def _memo_table(samples: bytes, scales: ScaleGrid, n_max: int) -> np.ndarray:
     """dilated_coeffs behind the memo; the sample count follows from the byte length."""
     gv = np.frombuffer(samples, dtype=complex)
-    scales = ScaleGrid(a_min, a_max, count)
-    table = np.empty((2 * n_max + 1, count), dtype=complex)
+    table = np.empty((2 * n_max + 1, scales.count), dtype=complex)
     table[n_max:] = _dilated_table(gv, scales, n_max)
     # c_{-n}(gamma) = conj(c_n(conj gamma)), and a real wavelet is its own conjugate
     mirror = table[n_max:] if not np.any(gv.imag) else _dilated_table(np.conj(gv), scales, n_max)
@@ -468,7 +465,7 @@ class Scalogram:
     """Wavelet coefficients W(vartheta, a) on an angle x scale grid.
 
     values[j, i] is the coefficient at scale nodes[j], angle nodes[i];
-    scales ascend.
+    scales ascend, and n_max keeps the one band rule on the angle grid.
     """
 
     scales: ScaleGrid
@@ -480,6 +477,7 @@ class Scalogram:
     def __post_init__(self):
         shape = (self.scales.count, self.angles.n_samples)
         _store_complex_values(self, shape, lambda got: f"values shape {got} does not match {shape}")
+        _check_n_max(self.angles.n_samples, self.n_max)
 
     def energy(self) -> float:
         """Double quadrature of |W|^2 against dvartheta da/a^2."""
@@ -497,15 +495,14 @@ def analyze(
     """Wavelet transform of psi against gamma: one mode sum per scale.
 
     W(vartheta, a) = sum_n e^{2 i n vartheta} conj(c_n(a)) psi_n over
-    |n| <= n_max (default n_samples/4, the aliasing-safe band).
+    |n| <= n_max (default min(DEFAULT_N_MAX, n_samples/4)), a band angles must hold too.
     """
     scales = scales or default_scale_grid()
     angles = angles or psi.grid
-    n_max = _check_n_max(psi.grid.n_samples, n_max)
     ph = fourier_coeffs(psi, n_max)
-    cg = dilated_coeffs(gamma, scales, n_max)
+    cg = dilated_coeffs(gamma, scales, ph.n_max)
     out = _mode_sum(np.conj(cg.T) * ph.values, angles)  # (scales, angles)
-    return Scalogram(scales=scales, angles=angles, values=out, n_max=n_max,
+    return Scalogram(scales=scales, angles=angles, values=out, n_max=ph.n_max,
                      wavelet_fingerprint=wavelet_fingerprint(gamma))
 
 
@@ -513,8 +510,8 @@ def _synthesis_table(
     scalogram: Scalogram,
     gamma: CircleSignal,
     report: AdmissibilityReport,
-) -> tuple[int, np.ndarray]:
-    """The band n_max of reconstruction and its c_n(a) on the scalogram's scales.
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """The band n_max of reconstruction, its c_n(a) on the scalogram's scales, and its L_n.
 
     The band is the smaller of the report's and the scalogram's.  When the
     report carries its table on the scalogram's scale grid, the table's
@@ -532,9 +529,10 @@ def _synthesis_table(
                 f"(fingerprint {have[:12]}..., this wavelet {want[:12]}...)"
             )
     n_max = min(report.n_max, scalogram.n_max)
+    band = slice(report.n_max - n_max, report.n_max + n_max + 1)
     if report.table is not None and report.scales == scalogram.scales:
-        return n_max, report.table[report.n_max - n_max:report.n_max + n_max + 1]
-    return n_max, dilated_coeffs(gamma, scalogram.scales, n_max)
+        return n_max, report.table[band], report.lambdas[band]
+    return n_max, dilated_coeffs(gamma, scalogram.scales, n_max), report.lambdas[band]
 
 
 def synthesize(
@@ -553,9 +551,9 @@ def synthesize(
     that grid.  Raises ValueError when the scalogram or the report was
     computed for another wavelet than gamma.
     """
-    n_max, cg = _synthesis_table(scalogram, gamma, report)
+    n_max, cg, lam = _synthesis_table(scalogram, gamma, report)
     angles = scalogram.angles
-    # inner angle integrals for all modes, (scales, modes): _mode_projection by blocks of rows
+    # inner angle integrals for all modes, (scales, modes), by blocks of rows
     bins, phase = _grid_phase(n_max, angles)
     unphase = np.conj(phase)
     inner = np.empty((scalogram.scales.count, 2 * n_max + 1), dtype=complex)
@@ -563,7 +561,6 @@ def synthesize(
         inner[rows] = spectrum[:, bins] * unphase
     inner *= angles.spacing
     num = scalogram.scales.integrate_da_over_a2(cg * inner.T)
-    lam = report.lambdas[report.n_max - n_max:report.n_max + n_max + 1]
     live = lam > mode_floor * report.sup_lambda
     psi_hat = np.zeros(2 * n_max + 1, dtype=complex)
     psi_hat[live] = num[live] / (np.pi * lam[live])
@@ -589,7 +586,7 @@ def reanalysis_error(
     by masking the band's bins, the energy outside the band.  c_n(a) comes
     from the same source as in synthesize.
     """
-    n_max, cg = _synthesis_table(scalogram, gamma, report)
+    n_max, cg, _ = _synthesis_table(scalogram, gamma, report)
     angles = scalogram.angles
     if rec.grid != angles:
         raise ValueError(f"rec has {rec.grid.n_samples} samples, the scalogram {angles.n_samples} angles")

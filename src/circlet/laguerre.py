@@ -36,7 +36,7 @@ from .cwt import ScaleGrid
 from .line import RPlusFunction
 
 GL_NODES_DEFAULT = 128
-GL_RULE_MEMO_SIZE = 4  # node counts kept; callers use 128 and 64
+GL_RULE_MEMO_SIZE = 4  # node counts kept; callers use 128 and 127
 
 
 class QuadratureConvergenceWarning(RuntimeWarning):
@@ -255,8 +255,8 @@ def laplace_transform(f: RPlusFunction, spec: LaguerreBasisSpec, w: complex) -> 
 
     The kernel's |e^{-r w/2}| = e^{-u} is exactly the quadrature weight, so
     it cancels analytically and only the phase and the function values are
-    sampled.  Warns when halving the node count moves the estimate (small
-    Re(w) pushes f's variation under the nodes).
+    sampled.  Warns when the rule of one node fewer moves the estimate
+    (small Re(w) pushes f's variation under the nodes).
     """
     w = complex(require_halfplane(w))
     k = spec.k
@@ -273,16 +273,23 @@ def laplace_transform(f: RPlusFunction, spec: LaguerreBasisSpec, w: complex) -> 
         return complex(np.sum(wq * core * vals / u))
 
     full = estimate(GL_NODES_DEFAULT)
-    half = estimate(GL_NODES_DEFAULT // 2)
+    fewer = estimate(GL_NODES_DEFAULT - 1)
     tol = 1e-8 * max(abs(full), 1e-30) + 1e-14
-    if abs(full - half) > tol:
+    if abs(full - fewer) > tol:
         warnings.warn(
-            f"Gauss-Laguerre estimate moved by {abs(full - half):.3e} when "
-            f"halving the nodes at w = {w}; treat the value as unconverged",
+            f"Gauss-Laguerre estimate moved by {abs(full - fewer):.3e} with "
+            f"one node fewer at w = {w}; treat the value as unconverged",
             QuadratureConvergenceWarning,
             stacklevel=2,
         )
     return full
+
+
+def _check_ladder_n_max(spec: LaguerreBasisSpec, n_max: int):
+    """Refuse modes 0..n_max whose products the GL_NODES_DEFAULT-node rule cannot integrate."""
+    if 2 * n_max + 2 * spec.k - 1 > 2 * GL_NODES_DEFAULT - 1:
+        raise ValueError(f"n_max {n_max} at k = {spec.k} is beyond the {GL_NODES_DEFAULT}-node Gauss-Laguerre "
+                         f"rule, exact only while 2 n_max + 2k - 1 <= {2 * GL_NODES_DEFAULT - 1}")
 
 
 def gauss_laguerre_gram(spec: LaguerreBasisSpec, n_max: int) -> np.ndarray:
@@ -290,7 +297,8 @@ def gauss_laguerre_gram(spec: LaguerreBasisSpec, n_max: int) -> np.ndarray:
 
     The integrand e^{-r} r^{2k-1} L_n L_m is weight times polynomial for
     half-integer k, so the rule is exact once 2 GL_NODES_DEFAULT - 1 covers
-    the degree."""
+    the degree 2 n_max + 2k - 1; a larger n_max is refused."""
+    _check_ladder_n_max(spec, n_max)
     u, wq = _gauss_laguerre_rule(GL_NODES_DEFAULT)
     funcs = []
     for n in range(n_max + 1):

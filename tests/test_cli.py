@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from circlet import (CircleGrid, CircleSignal, LineGrid, LineScalogram, LineSignal, cli, cwt, read_scalogram,
-                     read_signal, write_signal)
+from circlet import (CircleGrid, CircleSignal, LineGrid, LineScalogram, LineSignal, ScaleGrid, analyze, cli, cwt,
+                     make_dog, read_scalogram, read_signal, write_scalogram, write_signal)
 
 CMD = [sys.executable, "-m", "circlet.cli"]
 
@@ -257,6 +257,23 @@ def test_icwt_output_same_with_or_without_the_table(small_pipeline, tmp_path, ca
     assert outputs[0] == outputs[1]
 
 
+def test_icwt_refuses_a_band_its_angles_cannot_hold_and_writes_nothing(small_pipeline, tmp_path):
+    # a 16-angle scalogram holds |n| <= 4; its header is patched to 64, which
+    # the payload's sha256 does not cover
+    _copy_pipeline(small_pipeline, tmp_path)
+    grid = CircleGrid(16)
+    sig = CircleSignal(grid, np.cos(2 * grid.nodes) + 0.5 * np.sin(4 * grid.nodes))
+    write_scalogram(tmp_path / "scal", analyze(sig, make_dog(2.0), scales=ScaleGrid(1e-3, 1e3, 40), n_max=4))
+    header = tmp_path / "scal.json"
+    header.write_text(json.dumps({**json.loads(header.read_text()), "n_max": 64}))
+    res = run(_icwt_args(tmp_path))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == [f"circlet: error: malformed scalogram {header}: "
+                                       "n_max 64 exceeds n_samples/4 = 4"]
+    assert not (tmp_path / "rec.csv").exists()
+
+
 def _flip_payload_byte(where, report):
     data = bytearray(_table_payload(where, report).read_bytes())
     data[-5] ^= 0x10
@@ -359,10 +376,16 @@ def test_admissibility_default_n_max_follows_grid(tmp_path):
     (["laplace", "--n-max", "-1"], None, "argument --n-max: must be at least 0, got -1"),
     (["laplace", "--points", "random:0"], None,
      "argument --points: must look like random:N with N at least 1, got 'random:0'"),
+    # modes the 128-node Gauss-Laguerre rule cannot integrate: the gram is not
+    # the identity, and a huge --n-max would loop for hours
+    (["laguerre", "--k", "1.5", "--n-max", "127"], None,
+     "n_max 127 at k = 1.5 is beyond the 128-node Gauss-Laguerre rule, exact only while 2 n_max + 2k - 1 <= 255"),
+    (["laplace", "--n-max", "128"], None,
+     "n_max 128 at k = 1.0 is beyond the 128-node Gauss-Laguerre rule, exact only while 2 n_max + 2k - 1 <= 255"),
 ], ids=["subcommand", "n-max", "R-list", "pairs-arity", "pairs-value", "points-kind", "points-count",
         "dog-ratio", "dog-variant", "builtin", "line-signal", "threads-abc", "threads-0", "scale-count",
         "scale-memory", "n-max-0", "scale-max-inf", "R-list-inf", "pairs-nan", "line-cwt-missing-signal",
-        "line-cwt-scale-min", "laguerre-n-max", "laplace-n-max", "points-zero"])
+        "line-cwt-scale-min", "laguerre-n-max", "laplace-n-max", "points-zero", "laguerre-rule", "laplace-rule"])
 def test_refusals_share_one_shape(tmp_path, args, env, says):
     line = tmp_path / "line.csv"
     write_signal(line, LineSignal.from_evaluator(LineGrid(-8.0, 8.0, 64), lambda x: np.exp(-x * x)))
@@ -495,6 +518,14 @@ def test_thread_cap_validation():
     assert "CIRCLET_THREADS" in res.stderr
     res = run(["admissibility", "--builtin", "dog:2"], env_extra={"CIRCLET_THREADS": "4"})
     assert res.returncode == 0
+
+
+def test_laplace_raises_no_false_alarm():
+    # the 128-node estimate is checked against the 127-node rule; checked
+    # against the 64-node rule, this command warned on six converged transforms
+    res = run(["laplace", "--n-max", "20"])
+    assert res.returncode == 0, res.stderr
+    assert "QuadratureConvergenceWarning" not in res.stderr
 
 
 def test_laplace_seeded_determinism():

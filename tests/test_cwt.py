@@ -433,14 +433,18 @@ def test_dilated_coeffs_match_loop_oracle(dog, kind, n_max):
 @pytest.mark.parametrize("n_max", [8, 32, 64])
 @pytest.mark.parametrize("n_angles", [1024, 96, 16])
 def test_analyze_synthesize_match_loop_oracle(dog, kind, n_max, n_angles):
-    # 96 and 16 angles differ from the signal's grid; 16 has fewer points
-    # than the 2 n_max + 1 modes, so modes share FFT bins
+    # 96 and 16 angles differ from the signal's grid; a band wider than
+    # n_angles/4 does not fit the angle grid and is refused
     gamma = oracle_wavelet(dog, kind)
     rng = np.random.default_rng(n_max + n_angles)
     ns = np.arange(-8, 9)
     c = rng.normal(size=ns.size) + 1j * rng.normal(size=ns.size)
     psi = CircleSignal(GRID, np.exp(2j * np.outer(GRID.nodes, ns)) @ c)
     angles = CircleGrid(n_angles)
+    if n_max > n_angles // 4:
+        with pytest.raises(ValueError, match=rf"^n_max {n_max} exceeds n_samples/4 = {n_angles // 4}$"):
+            analyze(psi, gamma, scales=ORACLE_SCALES, n_max=n_max, angles=angles)
+        return
     scal = analyze(psi, gamma, scales=ORACLE_SCALES, n_max=n_max, angles=angles)
     assert rel_gap(scal.values, loop_analyze(psi, gamma, ORACLE_SCALES, n_max, angles)) <= 1e-13
     with warnings.catch_warnings():
@@ -467,6 +471,10 @@ def test_mode_synthesis_matches_loop_oracle(n_angles):
     rng = np.random.default_rng(n_angles)
     coeffs = FourierCoeffs(32, rng.normal(size=65) + 1j * rng.normal(size=65))
     grid = CircleGrid(n_angles)
+    if n_angles < 4 * 32:
+        with pytest.raises(ValueError, match=rf"^n_max 32 exceeds n_samples/4 = {n_angles // 4}$"):
+            mode_synthesis(grid, coeffs)
+        return
     got = mode_synthesis(grid, coeffs).values
     assert rel_gap(got, loop_mode_synthesis(grid, coeffs)) <= 1e-13
 

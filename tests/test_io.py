@@ -287,7 +287,7 @@ def scalograms(draw):
     n = values.shape[1]
     if draw(st.booleans()):
         fingerprint = draw(st.text("0123456789abcdef", min_size=64, max_size=64))
-        return Scalogram(scales, CircleGrid(n), values, n_max=draw(st.integers(0, n // 4)),
+        return Scalogram(scales, CircleGrid(n), values, n_max=draw(st.integers(1, n // 4)),
                          wavelet_fingerprint=fingerprint)
     lo, width = draw(st.floats(-100.0, 100.0)), draw(st.floats(1e-3, 100.0))
     return LineScalogram(scales, LineGrid(lo, lo + width, n), values)

@@ -69,6 +69,16 @@ def test_gram_orthonormal():
         assert np.max(np.abs(gram - np.eye(9))) < 1e-10
 
 
+@pytest.mark.parametrize("k, top", [(1.0, 127), (1.5, 126)])
+def test_gram_refuses_modes_the_rule_cannot_integrate(k, top):
+    # exact while 2 n_max + 2k - 1 <= 2 * 128 - 1; one mode more would give a
+    # deviation from the identity of 0.99, not 1e-13
+    spec = LaguerreBasisSpec(k)
+    assert np.max(np.abs(gauss_laguerre_gram(spec, top) - np.eye(top + 1))) < 1e-10
+    with pytest.raises(ValueError, match=rf"^n_max {top + 1} at k = {k} is beyond the 128-node"):
+        gauss_laguerre_gram(spec, top + 1)
+
+
 def test_closed_form_ground_state():
     # k = 1: zero norm correction, basis_0(r) = r e^{-r/2}
     spec = LaguerreBasisSpec(k=1.0)
