@@ -29,7 +29,9 @@ action needs at the dilated angles) through its trigonometric interpolant,
 computed by a Gaussian-gridding type-2 non-uniform FFT: oversampling
 R = 2, kernel half-width W = 14, O(n log n) per call plus 2W terms per
 target, and within 5.1e-13 of the direct mode sum (relative to the
-samples' largest value) for full-band samples.
+samples' largest value) for full-band samples.  Targets are summed in
+blocks of NUFFT_BLOCK = 128, so the kernel's scratch memory does not grow
+with the number of targets, and no output bit depends on the blocking.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ ALIAS_ENERGY_TOL = 1e-8
 # trig_interpolate's Gaussian gridding: oversampling and kernel half-width
 NUFFT_OVERSAMPLING = 2
 NUFFT_HALF_WIDTH = 14
+NUFFT_BLOCK = 128  # targets per block of trig_interpolate's kernel sum
 
 
 @dataclass(frozen=True)
@@ -213,12 +216,17 @@ def trig_interpolate(grid: CircleGrid, values: np.ndarray, theta) -> np.ndarray:
     divided by the Gaussian's Fourier coefficients, one inverse FFT puts
     them on an R * n_samples grid (R = NUFFT_OVERSAMPLING = 2), and each
     target sums the 2W Gaussian-weighted grid values around it
-    (W = NUFFT_HALF_WIDTH = 14), indices wrapped so that the smallest grids
-    stay exact.  Cost is O(n log n) plus 2W terms per target.  The result
-    is within 1e-12 of the direct mode sum, relative to the
-    samples' largest value (measured at most 5.1e-13 for full-band complex
-    samples, every even n in 4...1024, targets in [-4, 4]; 4e-14 against
-    closed-form modes at n = 4096 and 16384).
+    (W = NUFFT_HALF_WIDTH = 14).  The fine grid is extended periodically
+    by 2W - 1 points (several periods on the smallest grids), so each
+    target's neighbours are one contiguous window of it.  Targets are
+    summed in blocks of NUFFT_BLOCK, so scratch memory is a few
+    block-sized arrays whatever the number of targets, and every output
+    is bitwise what one unblocked sum over all targets gives.  Cost is
+    O(n log n) plus 2W terms per target.  The result is within 1e-12 of
+    the direct mode sum, relative to the samples' largest value (measured
+    at most 5.1e-13 for full-band complex samples, every even n in
+    4...1024, targets in [-4, 4]; 4e-14 against closed-form modes at
+    n = 4096 and 16384).
     """
     n = grid.n_samples
     m = NUFFT_OVERSAMPLING * n
@@ -231,16 +239,29 @@ def trig_interpolate(grid: CircleGrid, values: np.ndarray, theta) -> np.ndarray:
     fine = np.zeros(m, dtype=complex)
     # divide by the periodic Gaussian's Fourier coefficients sqrt(tau/pi) e^{-k^2 tau}
     fine[ks % m] = c * (np.sqrt(np.pi / tau) * np.exp(ks * ks * tau))
-    fine = np.fft.ifft(fine)
+    # windows[p] holds fine grid points p, p + 1, ..., p + 2W - 1 mod m
+    width = 2 * NUFFT_HALF_WIDTH
+    windows = np.lib.stride_tricks.sliding_window_view(np.resize(np.fft.ifft(fine), m + width - 1), width)
     t = np.asarray(theta, dtype=float)
     # fractional index on the fine grid; its point p sits at phase 2 pi p / m
     s = NUFFT_OVERSAMPLING * ((t.reshape(-1) + np.pi / 2) / grid.spacing - 0.5)
     # into one period; exact for finite s, and an infinite angle gives nan
     s -= m * np.round(s / m)
-    idx = np.floor(s).astype(int)[:, None] + np.arange(1 - NUFFT_HALF_WIDTH, NUFFT_HALF_WIDTH + 1)
-    d = s[:, None] - idx
-    weights = np.exp(-((np.pi / m) ** 2 / tau) * d * d)
-    out = np.einsum("ij,ij->i", weights, fine[idx % m])
+    # target s weighs points floor(s) + k, k = 1 - W ... W, by e^{-g d^2}, d = s - floor(s) - k
+    offsets = np.arange(1 - NUFFT_HALF_WIDTH, NUFFT_HALF_WIDTH + 1, dtype=float)
+    g = (np.pi / m) ** 2 / tau
+    out = np.empty(s.size, dtype=complex)
+    d = np.empty((min(NUFFT_BLOCK, s.size), width))
+    weights = np.empty_like(d)
+    for lo in range(0, s.size, NUFFT_BLOCK):
+        sb = s[lo:lo + NUFFT_BLOCK]
+        db, wb = d[:sb.size], weights[:sb.size]
+        floor = np.floor(sb)
+        near = windows[(floor.astype(int) + 1 - NUFFT_HALF_WIDTH) % m]
+        # the integers first: (s - floor(s)) - k rounds differently for s in (-1, 0)
+        np.subtract(sb[:, None], np.add(floor[:, None], offsets, out=db), out=db)
+        np.multiply(np.multiply(db, -g, out=wb), db, out=wb)
+        np.einsum("ij,ij->i", np.exp(wb, out=wb), near, out=out[lo:lo + sb.size])
     if t.ndim == 0:
         return out[0]
     return out.reshape(t.shape)

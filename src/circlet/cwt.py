@@ -477,6 +477,9 @@ class Scalogram:
     def __post_init__(self):
         shape = (self.scales.count, self.angles.n_samples)
         _store_complex_values(self, shape, lambda got: f"values shape {got} does not match {shape}")
+        # _check_n_max reads None as the default band; a scalogram holds its band
+        if not isinstance(self.n_max, (int, np.integer)):
+            raise ValueError(f"n_max must be an integer, got {self.n_max!r}")
         _check_n_max(self.angles.n_samples, self.n_max)
 
     def energy(self) -> float:

@@ -75,6 +75,18 @@ def test_read_scalogram_refuses_the_band_by_its_header(tmp_path, n_max, says):
     assert str(err.value) == f"malformed scalogram {tmp_path / 'scal.json'}: {says}"
 
 
+@pytest.mark.parametrize("n_max", [None, 3.5, 2.0, "2"])
+def test_scalogram_refuses_a_band_that_is_not_an_integer(n_max):
+    # the band rule reads None as its default; synthesize would fail later with a TypeError
+    with pytest.raises(ValueError) as err:
+        Scalogram(SCALES, GRID, np.zeros((SCALES.count, N)), n_max, FINGERPRINT)
+    assert str(err.value) == f"n_max must be an integer, got {n_max!r}"
+
+
+def test_scalogram_accepts_a_numpy_integer_band():
+    assert Scalogram(SCALES, GRID, np.zeros((SCALES.count, N)), np.int64(TOP), FINGERPRINT).n_max == TOP
+
+
 def test_band_rule_accepts_a_quarter_of_the_grid(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the coarse wavelet's plateau warning

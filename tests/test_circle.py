@@ -1,8 +1,10 @@
 """Chart action: unitarity, multiplier laws, generators, quadratic invariant."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circlet import (
@@ -18,6 +20,7 @@ from circlet import (
     rep_action,
     trig_interpolate,
 )
+from circlet.circle import NUFFT_BLOCK, NUFFT_HALF_WIDTH, NUFFT_OVERSAMPLING
 
 GRID = CircleGrid(1024)
 
@@ -154,6 +157,31 @@ def dense_trig_interpolate(grid, values, theta):
     return out.reshape(np.shape(theta))
 
 
+def modulo_gather_trig_interpolate(grid, values, theta):
+    """The Gaussian gridding sum in one shot: every target's 2W neighbours
+    gathered at once through an (targets x 2W) index array taken mod m."""
+    n = grid.n_samples
+    m = NUFFT_OVERSAMPLING * n
+    tau = np.pi * NUFFT_HALF_WIDTH / (n * n * NUFFT_OVERSAMPLING * (NUFFT_OVERSAMPLING - 0.5))
+    u = np.fft.fft(np.asarray(values, dtype=complex)) / n
+    ks = np.arange(-(n // 2), n // 2 + 1)
+    c = u[ks % n]
+    c[[0, -1]] *= 0.5
+    fine = np.zeros(m, dtype=complex)
+    fine[ks % m] = c * (np.sqrt(np.pi / tau) * np.exp(ks * ks * tau))
+    fine = np.fft.ifft(fine)
+    t = np.asarray(theta, dtype=float)
+    s = NUFFT_OVERSAMPLING * ((t.reshape(-1) + np.pi / 2) / grid.spacing - 0.5)
+    s -= m * np.round(s / m)
+    idx = np.floor(s).astype(int)[:, None] + np.arange(1 - NUFFT_HALF_WIDTH, NUFFT_HALF_WIDTH + 1)
+    d = s[:, None] - idx
+    weights = np.exp(-((np.pi / m) ** 2 / tau) * d * d)
+    out = np.einsum("ij,ij->i", weights, fine[idx % m])
+    if t.ndim == 0:
+        return out[0]
+    return out.reshape(t.shape)
+
+
 THETA_SHAPES = {
     "scalar": lambda t: float(t[0]),
     "0-d": lambda t: np.asarray(t[0]),
@@ -206,6 +234,63 @@ def test_trig_interpolate_real_in_real_out(n):
     vals = np.random.default_rng(n).standard_normal(n)
     got = trig_interpolate(grid, vals, np.linspace(-4.0, 4.0, 301))
     assert np.max(np.abs(got.imag)) <= 1e-14 * np.max(np.abs(got))
+
+
+ORACLE_COUNTS = [0, 1, NUFFT_BLOCK - 1, NUFFT_BLOCK, NUFFT_BLOCK + 1, 3 * NUFFT_BLOCK + 7]
+ORACLE_SHAPES = {
+    "scalar": lambda t: float(t[0]),
+    "0-d": lambda t: np.asarray(t[0]),
+    "1-D": lambda t: t,
+    "2-D": lambda t: t.reshape(-1, 2),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    # below N = 16 the 2W-point window wraps the 2N-point fine grid more than once
+    half_n=st.one_of(st.integers(2, 7), st.integers(8, 512)),
+    count=st.sampled_from(ORACLE_COUNTS),
+    shape=st.sampled_from(sorted(ORACLE_SHAPES)),
+    special=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(half_n=2, count=3 * NUFFT_BLOCK + 7, shape="1-D", special=True, seed=0)
+@example(half_n=7, count=NUFFT_BLOCK + 1, shape="2-D", special=True, seed=1)
+@example(half_n=512, count=NUFFT_BLOCK, shape="1-D", special=True, seed=2)
+def test_trig_interpolate_matches_modulo_gather_bitwise(half_n, count, shape, special, seed):
+    # blocking changes neither shape nor a single output bit, including nan
+    # for non-finite angles and targets just below the first node, whose
+    # window wraps around the end of the fine grid
+    grid = CircleGrid(2 * half_n)
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(grid.n_samples) + 1j * rng.standard_normal(grid.n_samples)
+    raw = rng.uniform(-4.0, 4.0, 2 * count if shape == "2-D" else max(count, 1))
+    if special and raw.size:
+        specials = [np.inf, -np.inf, np.nan, grid.nodes[0] - rng.uniform(0.0, 0.25) * grid.spacing]
+        raw[rng.integers(0, raw.size, len(specials))] = specials
+    theta = ORACLE_SHAPES[shape](raw)
+    with np.errstate(invalid="ignore"):
+        got = trig_interpolate(grid, vals, theta)
+        want = modulo_gather_trig_interpolate(grid, vals, theta)
+    assert np.shape(got) == np.shape(want) == np.shape(theta)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_trig_interpolate_scratch_does_not_grow_with_targets():
+    # targets are summed in blocks of NUFFT_BLOCK in buffers reused per
+    # call, so a large call holds little beyond its own output
+    grid = CircleGrid(1024)
+    rng = np.random.default_rng(1024)
+    vals = rng.standard_normal(grid.n_samples) + 1j * rng.standard_normal(grid.n_samples)
+    theta = rng.uniform(-4.0, 4.0, 65536)
+    trig_interpolate(grid, vals, theta[:1])  # numpy's first-call caches are not the kernel's
+    tracemalloc.start()
+    try:
+        out = trig_interpolate(grid, vals, theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * out.nbytes
 
 
 def test_trig_interpolate_non_finite_angle_is_nan():
