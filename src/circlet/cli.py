@@ -25,6 +25,7 @@ from .cwt import (
     DEFAULT_SCALE_MAX,
     DEFAULT_SCALE_MIN,
     ScaleGrid,
+    Scalogram,
     analyze,
     fourier_coeffs,
     frame_bounds,
@@ -129,18 +130,19 @@ def _line_builtin(name: str, n_samples: int) -> LineSignal:
     raise ValueError(f"unknown line builtin {name!r}")
 
 
-def _read_signal(path, kind: type) -> CircleSignal | LineSignal:
-    """Read a signal file, refusing one of the other geometry."""
-    sig = cio.read_signal(path)
-    if not isinstance(sig, kind):
-        have, need = ("line", "circle") if kind is CircleSignal else ("circle", "line")
-        raise ValueError(f"{path} holds a {have} signal, need a {need} signal")
-    return sig
+def _read_input(path, kind: type) -> CircleSignal | LineSignal | Scalogram:
+    """Read a signal file, or a scalogram when kind is Scalogram, refusing one of the other geometry."""
+    read, what = (cio.read_scalogram, "scalogram") if kind is Scalogram else (cio.read_signal, "signal")
+    obj = read(path)
+    if not isinstance(obj, kind):
+        have, need = ("circle", "line") if kind is LineSignal else ("line", "circle")
+        raise ValueError(f"{path} holds a {have} {what}, need a {need} {what}")
+    return obj
 
 
 def _load_wavelet(args, kind: type) -> CircleSignal | LineSignal:
     if args.wavelet is not None:
-        return _read_signal(args.wavelet, kind)
+        return _read_input(args.wavelet, kind)
     builtin = _circle_builtin if kind is CircleSignal else _line_builtin
     return builtin(args.builtin, args.n_samples)
 
@@ -199,7 +201,7 @@ def cmd_frame(args) -> int:
 
 def cmd_cwt(args) -> int:
     gamma = _load_wavelet(args, CircleSignal)
-    sig = _read_signal(args.signal, CircleSignal)
+    sig = _read_input(args.signal, CircleSignal)
     scal = analyze(sig, gamma, scales=_scale_grid(args), n_max=args.n_max)
     cio.write_scalogram(args.out, scal)
     print(f"wrote {args.out}.json ({scal.values.shape[0]} scales x {scal.values.shape[1]} angles)")
@@ -208,7 +210,7 @@ def cmd_cwt(args) -> int:
 
 def cmd_icwt(args) -> int:
     gamma = _load_wavelet(args, CircleSignal)
-    scal = cio.read_scalogram(args.scalogram)
+    scal = _read_input(args.scalogram, Scalogram)
     report = cio.read_report(args.report)
     rec = synthesize(scal, gamma, report)
     # the self check comes before any write, so that an error leaves no file
@@ -222,7 +224,7 @@ def cmd_icwt(args) -> int:
 def cmd_line_cwt(args) -> int:
     # inputs are read and checked first: exit 2 answers only a well-posed question
     gamma = _load_wavelet(args, LineSignal)
-    sig = _read_signal(args.signal, LineSignal)
+    sig = _read_input(args.signal, LineSignal)
     scales = _scale_grid(args)
     adm = line_admissibility(gamma)
     if not adm.admissible:

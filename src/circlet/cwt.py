@@ -93,8 +93,6 @@ class ScaleGrid:
         """Step in ln a, the quadrature step of da/a."""
         return np.log(self.a_max / self.a_min) / (self.count - 1)
 
-    log_spacing = spacing
-
     @property
     def nodes(self) -> np.ndarray:
         return np.geomspace(self.a_min, self.a_max, self.count)

@@ -157,6 +157,20 @@ def _header(path: Path, schema: str, rerun: str, what: str):
         raise FormatError(f"malformed {what} {path}: {exc}") from exc
 
 
+def _field(obj, key, kind):
+    """obj[key] if a JSON value of kind, else a ValueError: int is never a bool or a float such as
+    400.0, float any finite number but a bool, and a tuple of kinds a list of exactly such values."""
+    value = obj[key]
+    if isinstance(kind, tuple) and isinstance(value, list) and len(value) == len(kind):
+        return tuple(_field({key: v}, key, k) for v, k in zip(value, kind))
+    if kind is float and type(value) in (int, float) and np.isfinite(float(value)):
+        return float(value)
+    if kind is not float and type(value) is kind:
+        return value
+    want = {int: "an integer", float: "a finite number", bool: "true/false", str: "a string"}.get(kind, "a pair")
+    raise ValueError(f"field {key!r} must be {want}, got {value!r}")
+
+
 def _parse_csv(path: Path) -> tuple[list[str], np.ndarray]:
     """Header and numbers of a signal CSV; every FormatError names the path and the line."""
     raw = _read_bytes(path, "signal")
@@ -191,8 +205,8 @@ def read_signal(path) -> CircleSignal | LineSignal:
     path = Path(path)
     header, data = _parse_csv(path)
     with _header(_sidecar(path), SIGNAL_SCHEMA, "circlet.write_signal", "sidecar") as meta:
-        n = int(meta["n_samples"])
-        lo, hi = (float(x) for x in meta["window"])
+        n = _field(meta, "n_samples", int)
+        lo, hi = _field(meta, "window", (float, float))
         if data.shape[0] != n:
             raise FormatError(f"{path}: sidecar says {n} samples, file has {data.shape[0]}")
         coords = data[:, 0]
@@ -213,7 +227,7 @@ def read_signal(path) -> CircleSignal | LineSignal:
             if np.max(np.abs(coords - grid.nodes)) > GRID_MATCH_TOL * max(1.0, hi - lo):
                 raise FormatError(f"{path}: coordinates are not the uniform window grid")
             return LineSignal(grid, values)
-        raise FormatError(f"unknown grid kind {meta['kind']!r}")
+        raise ValueError(f"unknown grid kind {meta['kind']!r}")
 
 
 def report_to_dict(report: AdmissibilityReport) -> dict:
@@ -266,16 +280,6 @@ def write_report(path, report: AdmissibilityReport):
     atomic_write_text(path, _dump_json(obj))
 
 
-REPORT_FLAGS = ("weak_ok", "small_scale_converged", "plateau_ok", "admissible")
-
-
-def _fingerprint(obj: dict, path: Path) -> str:
-    value = obj.get("wavelet_fingerprint")
-    if not isinstance(value, str):
-        raise FormatError(f"{path}: needs the string key 'wavelet_fingerprint'")
-    return value
-
-
 def read_report(path) -> AdmissibilityReport:
     """Rebuild enough of a report from its JSON to drive reconstruction.
 
@@ -287,18 +291,13 @@ def read_report(path) -> AdmissibilityReport:
     """
     path = Path(path)
     with _header(path, REPORT_SCHEMA, "circlet admissibility --out", "report") as obj:
-        entries = sorted((int(e["n"]), float(e["value"])) for e in obj["lambda"])
+        entries = sorted((_field(e, "n", int), _field(e, "value", float)) for e in obj["lambda"])
         tr = obj["truncation"]
-        scales = ScaleGrid(float(tr["a_min"]), float(tr["a_max"]), int(tr["count"]))
+        scales = ScaleGrid(_field(tr, "a_min", float), _field(tr, "a_max", float), _field(tr, "count", int))
         n_max = len(entries) // 2
         if [n for n, _ in entries] != list(range(-n_max, n_max + 1)):
-            raise FormatError("lambda entries must cover -n_max..n_max")
+            raise ValueError("lambda entries must cover -n_max..n_max")
         lambdas = np.array([v for _, v in entries])
-        flags = {}
-        for key in REPORT_FLAGS:
-            if not isinstance(obj.get(key), bool):
-                raise FormatError(f"{path}: report needs a true/false {key!r}")
-            flags[key] = obj[key]
         table = None
         if "table" in obj:
             table = _read_payload(path, obj["table"], (2 * n_max + 1, scales.count))
@@ -310,13 +309,14 @@ def read_report(path) -> AdmissibilityReport:
         return AdmissibilityReport(
             n_max=n_max,
             lambdas=lambdas,
-            weak_integral=complex(float(obj["weak_integral"]), float(obj["weak_integral_imag"])),
+            weak_integral=complex(_field(obj, "weak_integral", float), _field(obj, "weak_integral_imag", float)),
             scales=scales,
-            tail_lo=float(tr["tail_lo"]),
-            tail_hi=float(tr["tail_hi"]),
-            wavelet_fingerprint=_fingerprint(obj, path),
+            tail_lo=_field(tr, "tail_lo", float),
+            tail_hi=_field(tr, "tail_hi", float),
+            wavelet_fingerprint=_field(obj, "wavelet_fingerprint", str),
             table=table,
-            **flags,
+            **{flag: _field(obj, flag, bool)
+               for flag in ("weak_ok", "small_scale_converged", "plateau_ok", "admissible")},
         )
 
 
@@ -374,17 +374,17 @@ def _read_payload(stem: Path, meta: dict, shape: tuple[int, int]) -> np.ndarray:
     scalogram's stem or a report's path), checked before any file is
     opened.  The array is a view of the one buffer the file was read into.
     """
-    name = meta["payload"]
+    name = _field(meta, "payload", str)
     # an absolute path, or one leaving the directory, holds a separator
-    if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+    if name in ("", ".", "..") or "/" in name or "\\" in name:
         raise FormatError(f"{stem}: header field 'payload' must be a bare file name, got {name!r}")
-    if meta["dtype"] != PAYLOAD_DTYPE:
+    if _field(meta, "dtype", str) != PAYLOAD_DTYPE:
         raise FormatError(f"{stem}: payload dtype must be {PAYLOAD_DTYPE!r}, header says {meta['dtype']!r}")
-    if tuple(meta["shape"]) != shape:
+    if _field(meta, "shape", (int, int)) != shape:
         raise FormatError(f"{stem}: header shape {meta['shape']} does not match the grids {list(shape)}")
     path = stem.parent / name
     data = _read_bytes(path, "payload")
-    if hashlib.sha256(data).hexdigest() != meta["sha256"]:
+    if hashlib.sha256(data).hexdigest() != _field(meta, "sha256", str):
         raise FormatError(f"payload {path} does not match the header's sha256")
     # np.load's header parsing, on a copy of the header bytes alone
     head = io.BytesIO(data[:NPY_HEADER_MAX])
@@ -401,19 +401,19 @@ def _read_payload(stem: Path, meta: dict, shape: tuple[int, int]) -> np.ndarray:
 def read_scalogram(stem) -> Scalogram | LineScalogram:
     stem = Path(stem)
     with _header(Path(str(stem) + ".json"), SCALOGRAM_SCHEMA, "circlet cwt", "scalogram") as meta:
-        scales = ScaleGrid(float(meta["scale_min"]), float(meta["scale_max"]), int(meta["scale_count"]))
+        scales = ScaleGrid(_field(meta, "scale_min", float), _field(meta, "scale_max", float),
+                           _field(meta, "scale_count", int))
         if meta["kind"] == "circle":
-            angles = CircleGrid(int(meta["n_angles"]))
+            angles = CircleGrid(_field(meta, "n_angles", int))
             return Scalogram(
                 scales=scales,
                 angles=angles,
                 values=_read_payload(stem, meta, (scales.count, angles.n_samples)),
-                n_max=int(meta["n_max"]),
-                wavelet_fingerprint=_fingerprint(meta, stem),
+                n_max=_field(meta, "n_max", int),
+                wavelet_fingerprint=_field(meta, "wavelet_fingerprint", str),
             )
         if meta["kind"] == "line":
-            lo, hi = (float(x) for x in meta["window"])
-            grid = LineGrid(lo, hi, int(meta["n_samples"]))
+            grid = LineGrid(*_field(meta, "window", (float, float)), _field(meta, "n_samples", int))
             return LineScalogram(scales=scales, grid=grid,
                                  values=_read_payload(stem, meta, (scales.count, grid.n_samples)))
-        raise FormatError(f"unknown scalogram kind {meta['kind']!r}")
+        raise ValueError(f"unknown scalogram kind {meta['kind']!r}")

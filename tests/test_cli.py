@@ -274,6 +274,18 @@ def test_icwt_refuses_a_band_its_angles_cannot_hold_and_writes_nothing(small_pip
     assert not (tmp_path / "rec.csv").exists()
 
 
+def test_icwt_refuses_a_line_scalogram_and_writes_nothing(small_pipeline, tmp_path):
+    _copy_pipeline(small_pipeline, tmp_path)
+    grid = LineGrid(-8.0, 8.0, 64)
+    write_scalogram(tmp_path / "scal", LineScalogram(ScaleGrid(1e-3, 1e3, 40), grid, np.ones((40, 64))))
+    res = run(_icwt_args(tmp_path))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == [f"circlet: error: {tmp_path / 'scal'} holds a line scalogram, "
+                                       "need a circle scalogram"]
+    assert not (tmp_path / "rec.csv").exists()
+
+
 def _flip_payload_byte(where, report):
     data = bytearray(_table_payload(where, report).read_bytes())
     data[-5] ^= 0x10

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -601,6 +602,54 @@ def test_malformed_header_field_is_a_format_error(kind, data, value):
             pass
 
 
+def _typed_cases(fields, values):
+    return [(kind, key, value) for kind, keys in fields.items() for key in keys for value in values]
+
+
+INT_FIELDS = {
+    "circle sidecar": ["n_samples"],
+    "line sidecar": ["n_samples"],
+    "report": ["truncation.count", "lambda.0.n", "table.shape.1"],
+    "circle scalogram": ["scale_count", "n_angles", "n_max", "shape.0"],
+    "line scalogram": ["n_samples", "shape.1"],
+}
+REAL_FIELDS = {
+    "circle sidecar": ["window.0"],
+    "line sidecar": ["window.1"],
+    "report": ["truncation.a_min", "truncation.a_max", "truncation.tail_lo", "truncation.tail_hi",
+               "weak_integral", "weak_integral_imag", "lambda.2.value"],
+    "circle scalogram": ["scale_min", "scale_max"],
+    "line scalogram": ["window.0", "scale_max"],
+}
+WRONG_TYPED = (
+    _typed_cases(INT_FIELDS, [3.5, True, "3", HUGE])
+    + _typed_cases(REAL_FIELDS, ["0.5", True, HUGE])
+    + _typed_cases({"report": VERDICT_FLAGS}, [1, "true"])
+    + _typed_cases({"report": ["wavelet_fingerprint"], "circle scalogram": ["wavelet_fingerprint"]}, [5])
+    + _typed_cases({"circle sidecar": ["window"], "line sidecar": ["window"], "line scalogram": ["window"]},
+                   [[-1.0, 1.0, 2.0]])
+)
+
+
+@pytest.mark.parametrize("kind, key, value", WRONG_TYPED,
+                         ids=[f"{k}-{key}-{'1e400' if v is HUGE else repr(v)}" for k, key, v in WRONG_TYPED])
+def test_wrong_typed_header_field_is_refused(tmp_path, kind, key, value):
+    # an integer is a JSON integer (not a bool, a float or a string), a real
+    # a finite number other than a bool, a flag true or false, a window two
+    # reals: anything else is refused, naming the header and the field
+    target, header = _pristine_header(kind, tmp_path)
+    obj = json.loads(header.read_text())
+    *outer, last = key.split(".")
+    holder = obj
+    for part in outer:
+        holder = holder[int(part) if isinstance(holder, list) else part]
+    holder[int(last) if isinstance(holder, list) else last] = "1e400 placeholder" if value is HUGE else value
+    header.write_text(json.dumps(obj).replace('"1e400 placeholder"', "1e400"))
+    name = next(part for part in reversed(key.split(".")) if not part.isdigit())
+    with pytest.raises(FormatError, match=f"^malformed {kind.split()[-1]} {re.escape(str(header))}: .*'{name}'"):
+        READERS[kind.split()[-1]](target)
+
+
 def test_undecodable_byte_names_file_and_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_bytes(b"coord,re\n0.0,\xff\n")
@@ -685,6 +734,22 @@ def test_rewritten_report_keeps_a_good_payload_and_mends_a_bad_one(tmp_path):
     payload.write_bytes(b"not the table")
     write_report(tmp_path / "r.json", report)
     assert read_report(tmp_path / "r.json").table.tobytes() == report.table.tobytes()
+
+
+def test_rewritten_report_leaves_its_previous_table_in_place(tmp_path):
+    # payloads are named by content and never deleted: a report rewritten
+    # with another table names the new payload and leaves the old one
+    path = tmp_path / "r.json"
+    write_report(path, _table_report())
+    old = json.loads(path.read_text())["table"]["payload"]
+    report = lambda_sequence(make_dog(2.0), scales=ScaleGrid(1e-3, 1e3, 40), n_max=8)
+    write_report(path, report)
+    new = json.loads(path.read_text())["table"]["payload"]
+    assert new != old
+    assert sorted(p.name for p in tmp_path.glob("table-*.npy")) == sorted([old, new])
+    back = read_report(path)
+    assert back.scales.count == 40
+    assert back.table.tobytes() == report.table.tobytes()
 
 
 def test_report_without_a_table_still_reads(tmp_path):

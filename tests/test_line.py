@@ -161,7 +161,7 @@ def test_log_grid():
     g = LogGrid(1e-2, 1e2, 9)
     assert g.nodes[0] == pytest.approx(1e-2)
     assert g.nodes[-1] == pytest.approx(1e2)
-    assert np.allclose(np.diff(np.log(g.nodes)), g.log_spacing)
+    assert np.allclose(np.diff(np.log(g.nodes)), g.spacing)
     with pytest.raises(ValueError):
         LogGrid(1.0, 0.1, 9)
 

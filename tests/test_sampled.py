@@ -56,7 +56,6 @@ def test_from_evaluator_builds_the_subclass(cls, grid):
 
 
 def test_log_grid_spacing_is_the_log_step():
-    assert RGRID.spacing == RGRID.log_spacing
     assert np.allclose(np.diff(np.log(RGRID.nodes)), RGRID.spacing)
 
 

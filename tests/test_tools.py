@@ -1,5 +1,7 @@
 """The measuring scripts under tools/ run and print what their docstrings say."""
 
+import hashlib
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -19,3 +21,19 @@ def test_op_faults_prints_costs_per_op():
     names = [row.split()[0] for row in rows]
     assert names == ["minor_faults_per_op", "user_s_per_op", "sys_s_per_op", "wall_s_per_op"]
     assert all(float(row.split()[1]) >= 0.0 for row in rows)
+
+
+def test_cli_digest_reruns_byte_identical():
+    # the whole README command block, run twice from fresh inputs, gives the same bytes
+    tool = ROOT / "tools" / "cli_digest.py"
+    spec = importlib.util.spec_from_file_location("cli_digest", tool)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    runs = [subprocess.run([sys.executable, str(tool), "--src", str(ROOT / "src")],
+                           capture_output=True, text=True, timeout=300) for _ in range(2)]
+    assert [res.returncode for res in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    exits = [line for line in runs[0].stdout.splitlines() if line.endswith(".exit")]
+    assert len(exits) == len(digest.readme_commands()) + len(digest.EXTRA)
+    # and every command succeeds: two identical failures would prove nothing
+    assert {line.split()[0] for line in exits} == {hashlib.md5(b"0").hexdigest()}
