@@ -5,9 +5,13 @@ The transform of a signal psi against a wavelet gamma is
 computed per scale as a mode sum: in the orthonormal basis
 e^{2 i n theta}/sqrt(pi) the acted wavelet has coefficients
 e^{-2 i n vartheta} c_n(a), where c_n(a) is the coefficient of the purely
-dilated wavelet.  On a midpoint angle grid the mode sum is one inverse FFT
-per scale (all scales batched), and the angle integral of reconstruction
-is one forward FFT.
+dilated wavelet.  Every weight is diagonal on the modes, so it sits on a
+small (scales x modes) array and the scalogram meets only its FFTs:
+analyze sets conj(c_n(a)) psi_n e^{2 i n theta_0} in the band's bins of
+one unscaled inverse FFT per scale (all scales batched), and synthesize
+contracts the FFT of each block of scales, on those bins, with one kernel
+holding c_m(a), the conjugate phase, the angle and ln a quadrature
+weights, 1/a and 1/(pi L_m).
 
 One band rule, 1 <= n_max <= N/4 (`_check_n_max`), holds wherever a mode
 band meets a grid of N points: the wavelet's, the signal's and a
@@ -35,7 +39,8 @@ builds no table; on another grid it builds its own.
 The reconstruction's self check, the relative l2 distance between the
 scalogram and the analysis of the reconstruction, is taken in mode space:
 by Parseval over the angle grid, one FFT of the scalogram gives both the
-in-band misfit and the energy the band cannot represent.
+in-band misfit, on the band's bins, and the energy the band cannot
+represent, on the bins between its two runs.
 
 Reports and scalograms are stamped with the fingerprint of the wavelet
 they were computed for, and reconstruction refuses a mismatch.
@@ -162,15 +167,19 @@ def _check_n_max(n_samples: int, n_max: int | None) -> int:
     return n_max
 
 
-def _grid_phase(n_max: int, grid: CircleGrid) -> tuple[np.ndarray, np.ndarray]:
-    """FFT bins n mod N of the modes |n| <= n_max, and e^{2 i n theta_0}.
+def _grid_phase(n_max: int, grid: CircleGrid) -> np.ndarray:
+    """e^{2 i n theta_0} for the modes |n| <= n_max.
 
     On the midpoint grid theta_k = -pi/2 + pi (k + 1/2)/N,
     e^{2 i n theta_k} = e^{i pi n (1/N - 1)} e^{2 pi i n k / N}.
     """
-    n = grid.n_samples
     ns = np.arange(-n_max, n_max + 1)
-    return np.mod(ns, n), np.exp(-1j * ns * np.pi * (1.0 - 1.0 / n))
+    return np.exp(-1j * ns * np.pi * (1.0 - 1.0 / grid.n_samples))
+
+
+def _band_runs(n_max: int, n: int) -> tuple[tuple[slice, slice], tuple[slice, slice]]:
+    """(modes, FFT bins) of the band's two runs of bins n mod N: n >= 0 first, then n < 0."""
+    return (slice(n_max, None), slice(0, n_max + 1)), (slice(None, n_max), slice(n - n_max, n))
 
 
 def _mode_sum(weights: np.ndarray, grid: CircleGrid) -> np.ndarray:
@@ -180,20 +189,22 @@ def _mode_sum(weights: np.ndarray, grid: CircleGrid) -> np.ndarray:
     each mode has its own bin n mod N.
     """
     n = grid.n_samples
-    bins, phase = _grid_phase(_check_n_max(n, (weights.shape[-1] - 1) // 2), grid)
-    out = np.zeros(weights.shape[:-1] + (n,), dtype=complex)
-    out[..., bins] = weights * phase
-    np.fft.ifft(out, axis=-1, out=out)
-    out *= n
-    return out
+    n_max = _check_n_max(n, (weights.shape[-1] - 1) // 2)
+    phase = _grid_phase(n_max, grid)
+    out = np.empty(weights.shape[:-1] + (n,), dtype=complex)
+    for modes, bins in _band_runs(n_max, n):
+        np.multiply(weights[..., modes], phase[modes], out=out[..., bins])
+    out[..., n_max + 1:n - n_max] = 0.0
+    return np.fft.ifft(out, axis=-1, norm="forward", out=out)
 
 
 def _row_spectra(values: np.ndarray):
     """(rows, FFT over the last axis of values[rows]), SPECTRUM_BLOCK rows at a
-    time, so no spectrum of the whole 2-d array is held at once."""
+    time into one reused buffer, so no spectrum of the whole 2-d array is held."""
+    buf = np.empty((min(SPECTRUM_BLOCK, len(values)), values.shape[-1]), dtype=complex)
     for lo in range(0, len(values), SPECTRUM_BLOCK):
-        rows = slice(lo, lo + SPECTRUM_BLOCK)
-        yield rows, np.fft.fft(values[rows], axis=-1)
+        block = values[lo:lo + SPECTRUM_BLOCK]
+        yield slice(lo, lo + len(block)), np.fft.fft(block, axis=-1, out=buf[:len(block)])
 
 
 def fourier_coeffs(psi: CircleSignal, n_max: int | None = None) -> FourierCoeffs:
@@ -201,8 +212,8 @@ def fourier_coeffs(psi: CircleSignal, n_max: int | None = None) -> FourierCoeffs
     n = psi.grid.n_samples
     n_max = _check_n_max(n, n_max)
     spectrum = _checked_spectrum(psi, "fourier_coeffs")
-    bins, phase = _grid_phase(n_max, psi.grid)
-    return FourierCoeffs(n_max, (np.sqrt(np.pi) / n) * (spectrum[bins] * np.conj(phase)))
+    band = np.concatenate((spectrum[n - n_max:], spectrum[:n_max + 1]))
+    return FourierCoeffs(n_max, (np.sqrt(np.pi) / n) * (band * np.conj(_grid_phase(n_max, psi.grid))))
 
 
 def mode_synthesis(grid: CircleGrid, coeffs: FourierCoeffs) -> CircleSignal:
@@ -376,24 +387,14 @@ def lambda_sequence(
     small_ok = peak == 0.0 or tail_lo < SMALL_SCALE_DECAY_TOL * peak
 
     weak_value, decay_ok = weak_admissibility(gamma, strict=False)
-    norm = gamma.norm()
-    weak_ok = decay_ok and abs(weak_value) <= WEAK_VERDICT_TOL * max(norm, 1e-300)
+    weak_ok = decay_ok and abs(weak_value) <= WEAK_VERDICT_TOL * max(gamma.norm(), 1e-300)
 
     plateau = _plateau_ok(lambdas, n_max)
     if not plateau:
-        warnings.warn(
-            f"mode integrals have not plateaued by |n| = {n_max}; "
-            "truncation of the mode sum is unsafe",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    admissible = bool(
-        weak_ok
-        and small_ok
-        and plateau
-        and np.all(lambdas > 0.0)
-        and np.isfinite(lambdas).all()
-    )
+        warnings.warn(f"mode integrals have not plateaued by |n| = {n_max}; "
+                      "truncation of the mode sum is unsafe", RuntimeWarning, stacklevel=2)
+    admissible = bool(weak_ok and small_ok and plateau
+                      and np.all(lambdas > 0.0) and np.isfinite(lambdas).all())
     return AdmissibilityReport(
         n_max=n_max,
         lambdas=lambdas,
@@ -553,18 +554,16 @@ def synthesize(
     computed for another wavelet than gamma.
     """
     n_max, cg, lam = _synthesis_table(scalogram, gamma, report)
-    angles = scalogram.angles
-    # inner angle integrals for all modes, (scales, modes), by blocks of rows
-    bins, phase = _grid_phase(n_max, angles)
-    unphase = np.conj(phase)
-    inner = np.empty((scalogram.scales.count, 2 * n_max + 1), dtype=complex)
-    for rows, spectrum in _row_spectra(scalogram.values):
-        inner[rows] = spectrum[:, bins] * unphase
-    inner *= angles.spacing
-    num = scalogram.scales.integrate_da_over_a2(cg * inner.T)
+    angles, scales = scalogram.angles, scalogram.scales
+    # psi_m = sum_s K[s, m] fft(W)[s, m mod N], K = c_m(a_s) e^{-2 i m theta_0} h w_s / (a_s pi L_m)
     live = lam > mode_floor * report.sup_lambda
+    mode_weight = np.divide(angles.spacing / np.pi, lam, out=np.zeros(len(lam)), where=live)
+    kernel = cg.T * (scales.log_weights / scales.nodes)[:, None]
+    kernel *= mode_weight * np.conj(_grid_phase(n_max, angles))
     psi_hat = np.zeros(2 * n_max + 1, dtype=complex)
-    psi_hat[live] = num[live] / (np.pi * lam[live])
+    for rows, spectrum in _row_spectra(scalogram.values):
+        for modes, bins in _band_runs(n_max, angles.n_samples):
+            psi_hat[modes] += np.einsum("sm,sm->m", kernel[rows, modes], spectrum[:, bins])
     # the reconstruction approximates the analyzed signal, so it lands on
     # the scalogram's angle grid, not the wavelet's
     return mode_synthesis(angles, FourierCoeffs(n_max, psi_hat))
@@ -583,22 +582,21 @@ def reanalysis_error(
     band of synthesis.  By Parseval over the N angles, per scale:
         sum_k |W'(k) - W(k)|^2 = (1/N) sum_j |F'_j - F_j|^2,  F = fft(W),
     and F' = N conj(c_n(a)) rec_n e^{2 i n theta_0} on the band's bins, 0
-    elsewhere.  So one FFT of the scalogram gives the in-band misfit and,
-    by masking the band's bins, the energy outside the band.  c_n(a) comes
-    from the same source as in synthesize.
+    elsewhere.  So one FFT of the scalogram gives the in-band misfit, on
+    the band's two runs of bins, and the energy outside the band, on the
+    bins between them.  c_n(a) comes from the same source as in synthesize.
     """
     n_max, cg, _ = _synthesis_table(scalogram, gamma, report)
     angles = scalogram.angles
     if rec.grid != angles:
         raise ValueError(f"rec has {rec.grid.n_samples} samples, the scalogram {angles.n_samples} angles")
-    bins, phase = _grid_phase(n_max, angles)
-    model = (angles.n_samples * phase * fourier_coeffs(rec, n_max).values) * np.conj(cg.T)
+    n = angles.n_samples
+    model = (n * _grid_phase(n_max, angles) * fourier_coeffs(rec, n_max).values) * np.conj(cg.T)
     misfit_energy = in_band = out_of_band = 0.0
     for rows, spectrum in _row_spectra(scalogram.values):
-        band = spectrum[:, bins]
-        misfit_energy += float(np.sum(np.abs(model[rows] - band) ** 2))
-        in_band += float(np.sum(np.abs(band) ** 2))
-        # what the band cannot hold: the other bins, masked, not a difference of totals
-        spectrum[:, bins] = 0.0
-        out_of_band += float(np.sum(np.abs(spectrum) ** 2))
+        for modes, bins in _band_runs(n_max, n):
+            misfit_energy += float(np.sum(np.abs(model[rows, modes] - spectrum[:, bins]) ** 2))
+            in_band += float(np.sum(np.abs(spectrum[:, bins]) ** 2))
+        # what the band cannot hold: the bins between its runs, not a difference of totals
+        out_of_band += float(np.sum(np.abs(spectrum[:, n_max + 1:n - n_max]) ** 2))
     return float(np.sqrt((misfit_energy + out_of_band) / (in_band + out_of_band)))

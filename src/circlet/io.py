@@ -377,11 +377,11 @@ def _read_payload(stem: Path, meta: dict, shape: tuple[int, int]) -> np.ndarray:
     name = _field(meta, "payload", str)
     # an absolute path, or one leaving the directory, holds a separator
     if name in ("", ".", "..") or "/" in name or "\\" in name:
-        raise FormatError(f"{stem}: header field 'payload' must be a bare file name, got {name!r}")
+        raise ValueError(f"header field 'payload' must be a bare file name, got {name!r}")
     if _field(meta, "dtype", str) != PAYLOAD_DTYPE:
-        raise FormatError(f"{stem}: payload dtype must be {PAYLOAD_DTYPE!r}, header says {meta['dtype']!r}")
+        raise ValueError(f"payload dtype must be {PAYLOAD_DTYPE!r}, header says {meta['dtype']!r}")
     if _field(meta, "shape", (int, int)) != shape:
-        raise FormatError(f"{stem}: header shape {meta['shape']} does not match the grids {list(shape)}")
+        raise ValueError(f"header shape {meta['shape']} does not match the grids {list(shape)}")
     path = stem.parent / name
     data = _read_bytes(path, "payload")
     if hashlib.sha256(data).hexdigest() != _field(meta, "sha256", str):

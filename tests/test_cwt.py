@@ -283,6 +283,21 @@ def test_analyze_holds_one_scalogram_sized_array(dog):
     assert peak < 1.5 * scal.values.nbytes
 
 
+def test_synthesize_holds_no_scalogram_sized_array(dog):
+    # the scalogram meets only a block-sized FFT buffer; every weight sits on
+    # a (scales, modes) kernel, so synthesis holds well under a third of it
+    scales = ScaleGrid(1e-3, 1e3, 400)
+    report = lambda_sequence(dog, scales)  # carries its table: synthesize builds none
+    scal = analyze(two_mode_signal(), dog, scales=scales)
+    tracemalloc.start()
+    try:
+        synthesize(scal, dog, report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.3 * scal.values.nbytes
+
+
 def test_scalogram_energy_identity(dog, dog_report):
     psi = two_mode_signal()
     scal = analyze(psi, dog, n_max=16)

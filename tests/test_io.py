@@ -404,6 +404,41 @@ def test_scalogram_header_fields_checked(tmp_path, patch):
         read_scalogram(stem)
 
 
+PAYLOAD_FIELD_CASES = [
+    ({"shape": [5, 8]}, "header shape [5, 8] does not match the grids [4, 8]"),
+    ({"dtype": "<c8"}, "payload dtype must be '<c16', header says '<c8'"),
+]
+
+
+@pytest.mark.parametrize("patch, says", PAYLOAD_FIELD_CASES)
+def test_scalogram_payload_field_refusal_names_the_header(tmp_path, patch, says):
+    # the payload's own header fields are refused like every other field:
+    # "malformed scalogram <header>: ...", not under the bare stem
+    grid = CircleGrid(8)
+    stem = tmp_path / "scal"
+    write_scalogram(stem, analyze(CircleSignal(grid, np.cos(2 * grid.nodes).astype(complex)),
+                                  make_dog(2.0), ScaleGrid(0.5, 2.0, 4), n_max=2))
+    _rewrite_header(stem, patch)
+    with pytest.raises(FormatError) as err:
+        read_scalogram(stem)
+    assert str(err.value) == f"malformed scalogram {tmp_path / 'scal.json'}: {says}"
+
+
+@pytest.mark.parametrize("patch, says", [
+    ({"shape": [18, 400]}, "header shape [18, 400] does not match the grids [17, 400]"),
+    PAYLOAD_FIELD_CASES[1],
+])
+def test_report_table_field_refusal_names_the_report(tmp_path, patch, says):
+    path = tmp_path / "report.json"
+    write_report(path, lambda_sequence(make_dog(2.0), n_max=8))
+    obj = json.loads(path.read_text())
+    obj["table"].update(patch)
+    path.write_text(json.dumps(obj))
+    with pytest.raises(FormatError) as err:
+        read_report(path)
+    assert str(err.value) == f"malformed report {path}: {says}"
+
+
 @pytest.mark.parametrize("reader", ["report", "scalogram", "signal"])
 def test_json_that_is_not_an_object_refused(tmp_path, reader):
     # a report, scalogram header or signal sidecar holding a bare number

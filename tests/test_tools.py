@@ -23,6 +23,29 @@ def test_op_faults_prints_costs_per_op():
     assert all(float(row.split()[1]) >= 0.0 for row in rows)
 
 
+def test_op_pairs_prints_both_sides_per_pair():
+    src = str(ROOT / "src")
+    res = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "op_pairs.py"), "--src-a", src, "--src-b", src,
+         "--workload", "sampled-action", "--seed", "1", "--ops", "3", "--pairs", "2"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert res.returncode == 0, res.stderr
+    head, *pairs, med_a, med_b, wins = res.stdout.splitlines()
+    assert head == f"# sampled-action seed=1 ops=3 pairs=2 A={src} B={src}"
+    # the tree that runs first alternates
+    assert [row.split()[:3] for row in pairs] == [["pair", "0", "first=A"], ["pair", "1", "first=B"]]
+    walls = [[float(row.split()[5]), float(row.split()[7])] for row in pairs]
+    assert all(w > 0.0 for pair in walls for w in pair)
+    for side, row in zip("AB", (med_a, med_b)):
+        words = row.split()
+        assert words[0] == side and words[1::2] == ["median", "q1", "q3"]
+        q1, median, q3 = float(words[4]), float(words[2]), float(words[6])
+        assert q1 <= median <= q3
+    b_wins = sum(b < a for a, b in walls)
+    assert wins == f"B wins {b_wins} of 2"
+
+
 def test_cli_digest_reruns_byte_identical():
     # the whole README command block, run twice from fresh inputs, gives the same bytes
     tool = ROOT / "tools" / "cli_digest.py"
