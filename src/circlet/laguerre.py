@@ -262,18 +262,14 @@ def laplace_transform(f: RPlusFunction, spec: LaguerreBasisSpec, w: complex) -> 
     k = spec.k
     ln_c = _log_kernel_const(spec)
 
-    def estimate(nn: int) -> complex:
-        u, wq = _gauss_laguerre_rule(nn)
-        rr = 2.0 * u / w.real
-        # K(w,r) with the e^{-u} modulus removed; the measure dr/r becomes du/u
-        core = np.exp(ln_c + k * np.log(w.real) + k * np.log(rr)) * np.exp(
-            -0.5j * rr * w.imag
-        )
-        vals = f(rr)
-        return complex(np.sum(wq * core * vals / u))
-
-    full = estimate(GL_NODES_DEFAULT)
-    fewer = estimate(GL_NODES_DEFAULT - 1)
+    # both rules' nodes in one evaluation of the kernel and of f
+    u, wq = (np.concatenate(pair) for pair in zip(_gauss_laguerre_rule(GL_NODES_DEFAULT),
+                                                   _gauss_laguerre_rule(GL_NODES_DEFAULT - 1)))
+    rr = 2.0 * u / w.real
+    # K(w,r) with the e^{-u} modulus removed; the measure dr/r becomes du/u
+    core = np.exp(ln_c + k * np.log(w.real) + k * np.log(rr)) * np.exp(-0.5j * rr * w.imag)
+    terms = wq * core * f(rr) / u
+    full, fewer = complex(np.sum(terms[:GL_NODES_DEFAULT])), complex(np.sum(terms[GL_NODES_DEFAULT:]))
     tol = 1e-8 * max(abs(full), 1e-30) + 1e-14
     if abs(full - fewer) > tol:
         warnings.warn(

@@ -13,10 +13,12 @@ The transform works in the Fourier domain, as the classical CWT does:
 per scale a, the signal's FFT times sqrt(2 pi a)/h G^(a k) on the grid's
 frequencies.  Those spectra come from the wavelet's samples alone by one
 chirp-z transform per scale (exact, since the targets a k are
-equispaced), so scales below the grid spacing do not alias.  Analysis and
-synthesis share one read-only table per (wavelet, grid, scale grid) from
-a small memo, as the circle's analysis and synthesis share
-`cwt.dilated_coeffs`.
+equispaced), so scales below the grid spacing do not alias.  A real
+wavelet's transform runs on real FFTs, one per nonzero real component of
+the data; each component keeps only the real part of its product at the
+Nyquist bin, as a real row must.  Analysis and synthesis share one
+read-only table per (wavelet, grid, scale grid) from a small memo, as the
+circle's analysis and synthesis share `cwt.dilated_coeffs`.
 
 The companion Fourier-picture action on L2(R+, da/a),
     (U(a', b') phi)(a) = e^{-i a b'} phi(a' a),
@@ -35,7 +37,7 @@ from .cwt import MODE_FLOOR, TABLE_MEMO_SIZE, WEAK_DECAY_TOL, WEAK_VERDICT_TOL, 
 from .errors import require_positive
 
 DEFAULT_LINE_SAMPLES = 2048
-SPECTRA_BLOCK = 8  # scales per batched block of the spectra build and of synthesis
+SPECTRA_BLOCK = 8  # scales per batched block of the spectra build, of analysis and of synthesis
 
 
 @dataclass(frozen=True)
@@ -275,21 +277,35 @@ def _cis(rate: np.ndarray, idx: np.ndarray) -> np.ndarray:
 def line_analyze(psi: LineSignal, gamma: LineSignal, scales: ScaleGrid) -> LineScalogram:
     """W(b, a) = <U(a,b) gamma | psi> for b on the signal grid.
 
-    Per scale, the product h fft(psi) conj(dilated_spectra) followed by one
-    batched inverse FFT: a circular cross-correlation over the periodized
-    window, so both signals must decay inside the window for the
-    wraparound to be harmless.
+    Per scale, the product h fft(psi) conj(dilated_spectra) followed by an
+    inverse FFT: a circular cross-correlation over the periodized window,
+    so both signals must decay inside the window for the wraparound to be
+    harmless.  A complex wavelet's full table takes one batched complex
+    inverse FFT.  A real wavelet takes real FFTs per nonzero real component
+    of psi, SPECTRA_BLOCK scales at a time, each into its own part of the
+    scalogram; a component's product keeps only its real part at the
+    Nyquist bin, as a real row must, so a real psi has an exactly real
+    scalogram.
     """
     g = psi.grid
     table = dilated_spectra(gamma, g, scales)
     n, w = g.n_samples, table.shape[1]
-    f = g.spacing * np.fft.fft(psi.values)
-    out = np.empty((scales.count, n), dtype=complex)
-    np.conjugate(table, out=out[:, :w])
-    out[:, :w] *= f[:w]
-    # a real wavelet's half table: conj G^(-k) = G^(k) for the columns not stored
-    np.multiply(table[:, n - w:0:-1], f[w:], out=out[:, w:])
-    np.fft.ifft(out, axis=1, out=out)
+    if w == n:
+        out = np.conjugate(table)
+        out *= g.spacing * np.fft.fft(psi.values)
+        return LineScalogram(scales=scales, grid=g, values=np.fft.ifft(out, axis=1, out=out))
+    out = np.zeros((scales.count, n), dtype=complex)
+    buf = np.empty((min(SPECTRA_BLOCK, scales.count), w), dtype=complex)
+    for part, dest in ((psi.values.real, out.real), (psi.values.imag, out.imag)):
+        if not np.any(part):
+            continue
+        f = g.spacing * np.fft.rfft(part)
+        for lo in range(0, scales.count, SPECTRA_BLOCK):
+            rows = table[lo:lo + SPECTRA_BLOCK]
+            block = np.conjugate(rows, out=buf[:len(rows)])
+            block *= f
+            # irfft reads only the real part of the Nyquist bin
+            np.fft.irfft(block, n, axis=1, out=dest[lo:lo + SPECTRA_BLOCK])
     return LineScalogram(scales=scales, grid=g, values=out)
 
 
@@ -300,35 +316,43 @@ def line_synthesize(
 ) -> LineSignal:
     """Reconstruct from int int W(b,a) (U(a,b) gamma)(x) db da/a^2.
 
-    In the frequency domain: each block of scalogram rows is transformed
-    by one batched FFT, multiplied by dilated_spectra and summed over
-    scales with the weights db da/a^2.  Normalized per frequency half-line
-    by 2 pi C_sgn(k) (the exact resolution constant); frequencies on a
-    half-line with constant below MODE_FLOOR * C_total are dropped, k = 0
-    included.
+    In the frequency domain: each block of SPECTRA_BLOCK scalogram rows is
+    transformed, multiplied by dilated_spectra and summed over scales with
+    the weights db da/a^2.  A complex wavelet's full table takes one
+    batched complex FFT per block.  A real wavelet's takes real FFTs per
+    nonzero real component of the block: the real parts sum into the
+    half-spectrum A and the imaginary parts into B, each kept real at the
+    Nyquist bin as a real row's must be, and the full spectrum is A + iB
+    at k[m], m <= n/2, and conj A + i conj B at k[n - m].  Normalized per
+    frequency half-line by 2 pi C_sgn(k) (the exact resolution constant);
+    frequencies on a half-line with constant below MODE_FLOOR * C_total
+    are dropped, k = 0 included.
     """
     g = scalogram.grid
     scales = scalogram.scales
     table = dilated_spectra(gamma, g, scales)
     n, w = g.n_samples, table.shape[1]
     weights = g.spacing * scales.log_weights / scales.nodes  # db da/a^2
-    acc_hat = np.zeros(n, dtype=complex)
+    sums = np.zeros((2, w), dtype=complex)  # A and B; a complex wavelet's full sum in A
     # one block buffer and no temporaries: large transients here fragment
     # the heap that the caller's next scalogram is allocated from
-    buf = np.empty((min(SPECTRA_BLOCK, scales.count), n), dtype=complex)
+    buf = np.empty((min(SPECTRA_BLOCK, scales.count), w), dtype=complex)
+    transform = np.fft.fft if w == n else np.fft.rfft
     for lo in range(0, scales.count, SPECTRA_BLOCK):
         rows = scalogram.values[lo:lo + SPECTRA_BLOCK]
-        block = np.fft.fft(rows, axis=1, out=buf[:len(rows)])
-        block[:, :w] *= table[lo:lo + SPECTRA_BLOCK]
-        # times conj G^(k) for the columns a real wavelet's table does not store
-        tail = block[:, w:]
-        np.conjugate(tail, out=tail)
-        tail *= table[lo:lo + SPECTRA_BLOCK, n - w:0:-1]
-        np.conjugate(tail, out=tail)
-        # a weighted sum, not weights @ block: numpy's real @ complex is slow, and
-        # a BLAS product here wakes OpenBLAS's other threads and their buffers
-        block *= weights[lo:lo + SPECTRA_BLOCK, None]
-        acc_hat += block.sum(axis=0)
+        # the imaginary parts are checked per block, while the block is in cache
+        parts = [rows] if w == n else [rows.real] + ([rows.imag] if np.any(rows.imag) else [])
+        for acc, part in zip(sums, parts):
+            block = transform(part, axis=1, out=buf[:len(rows)])
+            block *= table[lo:lo + SPECTRA_BLOCK]
+            # a weighted sum, not weights @ block: numpy's real @ complex is slow, and
+            # a BLAS product here wakes OpenBLAS's other threads and their buffers
+            block *= weights[lo:lo + SPECTRA_BLOCK, None]
+            acc += block.sum(axis=0)
+    acc_hat, b = sums
+    if w < n:  # unfold A + iB; a real row's Nyquist bin is real
+        sums[:, -1] = sums[:, -1].real
+        acc_hat = np.concatenate([acc_hat + 1j * b, np.conj(acc_hat[n - w:0:-1]) + 1j * np.conj(b[n - w:0:-1])])
     k = g.freqs
     floor = MODE_FLOOR * max(adm.c_total, 1e-300)
     scale_fac = np.zeros(g.n_samples)

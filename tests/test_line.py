@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,6 +157,43 @@ def test_line_round_trip_improves_with_scales():
         errs.append(np.sqrt(GRID.spacing * np.sum(np.abs(rec.values - f.values) ** 2)) / f.norm())
     assert errs[0] > errs[1] > errs[2]
 
+
+def test_complex_signal_on_the_line():
+    # a packet at k0 = 4 plus a real part: a real wavelet transforms both components
+    f = LineSignal.from_evaluator(
+        GRID, lambda x: np.exp(4j * x - 0.5 * (x - 1.0) ** 2) + np.cos(3.0 * x) * np.exp(-x * x / 3.0))
+    # the complex wavelet of test_complex_wavelet_round_trips_like_its_real_part has a full table
+    odd = LineSignal.from_evaluator(GRID, lambda x: (1 - x * x + 1j * (3 * x - x**3)) * np.exp(-0.5 * x * x))
+    scales = LineScaleGrid(0.3, 3.0, 5)
+    for gamma in (mexican_hat(), odd):
+        scal = line_analyze(f, gamma, scales)
+        for j in (0, 2, 4):
+            for i in (512, 1024, 1500):
+                direct = line_analyze_direct(f, gamma, float(scales.nodes[j]), float(GRID.nodes[i]))
+                assert abs(scal.values[j, i] - direct) < 1e-8
+    mh = mexican_hat()
+    rec = line_synthesize(line_analyze(f, mh, LineScaleGrid(1e-2, 1e2, 200)), mh, line_admissibility(mh))
+    assert LineSignal(GRID, rec.values - f.values).norm() / f.norm() < 1e-2
+
+
+def test_real_signal_and_real_wavelet_give_a_real_scalogram():
+    scal = line_analyze(band_signal(), mexican_hat(), LineScaleGrid(1e-2, 1e2, 200))
+    assert np.all(scal.values.imag == 0.0)
+
+
+def test_line_synthesize_holds_no_scalogram_sized_array():
+    # the scalogram meets only a block-sized buffer of half-spectra
+    mh = mexican_hat()
+    adm = line_admissibility(mh)
+    scal = line_analyze(band_signal(), mh, LineScaleGrid(1e-2, 1e2, 200))
+    line_synthesize(scal, mh, adm)  # the memoised table is not synthesis's transient
+    tracemalloc.start()
+    try:
+        line_synthesize(scal, mh, adm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.06 * scal.values.nbytes
 
 def test_log_grid():
     g = LogGrid(1e-2, 1e2, 9)
