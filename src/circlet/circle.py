@@ -45,6 +45,8 @@ from .errors import AliasingError, GridMismatchError, require_positive
 
 DEFAULT_N_SAMPLES = 1024
 ALIAS_ENERGY_TOL = 1e-8
+WEAK_DECAY_TOL = 1e-6
+WEAK_VERDICT_TOL = 1e-8
 # trig_interpolate's Gaussian gridding: oversampling and kernel half-width
 NUFFT_OVERSAMPLING = 2
 NUFFT_HALF_WIDTH = 14
@@ -192,6 +194,12 @@ def edge_fraction(values: np.ndarray, width: int = 1) -> float:
     return float(max(mag[:width].max(), mag[-width:].max())) / peak if peak > 0.0 else 0.0
 
 
+def _weak_sum_ok(terms: np.ndarray) -> bool:
+    """|sum terms| <= WEAK_VERDICT_TOL sum |terms|: the weak integrand's quadrature
+    vanishes relative to its l1 size, a ratio free of the grid and of dilations."""
+    return bool(abs(np.sum(terms)) <= WEAK_VERDICT_TOL * np.sum(np.abs(terms)))
+
+
 def _checked_spectrum(signal: CircleSignal, what: str) -> np.ndarray:
     """The samples' FFT, refused if modes above n_samples/4 carry > ALIAS_ENERGY_TOL of the energy."""
     u = np.fft.fft(signal.values)
@@ -211,60 +219,69 @@ def trig_interpolate(grid: CircleGrid, values: np.ndarray, theta) -> np.ndarray:
 
     The interpolant is the unique pi-periodic trig polynomial through the
     samples; the Nyquist coefficient is split symmetrically so real input
-    stays real (up to rounding).  Evaluation is a type-2 non-uniform FFT by
-    Gaussian gridding (Greengard & Lee, SIAM Rev. 46, 2004): the modes are
-    divided by the Gaussian's Fourier coefficients, one inverse FFT puts
-    them on an R * n_samples grid (R = NUFFT_OVERSAMPLING = 2), and each
-    target sums the 2W Gaussian-weighted grid values around it
-    (W = NUFFT_HALF_WIDTH = 14).  The fine grid is extended periodically
-    by 2W - 1 points (several periods on the smallest grids), so each
-    target's neighbours are one contiguous window of it.  Targets are
-    summed in blocks of NUFFT_BLOCK, so scratch memory is a few
-    block-sized arrays whatever the number of targets, and every output
-    is bitwise what one unblocked sum over all targets gives.  Cost is
-    O(n log n) plus 2W terms per target.  The result is within 1e-12 of
-    the direct mode sum, relative to the samples' largest value (measured
-    at most 5.1e-13 for full-band complex samples, every even n in
-    4...1024, targets in [-4, 4]; 4e-14 against closed-form modes at
-    n = 4096 and 16384).
+    stays real (up to rounding).  Evaluation is the Gaussian-gridding
+    type-2 non-uniform FFT (Greengard & Lee, SIAM Rev. 46, 2004) that
+    `line.dilated_spectra` shares: the modes are divided by the Gaussian's
+    Fourier coefficients, one inverse FFT puts them on an R * n_samples
+    grid (R = NUFFT_OVERSAMPLING = 2), and each target sums the 2W
+    Gaussian-weighted grid values around it (W = NUFFT_HALF_WIDTH = 14).
+    The fine grid is extended periodically by 2W - 1 points (several
+    periods on the smallest grids), so each target's neighbours are one
+    contiguous window of it.  Targets are summed in blocks of NUFFT_BLOCK,
+    so scratch memory is a few block-sized arrays whatever the number of
+    targets, and every output is bitwise what one unblocked sum over all
+    targets gives.  Cost is O(n log n) plus 2W terms per target.  The
+    result is within 1e-12 of the direct mode sum, relative to the
+    samples' largest value (measured at most 5.1e-13 for full-band complex
+    samples, every even n in 4...1024, targets in [-4, 4]; 4e-14 against
+    closed-form modes at n = 4096 and 16384).
     """
     n = grid.n_samples
-    m = NUFFT_OVERSAMPLING * n
-    tau = np.pi * NUFFT_HALF_WIDTH / (n * n * NUFFT_OVERSAMPLING * (NUFFT_OVERSAMPLING - 0.5))
     u = np.fft.fft(np.asarray(values, dtype=complex)) / n
-    ks = np.arange(-(n // 2), n // 2 + 1)
-    c = u[ks % n]
+    c = u[np.arange(-(n // 2), n // 2 + 1) % n]
     # split the unpaired -n/2 mode across +-n/2
     c[[0, -1]] *= 0.5
+    t = np.asarray(theta, dtype=float)
+    # fractional index on the fine grid; its point p sits at phase 2 pi p / m
+    out = _gaussian_gridding(c)(NUFFT_OVERSAMPLING * ((t.reshape(-1) + np.pi / 2) / grid.spacing - 0.5))
+    return out[0] if t.ndim == 0 else out.reshape(t.shape)
+
+
+def _gaussian_gridding(modes: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Evaluator of P(phi) = sum_k c_k e^{i k phi}, modes c_k for k = -n/2 ... n/2: builds P's fine
+    grid of m = R n points once, and sums P at 1-d fine-grid positions s (phase 2 pi s / m)."""
+    n = modes.size - 1
+    m = NUFFT_OVERSAMPLING * n
+    tau = np.pi * NUFFT_HALF_WIDTH / (n * n * NUFFT_OVERSAMPLING * (NUFFT_OVERSAMPLING - 0.5))
+    ks = np.arange(-(n // 2), n // 2 + 1)
     fine = np.zeros(m, dtype=complex)
     # divide by the periodic Gaussian's Fourier coefficients sqrt(tau/pi) e^{-k^2 tau}
-    fine[ks % m] = c * (np.sqrt(np.pi / tau) * np.exp(ks * ks * tau))
+    fine[ks % m] = modes * (np.sqrt(np.pi / tau) * np.exp(ks * ks * tau))
     # windows[p] holds fine grid points p, p + 1, ..., p + 2W - 1 mod m
     width = 2 * NUFFT_HALF_WIDTH
     windows = np.lib.stride_tricks.sliding_window_view(np.resize(np.fft.ifft(fine), m + width - 1), width)
-    t = np.asarray(theta, dtype=float)
-    # fractional index on the fine grid; its point p sits at phase 2 pi p / m
-    s = NUFFT_OVERSAMPLING * ((t.reshape(-1) + np.pi / 2) / grid.spacing - 0.5)
-    # into one period; exact for finite s, and an infinite angle gives nan
-    s -= m * np.round(s / m)
     # target s weighs points floor(s) + k, k = 1 - W ... W, by e^{-g d^2}, d = s - floor(s) - k
     offsets = np.arange(1 - NUFFT_HALF_WIDTH, NUFFT_HALF_WIDTH + 1, dtype=float)
     g = (np.pi / m) ** 2 / tau
-    out = np.empty(s.size, dtype=complex)
-    d = np.empty((min(NUFFT_BLOCK, s.size), width))
-    weights = np.empty_like(d)
-    for lo in range(0, s.size, NUFFT_BLOCK):
-        sb = s[lo:lo + NUFFT_BLOCK]
-        db, wb = d[:sb.size], weights[:sb.size]
-        floor = np.floor(sb)
-        near = windows[(floor.astype(int) + 1 - NUFFT_HALF_WIDTH) % m]
-        # the integers first: (s - floor(s)) - k rounds differently for s in (-1, 0)
-        np.subtract(sb[:, None], np.add(floor[:, None], offsets, out=db), out=db)
-        np.multiply(np.multiply(db, -g, out=wb), db, out=wb)
-        np.einsum("ij,ij->i", np.exp(wb, out=wb), near, out=out[lo:lo + sb.size])
-    if t.ndim == 0:
-        return out[0]
-    return out.reshape(t.shape)
+
+    def at(s: np.ndarray) -> np.ndarray:
+        # into one period; exact for finite s, and an infinite angle gives nan
+        s = s - m * np.round(s / m)
+        out = np.empty(s.size, dtype=complex)
+        d = np.empty((min(NUFFT_BLOCK, s.size), width))
+        weights = np.empty_like(d)
+        for lo in range(0, s.size, NUFFT_BLOCK):
+            sb = s[lo:lo + NUFFT_BLOCK]
+            db, wb = d[:sb.size], weights[:sb.size]
+            floor = np.floor(sb)
+            near = windows[(floor.astype(int) + 1 - NUFFT_HALF_WIDTH) % m]
+            # the integers first: (s - floor(s)) - k rounds differently for s in (-1, 0)
+            np.subtract(sb[:, None], np.add(floor[:, None], offsets, out=db), out=db)
+            np.multiply(np.multiply(db, -g, out=wb), db, out=wb)
+            np.einsum("ij,ij->i", np.exp(wb, out=wb), near, out=out[lo:lo + sb.size])
+        return out
+
+    return at
 
 
 def rep_action(

@@ -55,7 +55,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import CircleGrid, CircleSignal, _checked_spectrum, _store_complex_values, edge_fraction, rep_action
+from .circle import (WEAK_DECAY_TOL, CircleGrid, CircleSignal, _checked_spectrum, _store_complex_values,
+                     _weak_sum_ok, edge_fraction, rep_action)
 from .errors import DecayError, require_positive
 
 DEFAULT_N_MAX = 64
@@ -63,8 +64,6 @@ DEFAULT_SCALE_MIN = 1e-3
 DEFAULT_SCALE_MAX = 1e3
 DEFAULT_SCALE_COUNT = 400
 
-WEAK_DECAY_TOL = 1e-6
-WEAK_VERDICT_TOL = 1e-8
 MODE_FLOOR = 1e-12
 SMALL_SCALE_DECAY_TOL = 1e-2
 PLATEAU_SPREAD_TOL = 5e-2
@@ -368,8 +367,9 @@ def lambda_sequence(
     """Admissibility report: mode integrals L_n, weak condition, verdict.
 
     L_n is the log-trapezoid quadrature of |c_n(a)|^2 / a over ln a.  The
-    verdict requires the weak integral to vanish (relative to the chart
-    norm), every L_n positive with finite spread, a decaying small-scale
+    verdict requires the weak integral to vanish (relative to the l1 size
+    of its integrand, so every dilation of gamma gets the same verdict),
+    every L_n positive with finite spread, a decaying small-scale
     integrand (otherwise the scale integral diverges at a -> 0), and a
     plateaued outer mode band (truncation heuristic; a warning explains
     when it fails).  n_max defaults to min(DEFAULT_N_MAX, n_samples/4),
@@ -387,7 +387,7 @@ def lambda_sequence(
     small_ok = peak == 0.0 or tail_lo < SMALL_SCALE_DECAY_TOL * peak
 
     weak_value, decay_ok = weak_admissibility(gamma, strict=False)
-    weak_ok = decay_ok and abs(weak_value) <= WEAK_VERDICT_TOL * max(gamma.norm(), 1e-300)
+    weak_ok = decay_ok and _weak_sum_ok(gamma.values / np.cos(gamma.grid.nodes))
 
     plateau = _plateau_ok(lambdas, n_max)
     if not plateau:

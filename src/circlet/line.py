@@ -11,14 +11,14 @@ with the k = 0 bin excluded.  Reconstruction divides per half-line by
 
 The transform works in the Fourier domain, as the classical CWT does:
 per scale a, the signal's FFT times sqrt(2 pi a)/h G^(a k) on the grid's
-frequencies.  Those spectra come from the wavelet's samples alone by one
-chirp-z transform per scale (exact, since the targets a k are
-equispaced), so scales below the grid spacing do not alias.  A real
-wavelet's transform runs on real FFTs, one per nonzero real component of
-the data; each component keeps only the real part of its product at the
-Nyquist bin, as a real row must.  Analysis and synthesis share one
-read-only table per (wavelet, grid, scale grid) from a small memo, as the
-circle's analysis and synthesis share `cwt.dilated_coeffs`.
+frequencies.  Those spectra come from the wavelet's samples alone, by
+the Gaussian-gridding NUFFT shared with `circle.trig_interpolate`, so
+scales below the grid spacing do not alias.  A real wavelet's transform
+runs on real FFTs, one per nonzero real component of the data; each
+component keeps only the real part of its product at the Nyquist bin, as
+a real row must.  Analysis and synthesis share one read-only table per
+(wavelet, grid, scale grid) from a small memo, as the circle's analysis
+and synthesis share `cwt.dilated_coeffs`.
 
 The companion Fourier-picture action on L2(R+, da/a),
     (U(a', b') phi)(a) = e^{-i a b'} phi(a' a),
@@ -32,8 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import Sampled, _store_complex_values, edge_fraction
-from .cwt import MODE_FLOOR, TABLE_MEMO_SIZE, WEAK_DECAY_TOL, WEAK_VERDICT_TOL, ScaleGrid
+from .circle import (NUFFT_OVERSAMPLING, WEAK_DECAY_TOL, Sampled, _gaussian_gridding, _store_complex_values,
+                     _weak_sum_ok, edge_fraction)
+from .cwt import MODE_FLOOR, TABLE_MEMO_SIZE, ScaleGrid
 from .errors import require_positive
 
 DEFAULT_LINE_SAMPLES = 2048
@@ -135,11 +136,9 @@ def line_admissibility(gamma: LineSignal) -> LineAdmissibility:
     dens[nz] = np.abs(sp[nz]) ** 2 / np.abs(k[nz])
     c_pos = float(np.sum(dens[k > 0]) * dk)
     c_neg = float(np.sum(dens[k < 0]) * dk)
-    v = gamma.values
-    converged = (edge_fraction(v) <= WEAK_DECAY_TOL
-                 and abs(np.sum(v)) <= WEAK_VERDICT_TOL * np.sum(np.abs(v)))
+    converged = edge_fraction(gamma.values) <= WEAK_DECAY_TOL and _weak_sum_ok(gamma.values)
     admissible = bool(converged and c_pos > 0.0 and c_neg > 0.0)
-    return LineAdmissibility(c_pos + c_neg, c_pos, c_neg, bool(converged), admissible)
+    return LineAdmissibility(c_pos + c_neg, c_pos, c_neg, converged, admissible)
 
 
 def mexican_hat(grid: LineGrid | None = None) -> LineSignal:
@@ -178,7 +177,8 @@ def dilated_spectra(gamma: LineSignal, grid: LineGrid, scales: ScaleGrid) -> np.
     grid, set to zero past that grid's Nyquist pi/h_w.  Row a is the DFT on
     `grid` of the dilated wavelet a^{-1/2} G(x/a), periodized rather than
     sampled, so scales below the grid spacing do not alias.  Only the
-    samples enter, as in `cwt.dilated_coeffs`.
+    samples enter, as in `cwt.dilated_coeffs`, and G^ is evaluated by the
+    Gaussian-gridding NUFFT shared with `circle.trig_interpolate`.
 
     A real wavelet has G^(-kappa) = conj G^(kappa), and its table keeps only
     the first n/2 + 1 columns (k >= 0 and the -n/2 bin); a complex wavelet's
@@ -191,87 +191,34 @@ def dilated_spectra(gamma: LineSignal, grid: LineGrid, scales: ScaleGrid) -> np.
 
 @functools.lru_cache(maxsize=TABLE_MEMO_SIZE)
 def _memo_spectra(samples: bytes, wgrid: LineGrid, grid: LineGrid, scales: ScaleGrid) -> np.ndarray:
-    """dilated_spectra behind the memo."""
-    g = np.frombuffer(samples, dtype=complex)
-    half = grid.n_samples // 2
-    table = _half_spectra(g, wgrid, grid, scales)
-    if np.any(g.imag):
-        # the spectrum at -kappa is the conjugate of conj(gamma)'s at +kappa
-        neg = _half_spectra(np.conj(g), wgrid, grid, scales)
-        table = np.concatenate([table[:, :half], np.conj(neg[:, half:0:-1])], axis=1)
-    else:
-        table[:, half] = np.conj(table[:, half])  # column n/2 is the -n/2 bin
-    table.flags.writeable = False
-    return table
-
-
-def _half_spectra(g: np.ndarray, wgrid: LineGrid, grid: LineGrid, scales: ScaleGrid) -> np.ndarray:
-    """dilated_spectra's columns at k = m dk for m = 0..n/2, by chirp-z.
+    """dilated_spectra behind the memo.
 
     With x_j = c + j' h_w (c the wavelet window's centre, j' = j - n_w/2),
-    a k_m x_j = a k_m c + alpha m j' with alpha = a h_w dk, and Bluestein's
-    m j' = (m^2 + j'^2 - (m - j')^2)/2 turns sum_j g_j e^{-i alpha m j'} into
-    a correlation with the chirp w_t = e^{-i alpha t^2/2}: one chirp per scale
-    serves the pre-multiply, the kernel and the post-multiply.  The sum is
-    exact to rounding because the targets a k_m are equispaced per scale.
-    SPECTRA_BLOCK scales at a time, each block only as wide as its unmasked
-    band.
+    sum_j g_j e^{-i kappa x_j} = e^{-i kappa c} P(-kappa h_w) for the trig
+    polynomial P(x) = sum_j' g_j e^{i j' x}.  The Gaussian-gridding NUFFT
+    shared with `circle.trig_interpolate` builds P's fine grid once and
+    evaluates P, SPECTRA_BLOCK scales at a time, at the kept kappa = a k.
     """
-    n, nw, h, hw = grid.n_samples, wgrid.n_samples, grid.spacing, wgrid.spacing
+    g = np.frombuffer(samples, dtype=complex)
+    nw, hw = wgrid.n_samples, wgrid.spacing
     centre = wgrid.lo + (nw // 2) * hw
-    abs_k = np.abs(grid.freqs[:n // 2 + 1])
-    pre = np.abs(np.arange(nw) - nw // 2)
-    out = np.zeros((scales.count, n // 2 + 1), dtype=complex)
+    k = grid.freqs if np.any(g.imag) else grid.freqs[:grid.n_samples // 2 + 1]
+    poly = _gaussian_gridding(np.append(g, 0.0))  # modes j' = -n_w/2 ... n_w/2, the last one zero
+    table = np.zeros((scales.count, k.size), dtype=complex)
     nodes = scales.nodes
     for lo in range(0, scales.count, SPECTRA_BLOCK):
-        a = nodes[lo:lo + SPECTRA_BLOCK, None]
-        keep = a * abs_k <= np.pi / hw
-        top = int(np.count_nonzero(keep[0]))  # the block's widest band, at its smallest scale
-        size = _fft_length(nw + top - 1)
-        # alpha t^2/2 = 2 pi (a h_w / (2 n h)) t^2
-        chirp = _cis(a * hw / (2.0 * n * h), np.arange(nw // 2 + top) ** 2)
-        # u_j = g_j w_j' and v_r = conj w_(r + 1 - n_w/2), so that the linear
-        # convolution (u * v)[m + n_w - 1] is sum_j g_j w_j' conj w_(m - j')
-        u = np.zeros((a.shape[0], size), dtype=complex)
-        np.multiply(chirp[:, pre], g, out=u[:, :nw])
-        v = np.zeros((a.shape[0], size), dtype=complex)
-        np.conjugate(chirp[:, np.abs(np.arange(nw + top - 1) - (nw // 2 - 1))], out=v[:, :nw + top - 1])
-        np.fft.fft(u, axis=1, out=u)
-        np.fft.fft(v, axis=1, out=v)
-        u *= v
-        np.fft.ifft(u, axis=1, out=u)
-        post = chirp[:, :top] * _cis(a * centre / (n * h), np.arange(top))
-        post *= np.sqrt(a) * hw / h * keep[:, :top]
-        np.multiply(u[:, nw - 1:nw - 1 + top], post, out=out[lo:lo + a.shape[0], :top])
-    return out
-
-
-def _fft_length(n: int) -> int:
-    """Smallest 2^p or 3 * 2^p not below n (pocketfft's fast lengths)."""
-    p = 1 << (n - 1).bit_length()
-    return 3 * p // 4 if 3 * p // 4 >= n else p
-
-
-def _cis(rate: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """e^{-2 pi i rate idx} for rates of shape (b, 1) and integers idx >= 0.
-
-    idx is split into four base-2^s digits, so each row evaluates 4 * 2^s
-    cosines and sines instead of one per entry.  Each digit's rate is
-    reduced mod 1 exactly before it meets a digit below 2^s, so a phase is
-    off by at most ~2^(s-53) turns however large rate * idx is.
-    """
-    s = max(-(-int(idx.max()).bit_length() // 4), 1)
-    digits = np.arange(1 << s)
-    out = None
-    for shift in range(0, 4 * s, s):
-        turns = (rate * 2.0 ** shift) % 1.0 * digits
-        turns *= -2.0 * np.pi
-        table = np.empty(turns.shape, dtype=complex)
-        np.cos(turns, out=table.real)
-        np.sin(turns, out=table.imag)
-        factor = table[:, (idx >> shift) & ((1 << s) - 1)]
-        out = factor if out is None else np.multiply(out, factor, out=out)
-    return out
+        a = nodes[lo:lo + SPECTRA_BLOCK]
+        kappa = a[:, None] * k
+        keep = np.abs(kappa) <= np.pi / hw
+        kept = kappa[keep]
+        # x = -kappa h_w sits at position m x / (2 pi) of P's fine grid of m = R n_w points
+        p = poly(kept * (-NUFFT_OVERSAMPLING * nw * hw / (2.0 * np.pi)))
+        p *= np.exp(-1j * centre * kept)
+        # kept targets run row by row; entries past the Nyquist stay untouched zero pages
+        p *= np.repeat(np.sqrt(a) * hw / grid.spacing, np.count_nonzero(keep, axis=1))
+        table[lo:lo + SPECTRA_BLOCK][keep] = p
+    table.flags.writeable = False
+    return table
 
 
 def line_analyze(psi: LineSignal, gamma: LineSignal, scales: ScaleGrid) -> LineScalogram:
@@ -340,8 +287,9 @@ def line_synthesize(
     transform = np.fft.fft if w == n else np.fft.rfft
     for lo in range(0, scales.count, SPECTRA_BLOCK):
         rows = scalogram.values[lo:lo + SPECTRA_BLOCK]
-        # the imaginary parts are checked per block, while the block is in cache
-        parts = [rows] if w == n else [rows.real] + ([rows.imag] if np.any(rows.imag) else [])
+        # imaginary parts are checked per block, in cache, by their bits (nan and -0.0 count)
+        nonzero = w < n and np.bitwise_or.reduce(rows.imag.view(np.uint64), axis=None)
+        parts = [rows] if w == n else [rows.real] + ([rows.imag] if nonzero else [])
         for acc, part in zip(sums, parts):
             block = transform(part, axis=1, out=buf[:len(rows)])
             block *= table[lo:lo + SPECTRA_BLOCK]

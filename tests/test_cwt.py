@@ -166,6 +166,18 @@ def test_weak_integral_decay_guard():
     assert np.isfinite(value.real)
 
 
+@pytest.mark.parametrize("off, verdict", [(3e-9, True), (1e-8, False)])
+@pytest.mark.filterwarnings("ignore:mode integrals have not plateaued")
+def test_weak_verdict_is_the_same_at_every_dilation(dog, off, verdict):
+    # the balance is off by `off` bumps; the weak integral grows like sqrt(a)
+    # under dilation, and so does the l1 size of its integrand
+    bump = CircleSignal.from_evaluator(GRID, lambda t: np.exp(-np.tan(t) ** 2))
+    gamma = CircleSignal.from_evaluator(GRID, lambda t: dog.evaluator(t) + off * bump.evaluator(t))
+    for a in (0.25, 1.0, 4.0):
+        report = lambda_sequence(rep_action(gamma, a, 0.0), ScaleGrid(1e-2, 1e2, 40), 16)
+        assert report.weak_ok is verdict
+
+
 def test_lambda_sequence_balanced_dog(dog_report):
     rep = dog_report
     assert rep.admissible

@@ -15,6 +15,7 @@ from circlet import (
     LineAdmissibility,
     LineGrid,
     LineScaleGrid,
+    LineScalogram,
     LineSignal,
     LogGrid,
     RPlusFunction,
@@ -195,6 +196,21 @@ def test_line_synthesize_holds_no_scalogram_sized_array():
         tracemalloc.stop()
     assert peak < 0.06 * scal.values.nbytes
 
+def test_one_imaginary_entry_adds_its_own_synthesis():
+    # a real scalogram but for one imaginary entry: its block alone takes the
+    # imaginary transform, and synthesis stays linear
+    mh = mexican_hat()
+    adm = line_admissibility(mh)
+    scal = line_analyze(band_signal(), mh, LineScaleGrid(1e-2, 1e2, 200))
+    spike = np.zeros_like(scal.values)
+    spike[103, 777] = 1j
+    base = line_synthesize(scal, mh, adm).values
+    edited = line_synthesize(LineScalogram(scal.scales, GRID, scal.values + spike), mh, adm).values
+    alone = line_synthesize(LineScalogram(scal.scales, GRID, spike), mh, adm).values
+    assert np.max(np.abs(alone)) > 1e-6 * np.max(np.abs(base))  # a skipped block would show
+    assert np.max(np.abs(edited - base - alone)) <= 1e-12 * np.max(np.abs(base))
+
+
 def test_log_grid():
     g = LogGrid(1e-2, 1e2, 9)
     assert g.nodes[0] == pytest.approx(1e-2)
@@ -296,6 +312,31 @@ def test_dilated_spectra_match_dense_dtft(seed, is_complex, same_grid, log_a, co
     # a max-relative scale would fail on rounding: at large a the true values can be ~1e-81
     gap = np.abs(table - dense_spectra(gamma, grid, scales)[:, :table.shape[1]])
     assert np.all(gap <= 1e-12 * l1_bound(gamma, grid, scales)[:, None])
+
+
+def test_dilated_spectra_of_an_off_centre_window_match_dense_dtft():
+    # the window's centre, 108, enters only through the phase e^{-i kappa c}
+    rng = np.random.default_rng(5)
+    wgrid = LineGrid(100.0, 116.0, 1024)
+    scales = ScaleGrid(1e-2, 1e1, 5)
+    for values in (rng.normal(size=1024), rng.normal(size=1024) + 1j * rng.normal(size=1024)):
+        gamma = LineSignal(wgrid, values)
+        table = dilated_spectra(gamma, GRID, scales)
+        gap = np.abs(table - dense_spectra(gamma, GRID, scales)[:, :table.shape[1]])
+        assert np.all(gap <= 1e-12 * l1_bound(gamma, GRID, scales)[:, None])
+
+
+def test_dilated_spectra_build_scratch_is_a_fraction_of_the_table():
+    # the kept targets are gridded SPECTRA_BLOCK scales at a time
+    mh = mexican_hat()
+    line._memo_spectra.cache_clear()
+    tracemalloc.start()
+    try:
+        table = dilated_spectra(mh, GRID, LineScaleGrid(1e-2, 1e2, 200))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - table.nbytes < 0.4 * table.nbytes
 
 
 def test_dilated_spectra_of_the_mexican_hat():
