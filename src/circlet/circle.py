@@ -8,7 +8,7 @@ basis is e^{2 i n theta}/sqrt(pi).
 The dilation a acts through the reparametrization
     theta_a = arctan(a tan theta),
 whose Radon-Nikodym derivative is the multiplier
-    lambda(a, theta) = a / (a^2 + (1 - a^2) cos^2 theta),
+    lambda(a, theta) = a / (cos^2 theta + a^2 sin^2 theta),
 and the unitary action of the group point (vartheta, a) is
     (U gamma)(theta) = lambda(1/a, theta - vartheta)^alpha
                        gamma(dilate(theta - vartheta, 1/a)),
@@ -26,16 +26,18 @@ alpha(1 - alpha) (= 1/4 at s = 0) on every basis mode.
 
 A signal known only by its samples is evaluated off the grid (as the
 action needs at the dilated angles) through its trigonometric interpolant,
-computed by a Gaussian-gridding type-2 non-uniform FFT: oversampling
-R = 2, kernel half-width W = 14, O(n log n) per call plus 2W terms per
-target, and within 5.1e-13 of the direct mode sum (relative to the
-samples' largest value) for full-band samples.  Targets are summed in
-blocks of NUFFT_BLOCK = 128, so the kernel's scratch memory does not grow
+computed by a type-2 non-uniform FFT with the exponential-of-semicircle
+kernel, whose Fourier transform a midpoint rule gives once per n:
+oversampling R = 2, kernel half-width W = 8, O(n log n) per call plus 2W
+terms per target, and within 5.1e-13 of the direct mode sum (relative to
+the samples' largest value) for full-band samples.  Targets are summed in
+blocks of NUFFT_BLOCK = 256, so the kernel's scratch memory does not grow
 with the number of targets, and no output bit depends on the blocking.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -47,10 +49,11 @@ DEFAULT_N_SAMPLES = 1024
 ALIAS_ENERGY_TOL = 1e-8
 WEAK_DECAY_TOL = 1e-6
 WEAK_VERDICT_TOL = 1e-8
-# trig_interpolate's Gaussian gridding: oversampling and kernel half-width
+# trig_interpolate's exponential-of-semicircle gridding: oversampling and kernel half-width
 NUFFT_OVERSAMPLING = 2
-NUFFT_HALF_WIDTH = 14
-NUFFT_BLOCK = 128  # targets per block of trig_interpolate's kernel sum
+NUFFT_HALF_WIDTH = 8
+NUFFT_BLOCK = 256  # targets per block of trig_interpolate's kernel sum
+_ES_BETA = 2.30 * 2 * NUFFT_HALF_WIDTH  # the kernel's shape, for 2W taps at R = 2
 
 
 @dataclass(frozen=True)
@@ -84,8 +87,8 @@ def multiplier(a: float, theta):
     multiplier(a, dilate_angle(theta, a')) * multiplier(a', theta).
     """
     require_positive("dilation", a)
-    c2 = np.cos(np.asarray(theta, dtype=float)) ** 2
-    return a / (a * a + (1.0 - a * a) * c2)
+    t = np.asarray(theta, dtype=float)
+    return a / (np.cos(t) ** 2 + (a * np.sin(t)) ** 2)  # two terms >= 0: nothing cancels as a grows
 
 
 @dataclass(frozen=True)
@@ -218,51 +221,74 @@ def trig_interpolate(grid: CircleGrid, values: np.ndarray, theta) -> np.ndarray:
     """Evaluate the trigonometric interpolant of midpoint samples.
 
     The interpolant is the unique pi-periodic trig polynomial through the
-    samples; the Nyquist coefficient is split symmetrically so real input
-    stays real (up to rounding).  Evaluation is the Gaussian-gridding
-    type-2 non-uniform FFT (Greengard & Lee, SIAM Rev. 46, 2004) that
-    `line.dilated_spectra` shares: the modes are divided by the Gaussian's
-    Fourier coefficients, one inverse FFT puts them on an R * n_samples
-    grid (R = NUFFT_OVERSAMPLING = 2), and each target sums the 2W
-    Gaussian-weighted grid values around it (W = NUFFT_HALF_WIDTH = 14).
-    The fine grid is extended periodically by 2W - 1 points (several
-    periods on the smallest grids), so each target's neighbours are one
-    contiguous window of it.  Targets are summed in blocks of NUFFT_BLOCK,
-    so scratch memory is a few block-sized arrays whatever the number of
-    targets, and every output is bitwise what one unblocked sum over all
-    targets gives.  Cost is O(n log n) plus 2W terms per target.  The
-    result is within 1e-12 of the direct mode sum, relative to the
-    samples' largest value (measured at most 5.1e-13 for full-band complex
-    samples, every even n in 4...1024, targets in [-4, 4]; 4e-14 against
-    closed-form modes at n = 4096 and 16384).
+    (grid.n_samples,) samples; the Nyquist coefficient is split
+    symmetrically so real input stays real (up to rounding).  Evaluation is
+    the exponential-of-semicircle type-2 NUFFT (Barnett, Magland & af
+    Klinteberg, SIAM J. Sci. Comput. 41, 2019) that `line.dilated_spectra`
+    shares: the modes are divided by the kernel's Fourier transform, one
+    inverse FFT puts them on an R * n_samples grid (R = NUFFT_OVERSAMPLING
+    = 2), and each target sums the 2W kernel-weighted grid values around it
+    (W = NUFFT_HALF_WIDTH = 8).  The fine grid is extended periodically by
+    2W - 1 points (several periods on the smallest grids), so each target's
+    neighbours are one contiguous window of it.  Targets are summed in
+    blocks of NUFFT_BLOCK, so scratch memory is a few block-sized arrays
+    whatever the number of targets, and every output is bitwise what one
+    unblocked sum over all targets gives.  Cost is O(n log n) plus 2W terms
+    per target.  The result is within 1e-12 of the direct mode sum,
+    relative to the samples' largest value (measured at most 5.1e-13 for
+    full-band complex samples, every even n in 4...1024, targets in
+    [-4, 4]; 4.9e-14 against closed-form modes at n = 4096 and 16384; see
+    tools/nufft_accuracy.py).
     """
     n = grid.n_samples
-    u = np.fft.fft(np.asarray(values, dtype=complex)) / n
+    v = np.asarray(values, dtype=complex)
+    if v.shape != (n,):
+        raise ValueError(f"values shape {v.shape} does not match grid ({n},)")
+    u = np.fft.fft(v) / n
     c = u[np.arange(-(n // 2), n // 2 + 1) % n]
     # split the unpaired -n/2 mode across +-n/2
     c[[0, -1]] *= 0.5
     t = np.asarray(theta, dtype=float)
     # fractional index on the fine grid; its point p sits at phase 2 pi p / m
-    out = _gaussian_gridding(c)(NUFFT_OVERSAMPLING * ((t.reshape(-1) + np.pi / 2) / grid.spacing - 0.5))
+    out = _nufft_evaluator(c)(NUFFT_OVERSAMPLING * ((t.reshape(-1) + np.pi / 2) / grid.spacing - 0.5))
     return out[0] if t.ndim == 0 else out.reshape(t.shape)
 
 
-def _gaussian_gridding(modes: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+def _es_kernel(t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The exponential-of-semicircle kernel K(t) = exp(beta (sqrt(1 - (t/W)^2) - 1)), |t| <= W, into out."""
+    np.multiply(t, _ES_BETA / NUFFT_HALF_WIDTH, out=out)
+    np.subtract(_ES_BETA * _ES_BETA, np.multiply(out, out, out=out), out=out)
+    return np.exp(np.subtract(np.sqrt(out, out=out), _ES_BETA, out=out), out=out)
+
+
+@functools.lru_cache(maxsize=4)  # grid sizes kept
+def _es_deconvolution(n: int) -> np.ndarray:
+    """Read-only m / K^(2 pi k / m), k = -n/2 ... n/2, m = R n: K^(w) = 2 int_0^W K(t) cos(w t) dt by a
+    32-node midpoint rule (~1e-14 relative), one node at a time, so no temporary tops n/2 + 1 values."""
+    step = NUFFT_HALF_WIDTH / 32
+    t = step * (np.arange(32) + 0.5)
+    omega = (2.0 * np.pi / (NUFFT_OVERSAMPLING * n)) * np.arange(n // 2 + 1)
+    khat = sum(kj * np.cos(omega * tj) for tj, kj in zip(t, _es_kernel(t, np.empty_like(t))))
+    factor = np.concatenate((khat[:0:-1], khat))
+    np.divide(NUFFT_OVERSAMPLING * n / (2.0 * step), factor, out=factor)
+    factor.flags.writeable = False
+    return factor
+
+
+def _nufft_evaluator(modes: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Evaluator of P(phi) = sum_k c_k e^{i k phi}, modes c_k for k = -n/2 ... n/2: builds P's fine
     grid of m = R n points once, and sums P at 1-d fine-grid positions s (phase 2 pi s / m)."""
     n = modes.size - 1
     m = NUFFT_OVERSAMPLING * n
-    tau = np.pi * NUFFT_HALF_WIDTH / (n * n * NUFFT_OVERSAMPLING * (NUFFT_OVERSAMPLING - 0.5))
     ks = np.arange(-(n // 2), n // 2 + 1)
     fine = np.zeros(m, dtype=complex)
-    # divide by the periodic Gaussian's Fourier coefficients sqrt(tau/pi) e^{-k^2 tau}
-    fine[ks % m] = modes * (np.sqrt(np.pi / tau) * np.exp(ks * ks * tau))
+    # divide by the kernel's Fourier transform: ifft's 1/m leaves sum_k c_k e^{2 pi i k p / m} / K^_k
+    fine[ks % m] = modes * _es_deconvolution(n)
     # windows[p] holds fine grid points p, p + 1, ..., p + 2W - 1 mod m
     width = 2 * NUFFT_HALF_WIDTH
     windows = np.lib.stride_tricks.sliding_window_view(np.resize(np.fft.ifft(fine), m + width - 1), width)
-    # target s weighs points floor(s) + k, k = 1 - W ... W, by e^{-g d^2}, d = s - floor(s) - k
+    # target s weighs points floor(s) + k, k = 1 - W ... W, by K(d), d = s - floor(s) - k
     offsets = np.arange(1 - NUFFT_HALF_WIDTH, NUFFT_HALF_WIDTH + 1, dtype=float)
-    g = (np.pi / m) ** 2 / tau
 
     def at(s: np.ndarray) -> np.ndarray:
         # into one period; exact for finite s, and an infinite angle gives nan
@@ -277,8 +303,7 @@ def _gaussian_gridding(modes: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
             near = windows[(floor.astype(int) + 1 - NUFFT_HALF_WIDTH) % m]
             # the integers first: (s - floor(s)) - k rounds differently for s in (-1, 0)
             np.subtract(sb[:, None], np.add(floor[:, None], offsets, out=db), out=db)
-            np.multiply(np.multiply(db, -g, out=wb), db, out=wb)
-            np.einsum("ij,ij->i", np.exp(wb, out=wb), near, out=out[lo:lo + sb.size])
+            np.einsum("ij,ij->i", _es_kernel(db, wb), near, out=out[lo:lo + sb.size])
         return out
 
     return at
@@ -297,12 +322,14 @@ def rep_action(
     evaluator whenever the input does.
     """
     require_positive("dilation", a)
-    alpha = (params or RepParams()).alpha
+    s = (params or RepParams()).s
     inv = 1.0 / a
 
     def acted(t):
         d = reduce_half_angle(np.asarray(t, dtype=float) - vartheta)
-        w = multiplier(inv, d) ** alpha
+        lam = multiplier(inv, d)
+        # lambda^alpha = sqrt(lambda) e^{i s ln lambda}: no complex power, and exactly sqrt(lambda) at s = 0
+        w = np.sqrt(lam) * np.exp(1j * s * np.log(lam)) if s else np.sqrt(lam)
         return w * gamma(dilate_angle(d, inv))
 
     grid = gamma.grid

@@ -263,7 +263,7 @@ def _dilated_table(gv: np.ndarray, scales: ScaleGrid, n_max: int) -> np.ndarray:
     """
     n = len(gv)
     u = CircleGrid(n).nodes
-    cos2 = np.cos(u) ** 2
+    cos2, sin = np.cos(u) ** 2, np.sin(u)
     tan = np.tan(u)
     out = np.empty((n_max + 1, scales.count), dtype=complex)
     nodes = scales.nodes
@@ -274,9 +274,9 @@ def _dilated_table(gv: np.ndarray, scales: ScaleGrid, n_max: int) -> np.ndarray:
         a = nodes[lo:lo + TABLE_BLOCK, None]
         cols = slice(lo, lo + a.shape[0])
         mult, p, z = mult_buf[:a.shape[0]], p_buf[:a.shape[0]], z_buf[:a.shape[0]]
-        # mult = a / (a^2 + (1 - a^2) cos^2 u);  p = (sqrt(pi)/n) sqrt(mult) gamma
-        np.multiply(1.0 - a * a, cos2, out=mult)
-        mult += a * a
+        # mult = a / (cos^2 u + (a sin u)^2), as circle.multiplier;  p = (sqrt(pi)/n) sqrt(mult) gamma
+        np.square(np.multiply(a, sin, out=mult), out=mult)
+        mult += cos2
         np.divide(a, mult, out=mult)
         np.sqrt(mult, out=mult)
         mult *= np.sqrt(np.pi) / n

@@ -11,8 +11,8 @@ with the k = 0 bin excluded.  Reconstruction divides per half-line by
 
 The transform works in the Fourier domain, as the classical CWT does:
 per scale a, the signal's FFT times sqrt(2 pi a)/h G^(a k) on the grid's
-frequencies.  Those spectra come from the wavelet's samples alone, by
-the Gaussian-gridding NUFFT shared with `circle.trig_interpolate`, so
+frequencies.  Those spectra come from the wavelet's samples alone, by the
+exponential-of-semicircle NUFFT shared with `circle.trig_interpolate`, so
 scales below the grid spacing do not alias.  A real wavelet's transform
 runs on real FFTs, one per nonzero real component of the data; each
 component keeps only the real part of its product at the Nyquist bin, as
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import (NUFFT_OVERSAMPLING, WEAK_DECAY_TOL, Sampled, _gaussian_gridding, _store_complex_values,
+from .circle import (NUFFT_OVERSAMPLING, WEAK_DECAY_TOL, Sampled, _nufft_evaluator, _store_complex_values,
                      _weak_sum_ok, edge_fraction)
 from .cwt import MODE_FLOOR, TABLE_MEMO_SIZE, ScaleGrid
 from .errors import require_positive
@@ -178,7 +178,9 @@ def dilated_spectra(gamma: LineSignal, grid: LineGrid, scales: ScaleGrid) -> np.
     `grid` of the dilated wavelet a^{-1/2} G(x/a), periodized rather than
     sampled, so scales below the grid spacing do not alias.  Only the
     samples enter, as in `cwt.dilated_coeffs`, and G^ is evaluated by the
-    Gaussian-gridding NUFFT shared with `circle.trig_interpolate`.
+    exponential-of-semicircle NUFFT shared with `circle.trig_interpolate`,
+    within 1e-12 of the dense DTFT relative to sqrt(a) h_w/h sum |g_j|
+    (tools/nufft_accuracy.py measures 1.9e-14 over 300 seeded draws).
 
     A real wavelet has G^(-kappa) = conj G^(kappa), and its table keeps only
     the first n/2 + 1 columns (k >= 0 and the -n/2 bin); a complex wavelet's
@@ -195,15 +197,15 @@ def _memo_spectra(samples: bytes, wgrid: LineGrid, grid: LineGrid, scales: Scale
 
     With x_j = c + j' h_w (c the wavelet window's centre, j' = j - n_w/2),
     sum_j g_j e^{-i kappa x_j} = e^{-i kappa c} P(-kappa h_w) for the trig
-    polynomial P(x) = sum_j' g_j e^{i j' x}.  The Gaussian-gridding NUFFT
-    shared with `circle.trig_interpolate` builds P's fine grid once and
-    evaluates P, SPECTRA_BLOCK scales at a time, at the kept kappa = a k.
+    polynomial P(x) = sum_j' g_j e^{i j' x}.  The NUFFT shared with
+    `circle.trig_interpolate` builds P's fine grid once and sums 2W = 16 of
+    its points per kept kappa = a k, SPECTRA_BLOCK scales at a time.
     """
     g = np.frombuffer(samples, dtype=complex)
     nw, hw = wgrid.n_samples, wgrid.spacing
     centre = wgrid.lo + (nw // 2) * hw
     k = grid.freqs if np.any(g.imag) else grid.freqs[:grid.n_samples // 2 + 1]
-    poly = _gaussian_gridding(np.append(g, 0.0))  # modes j' = -n_w/2 ... n_w/2, the last one zero
+    poly = _nufft_evaluator(np.append(g, 0.0))  # modes j' = -n_w/2 ... n_w/2, the last one zero
     table = np.zeros((scales.count, k.size), dtype=complex)
     nodes = scales.nodes
     for lo in range(0, scales.count, SPECTRA_BLOCK):

@@ -1,7 +1,9 @@
 """Chart action: unitarity, multiplier laws, generators, quadratic invariant."""
 
+import re
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +22,7 @@ from circlet import (
     rep_action,
     trig_interpolate,
 )
-from circlet.circle import NUFFT_BLOCK, NUFFT_HALF_WIDTH, NUFFT_OVERSAMPLING
+from circlet.circle import _ES_BETA, NUFFT_BLOCK, NUFFT_HALF_WIDTH, NUFFT_OVERSAMPLING, _es_deconvolution
 
 GRID = CircleGrid(1024)
 
@@ -87,6 +89,17 @@ def test_multiplier_reciprocity():
     for a in (0.25, 2.0, 9.0):
         prod = multiplier(1.0 / a, dilate_angle(t, a)) * multiplier(a, t)
         assert np.max(np.abs(prod - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("a", [1e-3, 0.1, 100.0, 1e3])
+def test_multiplier_matches_mpmath_at_far_dilations(a):
+    # 50-digit reference at the exact double angles: a / (a^2 + (1 - a^2) cos^2)
+    # cancels for a >> 1, a / (cos^2 + a^2 sin^2) does not
+    mpmath.mp.dps = 50
+    t = CircleGrid(256).nodes
+    ma = mpmath.mpf(a)
+    want = np.array([float(ma / (mpmath.cos(x) ** 2 + (ma * mpmath.sin(x)) ** 2)) for x in map(mpmath.mpf, t)])
+    assert np.max(np.abs(multiplier(a, t) / want - 1.0)) <= 2e-15
 
 
 def test_rep_action_unitary():
@@ -158,24 +171,24 @@ def dense_trig_interpolate(grid, values, theta):
 
 
 def modulo_gather_trig_interpolate(grid, values, theta):
-    """The Gaussian gridding sum in one shot: every target's 2W neighbours
-    gathered at once through an (targets x 2W) index array taken mod m."""
+    """The gridding sum in one shot: every target's 2W neighbours gathered
+    at once through an (targets x 2W) index array taken mod m, each weighed
+    by the exponential-of-semicircle kernel exp(beta (sqrt(1 - (d/W)^2) - 1))."""
     n = grid.n_samples
     m = NUFFT_OVERSAMPLING * n
-    tau = np.pi * NUFFT_HALF_WIDTH / (n * n * NUFFT_OVERSAMPLING * (NUFFT_OVERSAMPLING - 0.5))
     u = np.fft.fft(np.asarray(values, dtype=complex)) / n
     ks = np.arange(-(n // 2), n // 2 + 1)
     c = u[ks % n]
     c[[0, -1]] *= 0.5
     fine = np.zeros(m, dtype=complex)
-    fine[ks % m] = c * (np.sqrt(np.pi / tau) * np.exp(ks * ks * tau))
+    fine[ks % m] = c * _es_deconvolution(n)
     fine = np.fft.ifft(fine)
     t = np.asarray(theta, dtype=float)
     s = NUFFT_OVERSAMPLING * ((t.reshape(-1) + np.pi / 2) / grid.spacing - 0.5)
     s -= m * np.round(s / m)
     idx = np.floor(s).astype(int)[:, None] + np.arange(1 - NUFFT_HALF_WIDTH, NUFFT_HALF_WIDTH + 1)
     d = s[:, None] - idx
-    weights = np.exp(-((np.pi / m) ** 2 / tau) * d * d)
+    weights = np.exp(np.sqrt(_ES_BETA**2 - (d * (_ES_BETA / NUFFT_HALF_WIDTH)) ** 2) - _ES_BETA)
     out = np.einsum("ij,ij->i", weights, fine[idx % m])
     if t.ndim == 0:
         return out[0]
@@ -247,7 +260,7 @@ ORACLE_SHAPES = {
 
 @settings(max_examples=120, deadline=None)
 @given(
-    # below N = 16 the 2W-point window wraps the 2N-point fine grid more than once
+    # below N = 8 the 2W-point window wraps the 2N-point fine grid more than once
     half_n=st.one_of(st.integers(2, 7), st.integers(8, 512)),
     count=st.sampled_from(ORACLE_COUNTS),
     shape=st.sampled_from(sorted(ORACLE_SHAPES)),
@@ -291,6 +304,52 @@ def test_trig_interpolate_scratch_does_not_grow_with_targets():
     finally:
         tracemalloc.stop()
     assert peak < 4 * out.nbytes
+
+
+@pytest.mark.parametrize("values", [np.arange(10.0), np.arange(6.0), np.ones((2, 8))],
+                         ids=["too-many", "too-few", "2-D"])
+def test_trig_interpolate_refuses_values_off_the_grid(values):
+    shape = re.escape(f"values shape {values.shape} does not match grid (8,)")
+    with pytest.raises(ValueError, match=shape):
+        trig_interpolate(CircleGrid(8), values, 0.3)
+
+
+@pytest.mark.parametrize("n", [4, 16, 1024, 2048])
+def test_es_deconvolution_matches_fine_midpoint_rule(n):
+    # K^(2 pi k / m) = 2 int_0^W K(t) cos(2 pi k t / m) dt by 4096 midpoint nodes
+    m, w = NUFFT_OVERSAMPLING * n, NUFFT_HALF_WIDTH
+    step = w / 4096
+    t = step * (np.arange(4096) + 0.5)
+    kernel = np.exp(_ES_BETA * (np.sqrt(1.0 - (t / w) ** 2) - 1.0))
+    k = np.arange(-(n // 2), n // 2 + 1)
+    want = 2.0 * step * (np.cos(np.outer(2.0 * np.pi * k / m, t)) @ kernel)
+    factor = _es_deconvolution(n)
+    assert not factor.flags.writeable
+    assert np.max(np.abs((m / factor) / want - 1.0)) <= 1e-13
+
+
+def test_first_trig_interpolate_on_new_n_holds_small_temporaries():
+    # the kernel transform of a new n adds no temporary above 64 KiB to
+    # what a warm call holds (its fine grid, block buffers and output)
+    n = 2048
+    grid = CircleGrid(n)
+    rng = np.random.default_rng(n)
+    vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    theta = rng.uniform(-4.0, 4.0, n)
+    trig_interpolate(grid, vals, theta)  # numpy's FFT plans are not the kernel's
+
+    def traced_peak():
+        tracemalloc.start()
+        try:
+            trig_interpolate(grid, vals, theta)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    warm = traced_peak()
+    _es_deconvolution.cache_clear()
+    assert traced_peak() <= warm + 64 * 1024
+    assert _es_deconvolution.cache_info().misses == 1
 
 
 def test_trig_interpolate_non_finite_angle_is_nan():
