@@ -111,12 +111,14 @@ class CircleGrid:
         return -np.pi / 2 + np.pi * (np.arange(n) + 0.5) / n
 
 
-def _store_complex_values(obj, shape: tuple, mismatch: Callable[[tuple], str]) -> np.ndarray:
+def _store_values(obj, shape: tuple, mismatch: Callable[[tuple], str], keep_real: bool = False) -> np.ndarray:
     """Replace obj.values, on a frozen dataclass, by a contiguous complex copy.
 
+    With keep_real, values of a real dtype are stored as float64 instead.
     Raises ValueError(mismatch(got)) when the array's shape is not `shape`.
     """
-    v = np.ascontiguousarray(obj.values, dtype=complex)
+    real = keep_real and not np.iscomplexobj(obj.values)
+    v = np.ascontiguousarray(obj.values, dtype=float if real else complex)
     if v.shape != shape:
         raise ValueError(mismatch(v.shape))
     object.__setattr__(obj, "values", v)
@@ -140,7 +142,7 @@ class Sampled:
 
     def __post_init__(self):
         n = self.grid.n_samples
-        v = _store_complex_values(self, (n,), lambda got: f"values shape {got} does not match grid ({n},)")
+        v = _store_values(self, (n,), lambda got: f"values shape {got} does not match grid ({n},)")
         if not np.all(np.isfinite(v.view(float))):
             raise ValueError("signal values must be finite")
 

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import (WEAK_DECAY_TOL, CircleGrid, CircleSignal, _checked_spectrum, _store_complex_values,
+from .circle import (WEAK_DECAY_TOL, CircleGrid, CircleSignal, _checked_spectrum, _store_values,
                      _weak_sum_ok, edge_fraction, rep_action)
 from .errors import DecayError, require_positive
 
@@ -127,7 +127,7 @@ class FourierCoeffs:
 
     def __post_init__(self):
         count = 2 * self.n_max + 1
-        _store_complex_values(self, (count,), lambda got: f"expected {count} coefficients, got {got}")
+        _store_values(self, (count,), lambda got: f"expected {count} coefficients, got {got}")
 
     @property
     def ns(self) -> np.ndarray:
@@ -475,7 +475,7 @@ class Scalogram:
 
     def __post_init__(self):
         shape = (self.scales.count, self.angles.n_samples)
-        _store_complex_values(self, shape, lambda got: f"values shape {got} does not match {shape}")
+        _store_values(self, shape, lambda got: f"values shape {got} does not match {shape}")
         # _check_n_max reads None as the default band; a scalogram holds its band
         if not isinstance(self.n_max, (int, np.integer)):
             raise ValueError(f"n_max must be an integer, got {self.n_max!r}")

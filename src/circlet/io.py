@@ -14,7 +14,9 @@ without a `table` object, such as an older file, reads with table None.
 A scalogram (`circlet/scalogram-v2`) is a JSON header `<stem>.json` plus a
 binary payload `<stem>.npy`: the (scales, angles|positions) array as
 little-endian complex128 (`<c16`), byte for byte what `np.save` writes
-without pickling, but written and hashed straight from the array's memory.
+without pickling, but written and hashed a block of rows at a time straight
+from the array's memory, or, for a float64 line scalogram, from each block
+converted in turn.
 The header holds the grids, the payload's file name, dtype, shape and
 sha256, and for a circle scalogram the wavelet fingerprint.  One payload
 writer and one reader serve scalograms and report tables.  The reader
@@ -42,6 +44,7 @@ import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -61,6 +64,7 @@ KIND_LINE = "line-uniform"
 GRID_MATCH_TOL = 1e-9
 TABLE_MATCH_TOL = 1e-12  # relative to the largest lambda
 NPY_HEADER_MAX = 10 + 10000  # magic, length field and the largest header np.load accepts
+PAYLOAD_BLOCK = 1 << 18  # bytes of <c16 payload written, and converted from another dtype, at a time
 
 
 def _sidecar(path: Path) -> Path:
@@ -74,6 +78,11 @@ def atomic_write_text(path: Path, *chunks: str | bytes | memoryview | np.ndarray
     kernel applies it, so no thread ever changes the umask), which the
     rename keeps: the same mode a plain open(path, "w") would give.
     """
+    _atomic_write(path, "w" if isinstance(chunks[0], str) else "wb", chunks)
+
+
+def _atomic_write(path: Path, mode: str, chunks: Iterable[str | bytes | memoryview | np.ndarray]):
+    """atomic_write_text for chunks of one kind, given by an iterable that may make them as it goes."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
@@ -81,7 +90,7 @@ def atomic_write_text(path: Path, *chunks: str | bytes | memoryview | np.ndarray
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_CLOEXEC", 0) | getattr(os, "O_BINARY", 0)
     fd = os.open(tmp, flags, 0o666)
     try:
-        with os.fdopen(fd, "w" if isinstance(chunks[0], str) else "wb") as fh:
+        with os.fdopen(fd, mode) as fh:
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)
@@ -275,7 +284,7 @@ def write_report(path, report: AdmissibilityReport):
         except OSError:
             held = None
         if held != checks["sha256"]:
-            atomic_write_text(payload, *chunks)
+            _atomic_write(payload, "wb", chunks)
         obj["table"] = {"payload": payload.name, **checks}
     atomic_write_text(path, _dump_json(obj))
 
@@ -346,25 +355,35 @@ def write_scalogram(stem, scal: Scalogram | LineScalogram):
     }
     chunks, checks = _payload(scal.values)
     payload = Path(str(stem) + ".npy")
-    atomic_write_text(payload, *chunks)
+    _atomic_write(payload, "wb", chunks)
     meta.update(payload=payload.name, **checks)
     atomic_write_text(Path(str(stem) + ".json"), _dump_json(meta))
 
 
-def _payload(values: np.ndarray) -> tuple[tuple[bytes, np.ndarray], dict]:
+def _payload(values: np.ndarray) -> tuple[Iterator[bytes | np.ndarray], dict]:
     """The .npy bytes of values as <c16, and the header fields dtype, shape and sha256 that check them.
 
-    The bytes are np.save's, as a header and a view of the array's own
-    memory, hashed without a copy.
+    The bytes are np.save's: a header, then the rows PAYLOAD_BLOCK bytes
+    at a time, each block a view of a contiguous <c16 array's own memory
+    or, for any other array, a converted copy, so that a float64 scalogram
+    is never copied whole.  They are hashed here, and come again from the
+    iterator for the write.
     """
-    values = np.ascontiguousarray(values, dtype=PAYLOAD_DTYPE)
     header = io.BytesIO()
-    np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(values))
-    data = values.reshape(-1).view(np.uint8)
-    digest = hashlib.sha256(header.getvalue())
-    digest.update(data)
-    return (header.getvalue(), data), {"dtype": PAYLOAD_DTYPE, "shape": list(values.shape),
-                                       "sha256": digest.hexdigest()}
+    np.lib.format.write_array_header_1_0(header, {"descr": PAYLOAD_DTYPE, "fortran_order": False,
+                                                  "shape": values.shape})
+    header = header.getvalue()
+    step = max(1, PAYLOAD_BLOCK // (16 * values.shape[1]))
+
+    def chunks():
+        yield header
+        for lo in range(0, len(values), step):
+            yield np.ascontiguousarray(values[lo:lo + step], dtype=PAYLOAD_DTYPE).reshape(-1).view(np.uint8)
+
+    digest = hashlib.sha256()
+    for chunk in chunks():
+        digest.update(chunk)
+    return chunks(), {"dtype": PAYLOAD_DTYPE, "shape": list(values.shape), "sha256": digest.hexdigest()}
 
 
 def _read_payload(stem: Path, meta: dict, shape: tuple[int, int]) -> np.ndarray:

@@ -16,7 +16,10 @@ exponential-of-semicircle NUFFT shared with `circle.trig_interpolate`, so
 scales below the grid spacing do not alias.  A real wavelet's transform
 runs on real FFTs, one per nonzero real component of the data; each
 component keeps only the real part of its product at the Nyquist bin, as
-a real row must.  Analysis and synthesis share one read-only table per
+a real row must.  So a real signal and a real wavelet have an exactly
+real scalogram, and it is stored as float64, half the bytes of the
+complex128 that every other scalogram is stored in; files hold either as
+complex128.  Analysis and synthesis share one read-only table per
 (wavelet, grid, scale grid) from a small memo, as the circle's analysis
 and synthesis share `cwt.dilated_coeffs`.
 
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import (NUFFT_OVERSAMPLING, WEAK_DECAY_TOL, Sampled, _nufft_evaluator, _store_complex_values,
+from .circle import (NUFFT_OVERSAMPLING, WEAK_DECAY_TOL, Sampled, _nufft_evaluator, _store_values,
                      _weak_sum_ok, edge_fraction)
 from .cwt import MODE_FLOOR, TABLE_MEMO_SIZE, ScaleGrid
 from .errors import require_positive
@@ -158,7 +161,12 @@ LineScaleGrid = LogGrid = ScaleGrid
 
 @dataclass(frozen=True, eq=False)
 class LineScalogram:
-    """Affine wavelet coefficients on translate x scale; b-grid = signal grid."""
+    """Affine wavelet coefficients on translate x scale; b-grid = signal grid.
+
+    Values of a real dtype are stored as a contiguous float64 array, and
+    complex ones as complex128: line_analyze gives float64 values exactly
+    when both the signal and the wavelet are real.
+    """
 
     scales: ScaleGrid
     grid: LineGrid
@@ -166,7 +174,7 @@ class LineScalogram:
 
     def __post_init__(self):
         shape = (self.scales.count, self.grid.n_samples)
-        _store_complex_values(self, shape, lambda got: f"values shape {got} does not match {shape}")
+        _store_values(self, shape, lambda got: f"values shape {got} does not match {shape}", keep_real=True)
 
 
 def dilated_spectra(gamma: LineSignal, grid: LineGrid, scales: ScaleGrid) -> np.ndarray:
@@ -230,11 +238,14 @@ def line_analyze(psi: LineSignal, gamma: LineSignal, scales: ScaleGrid) -> LineS
     inverse FFT: a circular cross-correlation over the periodized window,
     so both signals must decay inside the window for the wraparound to be
     harmless.  A complex wavelet's full table takes one batched complex
-    inverse FFT.  A real wavelet takes real FFTs per nonzero real component
-    of psi, SPECTRA_BLOCK scales at a time, each into its own part of the
-    scalogram; a component's product keeps only its real part at the
-    Nyquist bin, as a real row must, so a real psi has an exactly real
-    scalogram.
+    inverse FFT into complex128 values.  A real wavelet takes real FFTs per
+    nonzero real component of psi, SPECTRA_BLOCK scales at a time, each
+    into its own part of the scalogram; a component's product keeps only
+    its real part at the Nyquist bin, as a real row must.  So a real psi
+    has an exactly real scalogram, whose inverse FFTs are written straight
+    into the rows of float64 values; a complex psi's fill the real and
+    imaginary parts of complex128 values.  A component that is zero gives
+    +0.0 rows.
     """
     g = psi.grid
     table = dilated_spectra(gamma, g, scales)
@@ -243,10 +254,12 @@ def line_analyze(psi: LineSignal, gamma: LineSignal, scales: ScaleGrid) -> LineS
         out = np.conjugate(table)
         out *= g.spacing * np.fft.fft(psi.values)
         return LineScalogram(scales=scales, grid=g, values=np.fft.ifft(out, axis=1, out=out))
-    out = np.zeros((scales.count, n), dtype=complex)
+    real = not np.any(psi.values.imag)
+    out = np.empty((scales.count, n), dtype=float if real else complex)
     buf = np.empty((min(SPECTRA_BLOCK, scales.count), w), dtype=complex)
-    for part, dest in ((psi.values.real, out.real), (psi.values.imag, out.imag)):
+    for part, dest in zip((psi.values.real, psi.values.imag), (out,) if real else (out.real, out.imag)):
         if not np.any(part):
+            dest[...] = 0.0
             continue
         f = g.spacing * np.fft.rfft(part)
         for lo in range(0, scales.count, SPECTRA_BLOCK):
@@ -256,6 +269,39 @@ def line_analyze(psi: LineSignal, gamma: LineSignal, scales: ScaleGrid) -> LineS
             # irfft reads only the real part of the Nyquist bin
             np.fft.irfft(block, n, axis=1, out=dest[lo:lo + SPECTRA_BLOCK])
     return LineScalogram(scales=scales, grid=g, values=out)
+
+
+def _weighted_sums(values: np.ndarray, table: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per frequency, sum over scales of weights * transform(row) * table row: A and B.
+
+    A complex wavelet's full sum sits in A.  Float64 rows take their real
+    FFTs directly; complex rows split into real and imaginary parts, and
+    the imaginary parts are checked per block, in cache, by their bits
+    (nan and -0.0 count), so a block with none adds nothing to B.  The
+    block buffer is freed on return, before the caller unfolds the sums.
+    """
+    w = table.shape[1]
+    sums = np.zeros((2, w), dtype=complex)
+    # one block buffer and no temporaries: large transients here fragment
+    # the heap that the caller's next scalogram is allocated from
+    buf = np.empty((min(SPECTRA_BLOCK, len(values)), w), dtype=complex)
+    transform = np.fft.fft if w == values.shape[1] else np.fft.rfft
+    for lo in range(0, len(values), SPECTRA_BLOCK):
+        rows = values[lo:lo + SPECTRA_BLOCK]
+        parts = [rows]
+        if transform is np.fft.rfft and rows.dtype == complex:
+            nonzero = np.bitwise_or.reduce(rows.imag.view(np.uint64), axis=None)
+            parts = [rows.real] + ([rows.imag] if nonzero else [])
+        for acc, part in zip(sums, parts):
+            block = transform(part, axis=1, out=buf[:len(rows)])
+            block *= table[lo:lo + SPECTRA_BLOCK]
+            # weighted row by row: weights @ block is slow for real @ complex and wakes
+            # OpenBLAS's other threads and their buffers, and a broadcast product takes
+            # numpy iterator buffers several times a row's size
+            for row, weight in zip(block, weights[lo:lo + SPECTRA_BLOCK]):
+                row *= weight
+            acc += block.sum(axis=0)
+    return sums
 
 
 def line_synthesize(
@@ -269,36 +315,20 @@ def line_synthesize(
     transformed, multiplied by dilated_spectra and summed over scales with
     the weights db da/a^2.  A complex wavelet's full table takes one
     batched complex FFT per block.  A real wavelet's takes real FFTs per
-    nonzero real component of the block: the real parts sum into the
-    half-spectrum A and the imaginary parts into B, each kept real at the
-    Nyquist bin as a real row's must be, and the full spectrum is A + iB
-    at k[m], m <= n/2, and conj A + i conj B at k[n - m].  Normalized per
-    frequency half-line by 2 pi C_sgn(k) (the exact resolution constant);
-    frequencies on a half-line with constant below MODE_FLOOR * C_total
-    are dropped, k = 0 included.
+    nonzero real component of the block, and float64 rows take theirs
+    directly: the real parts sum into the half-spectrum A and the
+    imaginary parts into B, each kept real at the Nyquist bin as a real
+    row's must be, and the full spectrum is A + iB at k[m], m <= n/2, and
+    conj A + i conj B at k[n - m].  Normalized per frequency half-line by
+    2 pi C_sgn(k) (the exact resolution constant); frequencies on a
+    half-line with constant below MODE_FLOOR * C_total are dropped, k = 0
+    included.
     """
     g = scalogram.grid
     scales = scalogram.scales
     table = dilated_spectra(gamma, g, scales)
     n, w = g.n_samples, table.shape[1]
-    weights = g.spacing * scales.log_weights / scales.nodes  # db da/a^2
-    sums = np.zeros((2, w), dtype=complex)  # A and B; a complex wavelet's full sum in A
-    # one block buffer and no temporaries: large transients here fragment
-    # the heap that the caller's next scalogram is allocated from
-    buf = np.empty((min(SPECTRA_BLOCK, scales.count), w), dtype=complex)
-    transform = np.fft.fft if w == n else np.fft.rfft
-    for lo in range(0, scales.count, SPECTRA_BLOCK):
-        rows = scalogram.values[lo:lo + SPECTRA_BLOCK]
-        # imaginary parts are checked per block, in cache, by their bits (nan and -0.0 count)
-        nonzero = w < n and np.bitwise_or.reduce(rows.imag.view(np.uint64), axis=None)
-        parts = [rows] if w == n else [rows.real] + ([rows.imag] if nonzero else [])
-        for acc, part in zip(sums, parts):
-            block = transform(part, axis=1, out=buf[:len(rows)])
-            block *= table[lo:lo + SPECTRA_BLOCK]
-            # a weighted sum, not weights @ block: numpy's real @ complex is slow, and
-            # a BLAS product here wakes OpenBLAS's other threads and their buffers
-            block *= weights[lo:lo + SPECTRA_BLOCK, None]
-            acc += block.sum(axis=0)
+    sums = _weighted_sums(scalogram.values, table, g.spacing * scales.log_weights / scales.nodes)  # db da/a^2
     acc_hat, b = sums
     if w < n:  # unfold A + iB; a real row's Nyquist bin is real
         sums[:, -1] = sums[:, -1].real

@@ -831,3 +831,38 @@ def test_payload_is_held_in_memory_once(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(back.values, values)
     assert size < peak < 1.25 * size
+
+
+def _float_line_scalogram():
+    grid, scales = LineGrid(-16.0, 16.0, 2048), ScaleGrid(1e-2, 1e2, 200)
+    values = np.cos(np.arange(scales.count)[:, None] + grid.nodes) * np.exp(-grid.nodes ** 2)
+    values[1, 3] = -0.0  # a signed zero keeps its sign in the <c16 payload
+    return LineScalogram(scales, grid, values)
+
+
+def test_float_line_scalogram_writes_its_complex_copys_bytes(tmp_path):
+    scal = _float_line_scalogram()
+    copy = LineScalogram(scal.scales, scal.grid, scal.values.astype(complex))
+    assert (scal.values.dtype, copy.values.dtype) == (np.float64, np.complex128)
+    write_scalogram(tmp_path / "f", scal)
+    write_scalogram(tmp_path / "c", copy)
+    assert (tmp_path / "f.npy").read_bytes() == (tmp_path / "c.npy").read_bytes()
+    header = json.loads((tmp_path / "f.json").read_text())
+    header["payload"] = "c.npy"
+    assert json.loads((tmp_path / "c.json").read_text()) == header
+    for stem in ("f", "c"):
+        back = read_scalogram(tmp_path / stem)
+        assert back.values.dtype == np.complex128
+        assert back.values.tobytes() == copy.values.tobytes()
+
+
+def test_float_line_scalogram_writes_without_a_complex_copy(tmp_path):
+    # the <c16 payload is converted a block of rows at a time, never whole
+    scal = _float_line_scalogram()
+    tracemalloc.start()
+    try:
+        write_scalogram(tmp_path / "f", scal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * scal.values.nbytes

@@ -202,13 +202,62 @@ def test_one_imaginary_entry_adds_its_own_synthesis():
     mh = mexican_hat()
     adm = line_admissibility(mh)
     scal = line_analyze(band_signal(), mh, LineScaleGrid(1e-2, 1e2, 200))
-    spike = np.zeros_like(scal.values)
+    spike = np.zeros(scal.values.shape, dtype=complex)
     spike[103, 777] = 1j
     base = line_synthesize(scal, mh, adm).values
     edited = line_synthesize(LineScalogram(scal.scales, GRID, scal.values + spike), mh, adm).values
     alone = line_synthesize(LineScalogram(scal.scales, GRID, spike), mh, adm).values
     assert np.max(np.abs(alone)) > 1e-6 * np.max(np.abs(base))  # a skipped block would show
     assert np.max(np.abs(edited - base - alone)) <= 1e-12 * np.max(np.abs(base))
+
+
+def odd_wavelet():
+    # the complex wavelet of test_complex_wavelet_round_trips_like_its_real_part
+    return LineSignal.from_evaluator(GRID, lambda x: (1 - x * x + 1j * (3 * x - x**3)) * np.exp(-0.5 * x * x))
+
+
+@pytest.mark.parametrize("complex_signal, complex_wavelet, dtype", [
+    (False, False, np.float64), (True, False, np.complex128),
+    (False, True, np.complex128), (True, True, np.complex128)])
+def test_line_scalogram_is_float_only_for_a_real_signal_and_a_real_wavelet(complex_signal, complex_wavelet, dtype):
+    f = band_signal()
+    if complex_signal:
+        f = LineSignal(GRID, f.values * np.exp(0.5j * GRID.nodes))
+    scal = line_analyze(f, odd_wavelet() if complex_wavelet else mexican_hat(), LineScaleGrid(0.3, 3.0, 5))
+    assert scal.values.dtype == dtype and scal.values.flags.c_contiguous
+
+
+@pytest.mark.parametrize("values, dtype", [
+    (np.ones((2, 8)), np.float64), (np.ones((2, 8), dtype=np.float32), np.float64),
+    (np.ones((2, 8), dtype=int), np.float64), (np.ones((2, 8), dtype=complex), np.complex128),
+    (np.ones((2, 8), dtype=np.complex64), np.complex128), (np.ones((8, 2)).T, np.float64)])
+def test_line_scalogram_stores_real_values_as_float64(values, dtype):
+    scal = LineScalogram(LineScaleGrid(0.5, 2.0, 2), LineGrid(-1.0, 1.0, 8), values)
+    assert scal.values.dtype == dtype and scal.values.flags.c_contiguous
+    assert np.array_equal(scal.values, values)
+
+
+def test_zero_signals_give_zero_scalograms():
+    # every component a real wavelet skips is written as +0.0, in float and complex storage
+    mh, scales = mexican_hat(), LineScaleGrid(1e-2, 1e2, 200)
+    zero = line_analyze(LineSignal(GRID, np.zeros(GRID.n_samples)), mh, scales).values
+    assert zero.dtype == np.float64
+    assert not np.any(zero) and not np.any(np.signbit(zero))
+    f = band_signal()
+    imaginary = line_analyze(LineSignal(GRID, 1j * f.values), mh, scales).values
+    assert not np.any(imaginary.real) and not np.any(np.signbit(imaginary.real))
+    assert np.array_equal(imaginary.imag, line_analyze(f, mh, scales).values)
+
+
+@pytest.mark.parametrize("gamma", [mexican_hat, odd_wavelet])
+def test_float_scalogram_synthesizes_as_its_complex_copy(gamma):
+    gamma = gamma()
+    adm = line_admissibility(gamma)
+    scal = line_analyze(band_signal(), mexican_hat(), LineScaleGrid(1e-2, 1e2, 200))
+    copy = LineScalogram(scal.scales, GRID, scal.values.astype(complex))
+    assert (scal.values.dtype, copy.values.dtype) == (np.float64, np.complex128)
+    rec = line_synthesize(scal, gamma, adm).values
+    assert rec.tobytes() == line_synthesize(copy, gamma, adm).values.tobytes()
 
 
 def test_log_grid():

@@ -6,12 +6,14 @@
 
 Runs `python -m circlet.cli` with `--src DIR` first on PYTHONPATH, in a
 temporary directory holding a seeded 1024-sample circle signal (modes
-|n| <= 8), a line packet and a complex line wavelet (`sig.csv`,
-`line.csv`, `odd.csv`).  It runs each command of the README's command
-block, then `icwt` against a 40-scale report, a line scalogram written to
-disk and a line round trip with the complex wavelet, and prints one
-`md5  name` line per stdout, stderr and exit code of each command, and per
-file the commands wrote.  The source directory and the
+|n| <= 8), a real and a complex line packet and a complex line wavelet
+(`sig.csv`, `line.csv`, `cline.csv`, `odd.csv`).  It runs each command of
+the README's command block, then `icwt` against a 40-scale report, and the
+line transform in each way it stores a scalogram: the Mexican hat on the
+real packet (float64 values) and on the complex one (complex128), written
+to disk and round-tripped, and a round trip with the complex wavelet.  It
+prints one `md5  name` line per stdout, stderr and exit code of each
+command, and per file the commands wrote.  The source directory and the
 temporary directory are masked in stdout and stderr, so two trees give the
 same digest exactly when they give the same output.  Uses only the
 standard library; the input files are written here, not by circlet, so
@@ -42,6 +44,8 @@ EXTRA = [
     " --out lscal",
     "circlet line-cwt --wavelet odd.csv --signal line.csv --scale-min 1e-2 --scale-max 1e2 --scale-count 200"
     " --roundtrip",
+    "circlet line-cwt --builtin mexican-hat --signal cline.csv --scale-min 1e-2 --scale-max 1e2 --scale-count 200"
+    " --out clscal --roundtrip",
 ]
 
 
@@ -68,6 +72,10 @@ def write_inputs(where: Path):
     xs = [lo + (hi - lo) / n * k for k in range(n)]
     packet = [complex(math.cos(5.0 * x) * math.exp(-0.5 * x * x)) for x in xs]
     write_signal(where, "line", "line-uniform", (lo, hi), xs, packet)
+    # a packet at k0 = 4 plus a real part: a real wavelet transforms both components
+    cpacket = [complex(math.cos(4.0 * x), math.sin(4.0 * x)) * math.exp(-0.5 * (x - 1.0) ** 2)
+               + math.cos(3.0 * x) * math.exp(-x * x / 3.0) for x in xs]
+    write_signal(where, "cline", "line-uniform", (lo, hi), xs, cpacket)
     # a complex wavelet whose spectrum at -k is not the conjugate of the one at +k
     odd = [complex(1.0 - x * x, 3.0 * x - x ** 3) * math.exp(-0.5 * x * x) for x in xs]
     write_signal(where, "odd", "line-uniform", (lo, hi), xs, odd)
