@@ -131,9 +131,10 @@ class Sampled:
 
     The grid supplies `n_samples`, `nodes` and `spacing`, the uniform
     quadrature step of its measure.  Subclasses supply `_interpolate`, the
-    evaluation of the samples between nodes.  Samples built by
-    `from_evaluator` are the evaluator at the nodes, so the two views agree
-    by construction.
+    evaluation of the samples between nodes.  A signal with an evaluator is
+    sampled at the nodes on the first read of `values`, checked as given
+    samples are at construction; a refused read keeps nothing and raises
+    the same ValueError on the next one.
     """
 
     grid: Any
@@ -146,9 +147,23 @@ class Sampled:
         if not np.all(np.isfinite(v.view(float))):
             raise ValueError("signal values must be finite")
 
+    def __getattr__(self, name: str):
+        # reached only for a missing attribute; a fresh Sampled checks the samples before they are kept
+        if name != "values":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return self.__dict__.setdefault("values", Sampled(self.grid, self.evaluator(self.grid.nodes)).values)
+
     @classmethod
     def from_evaluator(cls, grid, fn: Callable):
-        return cls(grid, np.asarray(fn(grid.nodes), dtype=complex), evaluator=fn)
+        """The exact signal fn on grid, sampled (and any refusal raised) on the first read of `values`."""
+        signal = object.__new__(cls)
+        signal.__dict__.update(grid=grid, evaluator=fn)
+        return signal
+
+    @classmethod
+    def derived(cls, grid, fn: Callable, source: "Sampled"):
+        """fn on grid, fn calling source: exact (sampled on first read) iff source is, else sampled now."""
+        return cls.from_evaluator(grid, fn) if source.evaluator is not None else cls(grid, fn(grid.nodes))
 
     def __call__(self, x) -> np.ndarray:
         """Evaluate at arbitrary points: exactly if possible, else by
@@ -334,8 +349,7 @@ def rep_action(
         w = np.sqrt(lam) * np.exp(1j * s * np.log(lam)) if s else np.sqrt(lam)
         return w * gamma(dilate_angle(d, inv))
 
-    grid = gamma.grid
-    return CircleSignal(grid, acted(grid.nodes), acted if gamma.evaluator is not None else None)
+    return CircleSignal.derived(gamma.grid, acted, gamma)
 
 
 def _spectral_derivative(grid: CircleGrid, spectrum: np.ndarray) -> np.ndarray:

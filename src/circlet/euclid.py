@@ -49,7 +49,7 @@ def i_r_map(gamma: CircleSignal, line_grid: LineGrid, params: ContractionParams)
         x = np.asarray(x, dtype=float)
         return gamma(np.arctan(x / R)) / np.sqrt(1.0 + (x / R) ** 2)
 
-    return LineSignal(line_grid, f(line_grid.nodes), f if gamma.evaluator is not None else None)
+    return LineSignal.derived(line_grid, f, gamma)
 
 
 def i_r_inverse(f: LineSignal, circle_grid: CircleGrid, params: ContractionParams) -> CircleSignal:
@@ -71,7 +71,7 @@ def i_r_inverse(f: LineSignal, circle_grid: CircleGrid, params: ContractionParam
         t = np.asarray(t, dtype=float)
         return f(R * np.tan(t)) / np.cos(t)
 
-    return CircleSignal(circle_grid, g(circle_grid.nodes), g if f.evaluator is not None else None)
+    return CircleSignal.derived(circle_grid, g, f)
 
 
 def stereo_project(gamma: CircleSignal, line_grid: LineGrid) -> LineSignal:

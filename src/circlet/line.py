@@ -98,7 +98,7 @@ def affine_action(f: LineSignal, a: float, b: float) -> LineSignal:
     def acted(x):
         return a ** -0.5 * f((np.asarray(x, dtype=float) - b) / a)
 
-    return LineSignal(f.grid, acted(f.grid.nodes), acted if f.evaluator is not None else None)
+    return LineSignal.derived(f.grid, acted, f)
 
 
 def spectrum(f: LineSignal) -> np.ndarray:
@@ -359,4 +359,4 @@ def rplus_action(phi: RPlusFunction, a: float, b: float) -> RPlusFunction:
         r = np.asarray(r, dtype=float)
         return np.exp(-1j * r * b) * phi(a * r)
 
-    return RPlusFunction(phi.grid, acted(phi.grid.nodes), acted if phi.evaluator is not None else None)
+    return RPlusFunction.derived(phi.grid, acted, phi)

@@ -374,6 +374,10 @@ def test_admissibility_default_n_max_follows_grid(tmp_path):
     (["admissibility", "--scale-count", "1"], None, "2 scale nodes"),
     # a 1.79 EiB table: larger than any address space, so it fails at once
     (["admissibility", "--scale-count", "1000000000000000"], None, "Unable to allocate"),
+    # a 7.11 PiB grid: a builtin wavelet refuses it when its samples are first read
+    (["admissibility", "--n-samples", "1000000000000000", "--out", "{tmp}/report.json"], None,
+     "Unable to allocate"),
+    (["euclid", "--n-samples", "1000000000000000"], None, "Unable to allocate"),
     (["admissibility", "--n-max", "0"], None, "n_max must be at least 1, got 0"),
     # 1e400 reads as inf: an ill-posed question, not a negative verdict
     (["admissibility", "--scale-max", "1e400"], None, "need 0 < a_min < a_max < inf, got [0.001, inf]"),
@@ -396,8 +400,8 @@ def test_admissibility_default_n_max_follows_grid(tmp_path):
      "n_max 128 at k = 1.0 is beyond the 128-node Gauss-Laguerre rule, exact only while 2 n_max + 2k - 1 <= 255"),
 ], ids=["subcommand", "n-max", "R-list", "pairs-arity", "pairs-value", "points-kind", "points-count",
         "dog-ratio", "dog-variant", "builtin", "line-signal", "threads-abc", "threads-0", "scale-count",
-        "scale-memory", "n-max-0", "scale-max-inf", "R-list-inf", "pairs-nan", "line-cwt-missing-signal",
-        "line-cwt-scale-min", "laguerre-n-max", "laplace-n-max", "points-zero", "laguerre-rule", "laplace-rule"])
+        "scale-memory", "wavelet-memory", "euclid-memory", "n-max-0", "scale-max-inf", "R-list-inf", "pairs-nan",
+        "line-cwt-missing-signal", "line-cwt-scale-min", "laguerre-n-max", "laplace-n-max", "points-zero", "laguerre-rule", "laplace-rule"])
 def test_refusals_share_one_shape(tmp_path, args, env, says):
     line = tmp_path / "line.csv"
     write_signal(line, LineSignal.from_evaluator(LineGrid(-8.0, 8.0, 64), lambda x: np.exp(-x * x)))

@@ -1,5 +1,8 @@
 """The shared sampled-function base and the single-path group actions."""
 
+import functools
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,16 +14,22 @@ from circlet import (
     CircleSignal,
     ContractionParams,
     GridMismatchError,
+    LaguerreBasisSpec,
     LineGrid,
     LineSignal,
     LogGrid,
     RPlusFunction,
     affine_action,
+    euclidean_limit_error,
     i_r_inverse,
     i_r_map,
+    laguerre_function,
+    make_dog,
     rep_action,
     rplus_action,
+    smooth_bump,
 )
+from circlet import laguerre
 
 CGRID = CircleGrid(64)
 LGRID = LineGrid(-16.0, 16.0, 128)
@@ -117,3 +126,88 @@ def test_actions_carry_an_evaluator_iff_the_input_does(name, exact, width, a, b)
     if exact:
         again = np.asarray(out.evaluator(out.grid.nodes), dtype=complex)
         assert again.tobytes() == out.values.tobytes()
+
+
+@pytest.mark.parametrize("cls, grid", [(CircleSignal, CGRID), (LineSignal, LGRID), (RPlusFunction, RGRID)])
+@pytest.mark.parametrize("bad, says", [
+    (lambda x: np.where(np.arange(len(x)) == 5, np.nan, 1.0), "signal values must be finite"),
+    (lambda x: np.where(np.arange(len(x)) == 5, np.inf, 1.0), "signal values must be finite"),
+    (lambda x: np.where(np.arange(len(x)) == 5, -np.inf, 1.0), "signal values must be finite"),
+    (lambda x: np.ones(len(x) + 1), r"values shape \(\d+,\) does not match grid"),
+], ids=["nan", "inf", "-inf", "shape"])
+def test_a_refused_exact_signal_stays_refused(cls, grid, bad, says):
+    # each check builds the signal on first use, so eager sampling, which refuses when the
+    # signal is built, meets the same contract: no read ever returns refused samples
+    signal = functools.cache(lambda: cls.from_evaluator(grid, bad))
+    for read in (lambda: signal().values, lambda: signal().values, lambda: signal().norm()):
+        with pytest.raises(ValueError, match=says):
+            read()
+
+
+def _counted(fn):
+    """A copy of fn that records the shape of each argument, and the list it records into."""
+    calls = []
+
+    def counting(x):
+        calls.append(np.shape(x))
+        return fn(x)
+
+    return counting, calls
+
+
+@pytest.mark.parametrize("name", sorted(ACTIONS))
+def test_an_exact_action_calls_its_source_on_first_read_only(name):
+    build, act = ACTIONS[name]
+    src = build(1.0, exact=True)
+    ev, calls = _counted(src.evaluator)
+    src = type(src).from_evaluator(src.grid, ev)
+    assert calls == []
+    src.values  # i_r_inverse reads its source's samples for the edge guard
+    calls.clear()
+    out = act(src, 1.5, 0.3)
+    assert calls == []
+    out(np.array([0.1, 0.2]))  # a call off the grid takes no samples
+    assert calls == [(2,)]
+    out.values
+    out.values
+    assert calls == [(2,), (out.grid.n_samples,)]
+
+
+def test_euclidean_limit_error_samples_f_three_times():
+    # f's own samples (support guard and edge guard), the round trip's, the affine target's
+    ev, calls = _counted(smooth_bump(1.0))
+    f = LineSignal.from_evaluator(LineGrid(-16.0, 16.0, 2048), ev)
+    euclidean_limit_error(f, 0.7, 2.0, ContractionParams(10.0))
+    assert len(calls) == 3
+
+
+def test_laguerre_functions_are_sampled_on_first_read(monkeypatch):
+    calls, basis = [], laguerre.laguerre_basis
+    counting = lambda spec, n, r: calls.append(np.shape(r)) or basis(spec, n, r)
+    monkeypatch.setattr(laguerre, "laguerre_basis", counting)
+    ladder = [laguerre_function(LaguerreBasisSpec(k=1.0), n, RGRID) for n in range(5)]
+    assert calls == []
+    ladder[2].values
+    assert calls == [(RGRID.n_samples,)]
+
+
+@dataclass(frozen=True)
+class _CountingGrid(CircleGrid):
+    """A circle grid that counts reads of its nodes, one per sample set taken."""
+
+    reads: list = field(default_factory=list, compare=False)
+
+    @property
+    def nodes(self):
+        self.reads.append(None)
+        return super().nodes
+
+
+def test_make_dog_samples_only_the_wavelet_on_first_read():
+    grid = _CountingGrid(64)
+    dog = make_dog(2.0, grid=grid)
+    assert grid.reads == []
+    dog(np.array([0.1, 0.2]))
+    assert grid.reads == []
+    assert np.array_equal(dog.values, make_dog(2.0, grid=CGRID).values)
+    assert len(grid.reads) == 1
