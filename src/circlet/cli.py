@@ -26,6 +26,7 @@ from .cwt import (
     DEFAULT_SCALE_MIN,
     ScaleGrid,
     Scalogram,
+    _relative,
     analyze,
     fourier_coeffs,
     frame_bounds,
@@ -192,7 +193,7 @@ def cmd_frame(args) -> int:
     predicted = float(np.pi * np.sum(report.lambdas * np.abs(coeffs.values) ** 2))
     scal = analyze(probe, gamma, scales=report.scales, n_max=report.n_max)
     measured = scal.energy()
-    rel = abs(measured - predicted) / predicted
+    rel = _relative(abs(measured - predicted), predicted)
     print(f"diagonal energy: {predicted!r}")
     print(f"transform energy: {measured!r}")
     print(f"relative deviation: {rel!r}")
@@ -237,7 +238,7 @@ def cmd_line_cwt(args) -> int:
     if args.roundtrip:
         rec = line_synthesize(scal, gamma, adm)
         err = LineSignal(sig.grid, rec.values - sig.values).norm()
-        print(f"round trip relative error: {err / sig.norm()!r}")
+        print(f"round trip relative error: {_relative(err, sig.norm())!r}")
     return EXIT_OK
 
 

@@ -197,13 +197,14 @@ def _mode_sum(weights: np.ndarray, grid: CircleGrid) -> np.ndarray:
     return np.fft.ifft(out, axis=-1, norm="forward", out=out)
 
 
-def _row_spectra(values: np.ndarray):
-    """(rows, FFT over the last axis of values[rows]), SPECTRUM_BLOCK rows at a
-    time into one reused buffer, so no spectrum of the whole 2-d array is held."""
-    buf = np.empty((min(SPECTRUM_BLOCK, len(values)), values.shape[-1]), dtype=complex)
-    for lo in range(0, len(values), SPECTRUM_BLOCK):
-        block = values[lo:lo + SPECTRUM_BLOCK]
-        yield slice(lo, lo + len(block)), np.fft.fft(block, axis=-1, out=buf[:len(block)])
+def _row_spectra(values: np.ndarray, rows: int = SPECTRUM_BLOCK, transform=np.fft.fft):
+    """(row slice, transform over the last axis of values[row slice]), `rows` rows at a time into
+    one reused buffer (n/2 + 1 wide for rfft), so no spectrum of the whole 2-d array is held."""
+    n = values.shape[-1]
+    buf = np.empty((min(rows, len(values)), n // 2 + 1 if transform is np.fft.rfft else n), dtype=complex)
+    for lo in range(0, len(values), rows):
+        block = values[lo:lo + rows]
+        yield slice(lo, lo + len(block)), transform(block, axis=-1, out=buf[:len(block)])
 
 
 def fourier_coeffs(psi: CircleSignal, n_max: int | None = None) -> FourierCoeffs:
@@ -585,6 +586,7 @@ def reanalysis_error(
     elsewhere.  So one FFT of the scalogram gives the in-band misfit, on
     the band's two runs of bins, and the energy outside the band, on the
     bins between them.  c_n(a) comes from the same source as in synthesize.
+    A zero scalogram reads 0.0 for a zero rec and inf for any other.
     """
     n_max, cg, _ = _synthesis_table(scalogram, gamma, report)
     angles = scalogram.angles
@@ -599,4 +601,9 @@ def reanalysis_error(
             in_band += float(np.sum(np.abs(spectrum[:, bins]) ** 2))
         # what the band cannot hold: the bins between its runs, not a difference of totals
         out_of_band += float(np.sum(np.abs(spectrum[:, n_max + 1:n - n_max]) ** 2))
-    return float(np.sqrt((misfit_energy + out_of_band) / (in_band + out_of_band)))
+    return float(np.sqrt(_relative(misfit_energy + out_of_band, in_band + out_of_band)))
+
+
+def _relative(err: float, ref: float) -> float:
+    """err / ref, where a zero ref reads 0.0 for a zero err and inf for any other."""
+    return err / ref if ref != 0.0 else (0.0 if err == 0.0 else np.inf)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .circle import (NUFFT_OVERSAMPLING, WEAK_DECAY_TOL, Sampled, _nufft_evaluator, _store_values,
                      _weak_sum_ok, edge_fraction)
-from .cwt import MODE_FLOOR, TABLE_MEMO_SIZE, ScaleGrid
+from .cwt import MODE_FLOOR, TABLE_MEMO_SIZE, ScaleGrid, _row_spectra
 from .errors import require_positive
 
 DEFAULT_LINE_SAMPLES = 2048
@@ -237,70 +237,64 @@ def line_analyze(psi: LineSignal, gamma: LineSignal, scales: ScaleGrid) -> LineS
     Per scale, the product h fft(psi) conj(dilated_spectra) followed by an
     inverse FFT: a circular cross-correlation over the periodized window,
     so both signals must decay inside the window for the wraparound to be
-    harmless.  A complex wavelet's full table takes one batched complex
-    inverse FFT into complex128 values.  A real wavelet takes real FFTs per
-    nonzero real component of psi, SPECTRA_BLOCK scales at a time, each
-    into its own part of the scalogram; a component's product keeps only
-    its real part at the Nyquist bin, as a real row must.  So a real psi
-    has an exactly real scalogram, whose inverse FFTs are written straight
-    into the rows of float64 values; a complex psi's fill the real and
-    imaginary parts of complex128 values.  A component that is zero gives
-    +0.0 rows.
+    harmless.  One loop serves every wavelet, SPECTRA_BLOCK scales at a
+    time, per component of psi, each inverse FFT written straight into the
+    rows of its part of the scalogram.  A complex wavelet's full table
+    takes psi whole, by complex FFTs, into complex128 values.  A real
+    wavelet's half table takes each real component of psi by real FFTs,
+    and irfft keeps only the real part of a product's Nyquist bin, as a
+    real row must.  So a real psi has an exactly real scalogram, in
+    float64 values; a complex psi's fills the real and imaginary parts of
+    complex128 values.  A component that is zero gives +0.0 rows.
     """
     g = psi.grid
     table = dilated_spectra(gamma, g, scales)
     n, w = g.n_samples, table.shape[1]
-    if w == n:
-        out = np.conjugate(table)
-        out *= g.spacing * np.fft.fft(psi.values)
-        return LineScalogram(scales=scales, grid=g, values=np.fft.ifft(out, axis=1, out=out))
-    real = not np.any(psi.values.imag)
+    full = w == n
+    real = not full and not np.any(psi.values.imag)
     out = np.empty((scales.count, n), dtype=float if real else complex)
+    parts = (psi.values,) if full else (psi.values.real, psi.values.imag)
+    forward, inverse = (np.fft.fft, np.fft.ifft) if full else (np.fft.rfft, np.fft.irfft)
     buf = np.empty((min(SPECTRA_BLOCK, scales.count), w), dtype=complex)
-    for part, dest in zip((psi.values.real, psi.values.imag), (out,) if real else (out.real, out.imag)):
+    for part, dest in zip(parts, (out,) if full or real else (out.real, out.imag)):
         if not np.any(part):
             dest[...] = 0.0
             continue
-        f = g.spacing * np.fft.rfft(part)
+        f = g.spacing * forward(part)
         for lo in range(0, scales.count, SPECTRA_BLOCK):
             rows = table[lo:lo + SPECTRA_BLOCK]
             block = np.conjugate(rows, out=buf[:len(rows)])
             block *= f
-            # irfft reads only the real part of the Nyquist bin
-            np.fft.irfft(block, n, axis=1, out=dest[lo:lo + SPECTRA_BLOCK])
+            inverse(block, n, axis=1, out=dest[lo:lo + SPECTRA_BLOCK])
     return LineScalogram(scales=scales, grid=g, values=out)
 
 
 def _weighted_sums(values: np.ndarray, table: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Per frequency, sum over scales of weights * transform(row) * table row: A and B.
 
-    A complex wavelet's full sum sits in A.  Float64 rows take their real
-    FFTs directly; complex rows split into real and imaginary parts, and
-    the imaginary parts are checked per block, in cache, by their bits
-    (nan and -0.0 count), so a block with none adds nothing to B.  The
-    block buffer is freed on return, before the caller unfolds the sums.
+    Each component of the rows takes its spectra from cwt._row_spectra.  A
+    complex wavelet's full table, or float64 rows, take the rows whole into
+    A; otherwise the real parts go into A, and the imaginary parts into B
+    if they have a nonzero bit anywhere (nan and -0.0 count).  One block
+    buffer is held at a time, and none on return.
     """
     w = table.shape[1]
     sums = np.zeros((2, w), dtype=complex)
-    # one block buffer and no temporaries: large transients here fragment
-    # the heap that the caller's next scalogram is allocated from
-    buf = np.empty((min(SPECTRA_BLOCK, len(values)), w), dtype=complex)
     transform = np.fft.fft if w == values.shape[1] else np.fft.rfft
-    for lo in range(0, len(values), SPECTRA_BLOCK):
-        rows = values[lo:lo + SPECTRA_BLOCK]
-        parts = [rows]
-        if transform is np.fft.rfft and rows.dtype == complex:
-            nonzero = np.bitwise_or.reduce(rows.imag.view(np.uint64), axis=None)
-            parts = [rows.real] + ([rows.imag] if nonzero else [])
-        for acc, part in zip(sums, parts):
-            block = transform(part, axis=1, out=buf[:len(rows)])
-            block *= table[lo:lo + SPECTRA_BLOCK]
+    parts = [values]
+    if transform is np.fft.rfft and values.dtype == complex:
+        nonzero = np.bitwise_or.reduce(values.imag.view(np.uint64), axis=None)
+        parts = [values.real] + ([values.imag] if nonzero else [])
+    for acc, part in zip(sums, parts):
+        for rows, block in _row_spectra(part, SPECTRA_BLOCK, transform):
+            block *= table[rows]
             # weighted row by row: weights @ block is slow for real @ complex and wakes
             # OpenBLAS's other threads and their buffers, and a broadcast product takes
             # numpy iterator buffers several times a row's size
-            for row, weight in zip(block, weights[lo:lo + SPECTRA_BLOCK]):
+            for row, weight in zip(block, weights[rows]):
                 row *= weight
             acc += block.sum(axis=0)
+        block = row = None  # one block buffer at a time: transients fragment the caller's heap
     return sums
 
 
@@ -311,16 +305,13 @@ def line_synthesize(
 ) -> LineSignal:
     """Reconstruct from int int W(b,a) (U(a,b) gamma)(x) db da/a^2.
 
-    In the frequency domain: each block of SPECTRA_BLOCK scalogram rows is
-    transformed, multiplied by dilated_spectra and summed over scales with
-    the weights db da/a^2.  A complex wavelet's full table takes one
-    batched complex FFT per block.  A real wavelet's takes real FFTs per
-    nonzero real component of the block, and float64 rows take theirs
-    directly: the real parts sum into the half-spectrum A and the
-    imaginary parts into B, each kept real at the Nyquist bin as a real
-    row's must be, and the full spectrum is A + iB at k[m], m <= n/2, and
-    conj A + i conj B at k[n - m].  Normalized per frequency half-line by
-    2 pi C_sgn(k) (the exact resolution constant); frequencies on a
+    In the frequency domain, _weighted_sums transforms the scalogram rows,
+    multiplies them by dilated_spectra and sums over scales with the
+    weights db da/a^2.  For a real wavelet it gives the half-spectra A and B
+    of the real and imaginary parts, each kept real at the Nyquist bin as a
+    real row's must be, and the full spectrum is A + iB at k[m], m <= n/2,
+    and conj A + i conj B at k[n - m].  Normalized per frequency half-line
+    by 2 pi C_sgn(k) (the exact resolution constant); frequencies on a
     half-line with constant below MODE_FLOOR * C_total are dropped, k = 0
     included.
     """

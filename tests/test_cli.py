@@ -521,6 +521,35 @@ def test_readme_command_block_runs(tmp_path):
             assert _round_trip_error(res.stdout) < 1e-2
 
 
+def _zero_reference_reads_zero(res, code, line):
+    # a relative error of a zero input against its zero reference is 0.0, not a ZeroDivisionError
+    assert res.returncode == code, res.stderr
+    assert "Traceback" not in res.stderr
+    assert f"{line}: 0.0" in res.stdout.splitlines()
+
+
+def test_line_cwt_round_trip_of_a_zero_signal(tmp_path):
+    write_signal(tmp_path / "zero.csv", LineSignal(LineGrid(-16.0, 16.0, 2048), np.zeros(2048)))
+    res = run(["line-cwt", "--signal", str(tmp_path / "zero.csv"), "--scale-min", "1e-2", "--scale-max", "1e2",
+               "--scale-count", "50", "--roundtrip"])
+    _zero_reference_reads_zero(res, 0, "round trip relative error")
+
+
+def test_icwt_of_a_zero_signal(tmp_path, capsys):
+    write_signal(tmp_path / "zero.csv", CircleSignal(CircleGrid(256), np.zeros(256)))
+    for args in (["admissibility", "--scale-count", "40", "--out", str(tmp_path / "r.json")],
+                 ["cwt", "--signal", str(tmp_path / "zero.csv"), "--scale-count", "40", "--out", str(tmp_path / "s")]):
+        assert _in_process(args, capsys)[0] == 0
+    res = run(["icwt", "--scalogram", str(tmp_path / "s"), "--report", str(tmp_path / "r.json")])
+    _zero_reference_reads_zero(res, 0, "reanalysis relative error")
+
+
+def test_frame_of_a_zero_wavelet(tmp_path):
+    write_signal(tmp_path / "czero.csv", CircleSignal(CircleGrid(1024), np.zeros(1024)))
+    res = run(["frame", "--wavelet", str(tmp_path / "czero.csv"), "--scale-count", "40"])
+    _zero_reference_reads_zero(res, 2, "relative deviation")
+
+
 def test_line_cwt_gaussian_rejected(tmp_path):
     _write_packet(tmp_path / "line.csv")
     res = run(["line-cwt", "--builtin", "gauss", "--signal", str(tmp_path / "line.csv")])

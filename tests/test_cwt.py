@@ -622,3 +622,11 @@ def test_reanalysis_error_matches_reanalysis(dog, n_angles, scal_n_max, data, lo
     rec = synthesize(noisy, dog, report)
     want = reanalysis_by_analyze(noisy, dog, rec)
     assert abs(reanalysis_error(noisy, dog, report, rec) - want) <= 1e-9 * want
+
+
+def test_reanalysis_error_of_a_zero_scalogram_is_zero(dog, dog_report):
+    # a zero reference reads 0.0 when the misfit is zero too, not a ZeroDivisionError
+    scal = analyze(CircleSignal(GRID, np.zeros(GRID.n_samples)), dog, n_max=32)
+    rec = synthesize(scal, dog, dog_report)
+    assert not np.any(scal.values) and not np.any(rec.values)
+    assert reanalysis_error(scal, dog, dog_report, rec) == 0.0

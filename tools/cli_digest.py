@@ -9,15 +9,15 @@ temporary directory holding a seeded 1024-sample circle signal (modes
 |n| <= 8), a real and a complex line packet and a complex line wavelet
 (`sig.csv`, `line.csv`, `cline.csv`, `odd.csv`).  It runs each command of
 the README's command block, then `icwt` against a 40-scale report, and the
-line transform in each way it stores a scalogram: the Mexican hat on the
-real packet (float64 values) and on the complex one (complex128), written
-to disk and round-tripped, and a round trip with the complex wavelet.  It
-prints one `md5  name` line per stdout, stderr and exit code of each
-command, and per file the commands wrote.  The source directory and the
-temporary directory are masked in stdout and stderr, so two trees give the
-same digest exactly when they give the same output.  Uses only the
-standard library; the input files are written here, not by circlet, so
-they do not depend on the tree under test.
+line transform in each way it stores a scalogram, each written to disk: the
+Mexican hat on the real packet (float64 values) and on the complex one
+(complex128), and the complex wavelet on the real packet (complex128), the
+last two also round-tripped.  It prints one `md5  name` line per stdout,
+stderr and exit code of each command, and per file the commands wrote.
+The source directory and the temporary directory are masked in stdout and
+stderr, so two trees give the same digest exactly when they give the same
+output.  Uses only the standard library; the input files are written
+here, not by circlet, so they do not depend on the tree under test.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ EXTRA = [
     "circlet line-cwt --builtin mexican-hat --signal line.csv --scale-min 1e-2 --scale-max 1e2 --scale-count 200"
     " --out lscal",
     "circlet line-cwt --wavelet odd.csv --signal line.csv --scale-min 1e-2 --scale-max 1e2 --scale-count 200"
-    " --roundtrip",
+    " --out oscal --roundtrip",
     "circlet line-cwt --builtin mexican-hat --signal cline.csv --scale-min 1e-2 --scale-max 1e2 --scale-count 200"
     " --out clscal --roundtrip",
 ]
