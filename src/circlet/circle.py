@@ -111,22 +111,32 @@ class CircleGrid:
         return -np.pi / 2 + np.pi * (np.arange(n) + 0.5) / n
 
 
-def _store_values(obj, shape: tuple, mismatch: Callable[[tuple], str], keep_real: bool = False) -> np.ndarray:
-    """Replace obj.values, on a frozen dataclass, by a contiguous complex copy.
+def _store_values(obj, shape: tuple, mismatch: Callable[[tuple], str], keep_real: bool = False, name="values"):
+    """Replace obj.values (or obj.<name>), on a frozen dataclass, by a contiguous complex copy.
 
     With keep_real, values of a real dtype are stored as float64 instead.
     Raises ValueError(mismatch(got)) when the array's shape is not `shape`.
     """
-    real = keep_real and not np.iscomplexobj(obj.values)
-    v = np.ascontiguousarray(obj.values, dtype=float if real else complex)
+    real = keep_real and not np.iscomplexobj(getattr(obj, name))
+    v = np.ascontiguousarray(getattr(obj, name), dtype=float if real else complex)
     if v.shape != shape:
         raise ValueError(mismatch(v.shape))
-    object.__setattr__(obj, "values", v)
+    object.__setattr__(obj, name, v)
     return v
 
 
+class _Lazy:
+    """A missing attribute x is made on its first read by the class's _make_x(self), and kept."""
+
+    def __getattr__(self, name: str):
+        make = getattr(type(self), f"_make_{name}", None)  # reached only for a missing attribute
+        if make is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return self.__dict__.setdefault(name, make(self))
+
+
 @dataclass(frozen=True, eq=False)
-class Sampled:
+class Sampled(_Lazy):
     """Samples of a function on a grid, with an optional exact evaluator.
 
     The grid supplies `n_samples`, `nodes` and `spacing`, the uniform
@@ -147,11 +157,9 @@ class Sampled:
         if not np.all(np.isfinite(v.view(float))):
             raise ValueError("signal values must be finite")
 
-    def __getattr__(self, name: str):
-        # reached only for a missing attribute; a fresh Sampled checks the samples before they are kept
-        if name != "values":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        return self.__dict__.setdefault("values", Sampled(self.grid, self.evaluator(self.grid.nodes)).values)
+    def _make_values(self) -> np.ndarray:
+        # a fresh Sampled checks the samples before they are kept
+        return Sampled(self.grid, self.evaluator(self.grid.nodes)).values
 
     @classmethod
     def from_evaluator(cls, grid, fn: Callable):

@@ -4,9 +4,9 @@ Exit codes: 0 success, 2 negative verdict on a well-posed question (for
 example a wavelet that fails admissibility), 1 any error: a malformed
 command line, a bad input file, a value the library refuses, a size too
 large for memory, a bad CIRCLET_THREADS or an I/O failure.  Every error
-ends as one stderr line `circlet: error: <message>`, with no traceback.
-All stdout output is deterministic for fixed arguments, so repeated runs
-are byte-identical.
+ends as one stderr line `circlet: error: <message>`, with no traceback, and
+every library warning as `circlet: warning: <message>`.  All stdout output
+is deterministic for fixed arguments, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -348,18 +349,20 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    try:
-        if THREAD_CAP is None and "CIRCLET_THREADS" in os.environ:
-            raise ValueError(f"CIRCLET_THREADS must be a positive integer, got {os.environ['CIRCLET_THREADS']!r}")
-        args = build_parser().parse_args(argv)
-        return args.func(args)
-    except (CircletError, OSError, ValueError, MemoryError) as exc:
-        # ValueError: a malformed command line, or an argument value the
-        # library refuses, such as a one-node scale grid or a Laguerre
-        # weight that is not a half-integer; MemoryError: a size no
-        # machine can hold, such as a scale count of 10^15
-        print(f"circlet: error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_, **__: print(f"circlet: warning: {message}", file=sys.stderr)
+        try:
+            if THREAD_CAP is None and "CIRCLET_THREADS" in os.environ:
+                raise ValueError(f"CIRCLET_THREADS must be a positive integer, got {os.environ['CIRCLET_THREADS']!r}")
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        except (CircletError, OSError, ValueError, MemoryError) as exc:
+            # ValueError: a malformed command line, or an argument value the
+            # library refuses, such as a one-node scale grid or a Laguerre
+            # weight that is not a half-integer; MemoryError: a size no
+            # machine can hold, such as a scale count of 10^15
+            print(f"circlet: error: {exc}", file=sys.stderr)
+            return EXIT_ERROR
 
 
 if __name__ == "__main__":

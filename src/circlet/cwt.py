@@ -5,13 +5,13 @@ The transform of a signal psi against a wavelet gamma is
 computed per scale as a mode sum: in the orthonormal basis
 e^{2 i n theta}/sqrt(pi) the acted wavelet has coefficients
 e^{-2 i n vartheta} c_n(a), where c_n(a) is the coefficient of the purely
-dilated wavelet.  Every weight is diagonal on the modes, so it sits on a
-small (scales x modes) array and the scalogram meets only its FFTs:
-analyze sets conj(c_n(a)) psi_n e^{2 i n theta_0} in the band's bins of
-one unscaled inverse FFT per scale (all scales batched), and synthesize
-contracts the FFT of each block of scales, on those bins, with one kernel
-holding c_m(a), the conjugate phase, the angle and ln a quadrature
-weights, 1/a and 1/(pi L_m).
+dilated wavelet.  Every weight is diagonal on the modes, so a scalogram
+is held as its band's modes, a small (scales x modes) array: analyze
+computes conj(c_n(a)) psi_n, and synthesize contracts it with one kernel
+holding c_m(a), the ln a quadrature weights, 1/a and 1/L_m.  analyze's
+angle samples are made on their first read, by one unscaled inverse FFT
+per scale (all scales batched); a scalogram built from angle samples (read
+from a file, or by hand) makes its modes on theirs, by one FFT pass.
 
 One band rule, 1 <= n_max <= N/4 (`_check_n_max`), holds wherever a mode
 band meets a grid of N points: the wavelet's, the signal's and a
@@ -38,9 +38,9 @@ builds no table; on another grid it builds its own.
 
 The reconstruction's self check, the relative l2 distance between the
 scalogram and the analysis of the reconstruction, is taken in mode space:
-by Parseval over the angle grid, one FFT of the scalogram gives both the
-in-band misfit, on the band's bins, and the energy the band cannot
-represent, on the bins between its two runs.
+by Parseval over the angle grid, the scalogram's modes give both the
+in-band misfit and the energy the band cannot represent, with what a
+scalogram built from angle samples kept outside its own band.
 
 Reports and scalograms are stamped with the fingerprint of the wavelet
 they were computed for, and reconstruction refuses a mismatch.
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import (WEAK_DECAY_TOL, CircleGrid, CircleSignal, _checked_spectrum, _store_values,
+from .circle import (WEAK_DECAY_TOL, CircleGrid, CircleSignal, _checked_spectrum, _Lazy, _store_values,
                      _weak_sum_ok, edge_fraction, rep_action)
 from .errors import DecayError, require_positive
 
@@ -70,7 +70,7 @@ PLATEAU_SPREAD_TOL = 5e-2
 
 TABLE_BLOCK = 32  # scales per vectorised block of the dilated-coefficient kernel
 TABLE_MEMO_SIZE = 4  # dilated-coefficient tables kept for reuse
-SPECTRUM_BLOCK = 32  # scalogram rows per FFT block in synthesis and its self check
+SPECTRUM_BLOCK = 32  # scalogram rows per block of a row FFT pass and of the self check's sums
 
 
 @dataclass(frozen=True)
@@ -176,11 +176,6 @@ def _grid_phase(n_max: int, grid: CircleGrid) -> np.ndarray:
     return np.exp(-1j * ns * np.pi * (1.0 - 1.0 / grid.n_samples))
 
 
-def _band_runs(n_max: int, n: int) -> tuple[tuple[slice, slice], tuple[slice, slice]]:
-    """(modes, FFT bins) of the band's two runs of bins n mod N: n >= 0 first, then n < 0."""
-    return (slice(n_max, None), slice(0, n_max + 1)), (slice(None, n_max), slice(n - n_max, n))
-
-
 def _mode_sum(weights: np.ndarray, grid: CircleGrid) -> np.ndarray:
     """sum_n weights[..., n + n_max] e^{2 i n theta} on grid, over the last axis.
 
@@ -191,8 +186,8 @@ def _mode_sum(weights: np.ndarray, grid: CircleGrid) -> np.ndarray:
     n_max = _check_n_max(n, (weights.shape[-1] - 1) // 2)
     phase = _grid_phase(n_max, grid)
     out = np.empty(weights.shape[:-1] + (n,), dtype=complex)
-    for modes, bins in _band_runs(n_max, n):
-        np.multiply(weights[..., modes], phase[modes], out=out[..., bins])
+    np.multiply(weights[..., n_max:], phase[n_max:], out=out[..., :n_max + 1])  # n >= 0 on bins n
+    np.multiply(weights[..., :n_max], phase[:n_max], out=out[..., n - n_max:])  # n < 0 on bins n + N
     out[..., n_max + 1:n - n_max] = 0.0
     return np.fft.ifft(out, axis=-1, norm="forward", out=out)
 
@@ -373,8 +368,8 @@ def lambda_sequence(
     every L_n positive with finite spread, a decaying small-scale
     integrand (otherwise the scale integral diverges at a -> 0), and a
     plateaued outer mode band (truncation heuristic; a warning explains
-    when it fails).  n_max defaults to min(DEFAULT_N_MAX, n_samples/4),
-    as in analyze.
+    when it fails, unless all L_n are 0).  n_max defaults to
+    min(DEFAULT_N_MAX, n_samples/4), as in analyze.
     """
     n_max = _check_n_max(gamma.grid.n_samples, n_max)
     scales = scales or default_scale_grid()
@@ -391,7 +386,7 @@ def lambda_sequence(
     weak_ok = decay_ok and _weak_sum_ok(gamma.values / np.cos(gamma.grid.nodes))
 
     plateau = _plateau_ok(lambdas, n_max)
-    if not plateau:
+    if not plateau and np.any(lambdas):  # all-zero integrals have nothing to plateau
         warnings.warn(f"mode integrals have not plateaued by |n| = {n_max}; "
                       "truncation of the mode sum is unsafe", RuntimeWarning, stacklevel=2)
     admissible = bool(weak_ok and small_ok and plateau
@@ -417,9 +412,9 @@ def frame_bounds(report: AdmissibilityReport) -> tuple[float, float]:
 
     The analysis operator is diagonal on modes with eigenvalues pi * L_n,
     so c2/c1 measures how far the wavelet frame is from tight.  Warns when
-    the report's outer mode band has not plateaued.
+    the report's outer mode band has not plateaued, unless every L_n is 0.
     """
-    if not report.plateau_ok:
+    if not report.plateau_ok and np.any(report.lambdas):
         warnings.warn(
             "frame bounds from a non-plateaued mode band are untrustworthy",
             RuntimeWarning,
@@ -461,11 +456,14 @@ def make_dog(
 
 
 @dataclass(frozen=True, eq=False)
-class Scalogram:
+class Scalogram(_Lazy):
     """Wavelet coefficients W(vartheta, a) on an angle x scale grid.
 
     values[j, i] is the coefficient at scale nodes[j], angle nodes[i];
     scales ascend, and n_max keeps the one band rule on the angle grid.
+    modes[j, n + n_max] is row j's coefficient of e^{2 i n theta}.  analyze's
+    scalogram makes values on their first read, any other its modes, read-only
+    either way; values edited after the modes are made are not seen.
     """
 
     scales: ScaleGrid
@@ -475,16 +473,43 @@ class Scalogram:
     wavelet_fingerprint: str  # of the wavelet analyzed against
 
     def __post_init__(self):
-        shape = (self.scales.count, self.angles.n_samples)
-        _store_values(self, shape, lambda got: f"values shape {got} does not match {shape}")
         # _check_n_max reads None as the default band; a scalogram holds its band
         if not isinstance(self.n_max, (int, np.integer)):
             raise ValueError(f"n_max must be an integer, got {self.n_max!r}")
         _check_n_max(self.angles.n_samples, self.n_max)
+        name, width = ("modes", 2 * self.n_max + 1) if "modes" in self.__dict__ else ("values", self.angles.n_samples)
+        shape = (self.scales.count, width)
+        _store_values(self, shape, lambda got: f"{name} shape {got} does not match {shape}", name=name)
+
+    @classmethod
+    def _from_modes(cls, scales: ScaleGrid, angles: CircleGrid, modes: np.ndarray, n_max: int, fingerprint: str):
+        """The scalogram held as its modes, checked when built as one built from values is."""
+        scal = object.__new__(cls)
+        scal.__dict__.update(scales=scales, angles=angles, n_max=n_max, wavelet_fingerprint=fingerprint,
+                             modes=modes, _outside=0.0)
+        scal.__post_init__()
+        return scal
+
+    def _make_values(self) -> np.ndarray:
+        values = _mode_sum(self.modes, self.angles)
+        values.flags.writeable = False
+        return values
+
+    def _make_modes(self) -> np.ndarray:
+        # bin n mod N of a row's FFT is N e^{2 i n theta_0} modes[n]; the bins between hold what they cannot
+        n, n_max = self.angles.n_samples, self.n_max
+        modes, outside = np.empty((self.scales.count, 2 * n_max + 1), dtype=complex), np.empty(self.scales.count)
+        unphase = np.conj(_grid_phase(n_max, self.angles)) / n
+        for rows, spectrum in _row_spectra(self.values):
+            modes[rows] = np.concatenate((spectrum[:, n - n_max:], spectrum[:, :n_max + 1]), axis=1) * unphase
+            outside[rows] = np.sum(np.abs(spectrum[:, n_max + 1:n - n_max]) ** 2, axis=1) / n
+        modes.flags.writeable = False
+        self.__dict__["_outside"] = outside  # kept before the modes are, so a reader of modes finds it
+        return modes
 
     def energy(self) -> float:
-        """Double quadrature of |W|^2 against dvartheta da/a^2."""
-        ang = self.angles.spacing * np.sum(np.abs(self.values) ** 2, axis=1)
+        """Double quadrature of |W|^2 against dvartheta da/a^2, by Parseval over the angles."""
+        ang = np.pi * np.sum(np.abs(self.modes) ** 2, axis=1) + self.angles.spacing * self._outside
         return float(self.scales.integrate_da_over_a2(ang))
 
 
@@ -503,10 +528,10 @@ def analyze(
     scales = scales or default_scale_grid()
     angles = angles or psi.grid
     ph = fourier_coeffs(psi, n_max)
-    cg = dilated_coeffs(gamma, scales, ph.n_max)
-    out = _mode_sum(np.conj(cg.T) * ph.values, angles)  # (scales, angles)
-    return Scalogram(scales=scales, angles=angles, values=out, n_max=ph.n_max,
-                     wavelet_fingerprint=wavelet_fingerprint(gamma))
+    modes = np.conjugate(dilated_coeffs(gamma, scales, ph.n_max).T, order="C")  # (scales, modes)
+    modes *= ph.values
+    modes.flags.writeable = False
+    return Scalogram._from_modes(scales, angles, modes, ph.n_max, wavelet_fingerprint(gamma))
 
 
 def _synthesis_table(
@@ -556,15 +581,10 @@ def synthesize(
     """
     n_max, cg, lam = _synthesis_table(scalogram, gamma, report)
     angles, scales = scalogram.angles, scalogram.scales
-    # psi_m = sum_s K[s, m] fft(W)[s, m mod N], K = c_m(a_s) e^{-2 i m theta_0} h w_s / (a_s pi L_m)
-    live = lam > mode_floor * report.sup_lambda
-    mode_weight = np.divide(angles.spacing / np.pi, lam, out=np.zeros(len(lam)), where=live)
-    kernel = cg.T * (scales.log_weights / scales.nodes)[:, None]
-    kernel *= mode_weight * np.conj(_grid_phase(n_max, angles))
-    psi_hat = np.zeros(2 * n_max + 1, dtype=complex)
-    for rows, spectrum in _row_spectra(scalogram.values):
-        for modes, bins in _band_runs(n_max, angles.n_samples):
-            psi_hat[modes] += np.einsum("sm,sm->m", kernel[rows, modes], spectrum[:, bins])
+    # psi_m = sum_s c_m(a_s) (w_s / a_s) modes[s, m] / L_m: the angle integral's N h = pi cancels 1/pi
+    held = scalogram.modes[:, scalogram.n_max - n_max:scalogram.n_max + n_max + 1]
+    psi_hat = np.einsum("ms,s,sm->m", cg, scales.log_weights / scales.nodes, held)
+    psi_hat *= np.divide(1.0, lam, out=np.zeros(len(lam)), where=lam > mode_floor * report.sup_lambda)
     # the reconstruction approximates the analyzed signal, so it lands on
     # the scalogram's angle grid, not the wavelet's
     return mode_synthesis(angles, FourierCoeffs(n_max, psi_hat))
@@ -581,26 +601,26 @@ def reanalysis_error(
 
     rec is the reconstruction synthesize returns, whose modes lie in the
     band of synthesis.  By Parseval over the N angles, per scale:
-        sum_k |W'(k) - W(k)|^2 = (1/N) sum_j |F'_j - F_j|^2,  F = fft(W),
-    and F' = N conj(c_n(a)) rec_n e^{2 i n theta_0} on the band's bins, 0
-    elsewhere.  So one FFT of the scalogram gives the in-band misfit, on
-    the band's two runs of bins, and the energy outside the band, on the
-    bins between them.  c_n(a) comes from the same source as in synthesize.
-    A zero scalogram reads 0.0 for a zero rec and inf for any other.
+        sum_k |W'(k) - W(k)|^2 = N sum_n |W'_n - W_n|^2 + (W outside its band),
+    W_n the scalogram's modes and W'_n = conj(c_n(a)) rec_n in the band of
+    synthesis, 0 beyond it: the modes give the in-band misfit, and the modes
+    beyond the band add to what W holds outside its own.  c_n(a) comes from
+    the same source as in synthesize, and a zero scalogram reads 0.0 for a
+    zero rec and inf for any other.
     """
     n_max, cg, _ = _synthesis_table(scalogram, gamma, report)
     angles = scalogram.angles
     if rec.grid != angles:
         raise ValueError(f"rec has {rec.grid.n_samples} samples, the scalogram {angles.n_samples} angles")
-    n = angles.n_samples
-    model = (n * _grid_phase(n_max, angles) * fourier_coeffs(rec, n_max).values) * np.conj(cg.T)
-    misfit_energy = in_band = out_of_band = 0.0
-    for rows, spectrum in _row_spectra(scalogram.values):
-        for modes, bins in _band_runs(n_max, n):
-            misfit_energy += float(np.sum(np.abs(model[rows, modes] - spectrum[:, bins]) ** 2))
-            in_band += float(np.sum(np.abs(spectrum[:, bins]) ** 2))
-        # what the band cannot hold: the bins between its runs, not a difference of totals
-        out_of_band += float(np.sum(np.abs(spectrum[:, n_max + 1:n - n_max]) ** 2))
+    rec_n = fourier_coeffs(rec, n_max).values
+    held, inner = scalogram.modes, slice(scalogram.n_max - n_max, scalogram.n_max + n_max + 1)
+    # what the band cannot hold is summed apart, not taken as a difference of totals
+    misfit_energy, in_band, out_of_band = 0.0, 0.0, float(np.sum(scalogram._outside)) / angles.n_samples
+    for lo in range(0, len(held), SPECTRUM_BLOCK):
+        block = held[lo:lo + SPECTRUM_BLOCK]
+        misfit_energy += float(np.sum(np.abs(np.conj(cg.T[lo:lo + SPECTRUM_BLOCK]) * rec_n - block[:, inner]) ** 2))
+        in_band += float(np.sum(np.abs(block[:, inner]) ** 2))
+        out_of_band += float(np.sum(np.abs(block[:, :inner.start]) ** 2) + np.sum(np.abs(block[:, inner.stop:]) ** 2))
     return float(np.sqrt(_relative(misfit_energy + out_of_band, in_band + out_of_band)))
 
 

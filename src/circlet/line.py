@@ -264,7 +264,8 @@ def line_analyze(psi: LineSignal, gamma: LineSignal, scales: ScaleGrid) -> LineS
         for lo in range(0, scales.count, SPECTRA_BLOCK):
             rows = table[lo:lo + SPECTRA_BLOCK]
             block = np.conjugate(rows, out=buf[:len(rows)])
-            block *= f
+            for row in block:  # a broadcast product takes numpy iterator buffers on every block
+                row *= f
             inverse(block, n, axis=1, out=dest[lo:lo + SPECTRA_BLOCK])
     return LineScalogram(scales=scales, grid=g, values=out)
 

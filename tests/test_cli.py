@@ -550,6 +550,25 @@ def test_frame_of_a_zero_wavelet(tmp_path):
     _zero_reference_reads_zero(res, 2, "relative deviation")
 
 
+@pytest.mark.parametrize("command", ["admissibility", "frame"])
+def test_a_zero_wavelet_prints_no_warning(tmp_path, command):
+    # every lambda is exactly 0, so there is no plateau to miss
+    write_signal(tmp_path / "czero.csv", CircleSignal(CircleGrid(1024), np.zeros(1024)))
+    res = run([command, "--wavelet", str(tmp_path / "czero.csv"), "--scale-count", "40"])
+    assert res.returncode == 2
+    assert res.stderr == ""
+
+
+@pytest.mark.parametrize("command", ["admissibility", "frame"])
+def test_library_warnings_are_one_line_each(command):
+    res = run([command, "--builtin", "dog:2", "--n-max", "2", "--scale-count", "40"])
+    assert res.returncode == 2
+    want = ["circlet: warning: mode integrals have not plateaued by |n| = 2; truncation of the mode sum is unsafe"]
+    if command == "frame":
+        want.append("circlet: warning: frame bounds from a non-plateaued mode band are untrustworthy")
+    assert res.stderr.splitlines() == want
+
+
 def test_line_cwt_gaussian_rejected(tmp_path):
     _write_packet(tmp_path / "line.csv")
     res = run(["line-cwt", "--builtin", "gauss", "--signal", str(tmp_path / "line.csv")])

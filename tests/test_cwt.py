@@ -310,6 +310,47 @@ def test_synthesize_holds_no_scalogram_sized_array(dog):
     assert peak < 0.3 * scal.values.nbytes
 
 
+def test_analyze_holds_no_scalogram_sized_array(dog):
+    # analyze keeps the (scales, modes) coefficients; the angle samples wait for their first read
+    psi = two_mode_signal()
+    scales = ScaleGrid(1e-3, 1e3, 400)
+    dilated_coeffs(dog, scales)  # the memoised table is not analyze's transient
+    tracemalloc.start()
+    try:
+        scal = analyze(psi, dog, scales=scales)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.2 * scal.values.nbytes
+
+
+def test_analyze_values_are_the_mode_sum_made_on_first_read(dog):
+    psi = two_mode_signal()
+    scales = ScaleGrid(1e-2, 1e2, 40)
+    scal = analyze(psi, dog, scales=scales, n_max=32)
+    assert "values" not in vars(scal)
+    # the eager analysis: the mode sum of conj(c_n(a)) psi_n, bit for bit
+    want = cwt._mode_sum(np.conj(dilated_coeffs(dog, scales, 32).T) * fourier_coeffs(psi, 32).values, GRID)
+    assert scal.values.tobytes() == want.tobytes()
+    assert scal.values is scal.values
+    with pytest.raises(ValueError, match="read-only"):
+        scal.values[0, 0] = 0.0
+
+
+def test_value_built_scalogram_takes_its_modes_on_first_read(dog):
+    scal = analyze(two_mode_signal(), dog, n_max=32)
+    copy = dataclasses.replace(scal, values=np.array(scal.values))
+    assert "modes" not in vars(copy)
+    assert np.max(np.abs(copy.modes - scal.modes)) <= 1e-14 * np.max(np.abs(scal.modes))
+    assert not copy.modes.flags.writeable
+    assert copy.modes is copy.modes
+
+
+def test_analyze_refuses_angles_too_coarse_for_the_band_at_the_call(dog):
+    with pytest.raises(ValueError, match="n_max 32 exceeds n_samples/4 = 16"):
+        analyze(two_mode_signal(), dog, scales=ScaleGrid(1e-2, 1e2, 40), n_max=32, angles=CircleGrid(64))
+
+
 def test_scalogram_energy_identity(dog, dog_report):
     psi = two_mode_signal()
     scal = analyze(psi, dog, n_max=16)
@@ -622,6 +663,40 @@ def test_reanalysis_error_matches_reanalysis(dog, n_angles, scal_n_max, data, lo
     rec = synthesize(noisy, dog, report)
     want = reanalysis_by_analyze(noisy, dog, rec)
     assert abs(reanalysis_error(noisy, dog, report, rec) - want) <= 1e-9 * want
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(n_angles=st.sampled_from([64, 256]), scal_n_max=st.integers(4, 16), data=st.data(),
+       log_outside=st.floats(-8.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_value_built_scalogram_counts_its_energy_outside_the_band(dog, n_angles, scal_n_max, data, log_outside, seed):
+    # an analyzed scalogram plus rows of modes beyond its band, up to the grid's Nyquist
+    rng = np.random.default_rng(seed)
+    grid = CircleGrid(n_angles)
+    c = rng.normal(size=9) + 1j * rng.normal(size=9)
+    scal = analyze(CircleSignal(grid, np.exp(2j * np.outer(grid.nodes, np.arange(-4, 5))) @ c), dog,
+                   scales=ORACLE_SCALES, n_max=scal_n_max)
+    ks = np.arange(scal_n_max + 1, n_angles // 2)
+    ks = np.concatenate((-ks, ks))
+    beyond = (rng.normal(size=(ORACLE_SCALES.count, ks.size)) + 1j * rng.normal(size=(ORACLE_SCALES.count, ks.size)))
+    beyond = beyond @ np.exp(2j * np.outer(ks, grid.nodes))
+    values = scal.values + 10.0**log_outside * np.abs(scal.values).max() / np.abs(beyond).max() * beyond
+    built = cwt.Scalogram(ORACLE_SCALES, grid, values, scal_n_max, scal.wavelet_fingerprint)
+    direct = ORACLE_SCALES.integrate_da_over_a2(grid.spacing * np.sum(np.abs(values) ** 2, axis=1))
+    assert built.energy() == pytest.approx(direct, rel=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        report = lambda_sequence(dog, ORACLE_SCALES, data.draw(st.integers(1, scal_n_max)))
+    rec = synthesize(built, dog, report)
+    want = reanalysis_by_analyze(built, dog, rec)
+    assert abs(reanalysis_error(built, dog, report, rec) - want) <= 1e-9 * want
+
+
+def test_a_zero_wavelet_has_no_plateau_to_warn_about():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = lambda_sequence(CircleSignal(GRID, np.zeros(GRID.n_samples)), ORACLE_SCALES)
+        assert frame_bounds(report) == (0.0, 0.0)
+    assert not report.plateau_ok and not report.admissible
 
 
 def test_reanalysis_error_of_a_zero_scalogram_is_zero(dog, dog_report):

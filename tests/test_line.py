@@ -200,6 +200,23 @@ def test_line_synthesize_holds_no_scalogram_sized_array(complex_signal):
         tracemalloc.stop()
     assert peak < 0.06 * scal.values.size * 8  # of the float64 scalogram's bytes
 
+
+def test_line_analyze_holds_its_output_and_one_block_buffer():
+    # each row of a block is weighted in place; a broadcast block product took
+    # numpy iterator buffers of most of a block on every block
+    mh, f = mexican_hat(), band_signal()
+    scales = LineScaleGrid(1e-2, 1e2, 200)
+    line_analyze(f, mh, scales)  # the memoised table and the samples are not analysis's transient
+    tracemalloc.start()
+    try:
+        scal = line_analyze(f, mh, scales)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = line.SPECTRA_BLOCK * (GRID.n_samples // 2 + 1) * 16
+    assert peak < scal.values.nbytes + 1.5 * block
+
+
 def test_one_imaginary_entry_adds_its_own_synthesis():
     # a real scalogram but for one imaginary entry: its block alone takes the
     # imaginary transform, and synthesis stays linear
