@@ -26,7 +26,7 @@ dog = make_dog(2.0)
 report = lambda_sequence(dog, n_max=16)
 
 scal = analyze(psi, dog, n_max=16)
-print(f"scalogram shape: {scal.values.shape} (scales x angles)")
+print(f"scalogram shape: {(scal.scales.count, scal.angles.n_samples)} (scales x angles)")
 
 peak = np.unravel_index(np.argmax(np.abs(scal.values)), scal.values.shape)
 print(f"largest coefficient at scale {scal.scales.nodes[peak[0]]:.3f}, "

@@ -38,6 +38,7 @@ with the number of targets, and no output bit depends on the blocking.
 from __future__ import annotations
 
 import functools
+import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -208,6 +209,14 @@ class CircleSignal(Sampled):
 
     def _interpolate(self, theta: np.ndarray) -> np.ndarray:
         return trig_interpolate(self.grid, self.values, theta)
+
+    def _make_fingerprint(self) -> str:
+        # cwt.wavelet_fingerprint: the samples are frozen first, so the kept digest stays theirs
+        values = self.values
+        values.flags.writeable = False
+        h = hashlib.sha256(f"n_samples={self.grid.n_samples};".encode())
+        h.update(np.ascontiguousarray(values, dtype="<c16"))
+        return h.hexdigest()
 
 
 def _signed_freqs(n: int) -> np.ndarray:

@@ -206,7 +206,7 @@ def cmd_cwt(args) -> int:
     sig = _read_input(args.signal, CircleSignal)
     scal = analyze(sig, gamma, scales=_scale_grid(args), n_max=args.n_max)
     cio.write_scalogram(args.out, scal)
-    print(f"wrote {args.out}.json ({scal.values.shape[0]} scales x {scal.values.shape[1]} angles)")
+    print(f"wrote {args.out}.json ({scal.scales.count} scales x {scal.angles.n_samples} angles)")
     return EXIT_OK
 
 

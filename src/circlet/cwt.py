@@ -8,10 +8,12 @@ e^{-2 i n vartheta} c_n(a), where c_n(a) is the coefficient of the purely
 dilated wavelet.  Every weight is diagonal on the modes, so a scalogram
 is held as its band's modes, a small (scales x modes) array: analyze
 computes conj(c_n(a)) psi_n, and synthesize contracts it with one kernel
-holding c_m(a), the ln a quadrature weights, 1/a and 1/L_m.  analyze's
-angle samples are made on their first read, by one unscaled inverse FFT
-per scale (all scales batched); a scalogram built from angle samples (read
-from a file, or by hand) makes its modes on theirs, by one FFT pass.
+holding c_m(a), the ln a quadrature weights, 1/a and 1/L_m.  The angle
+samples of analyze's scalogram, or of one read from a file that holds its
+modes, are made on their first read, by one unscaled inverse FFT per scale
+(all scales batched); a scalogram built from angle samples (read from a
+file that holds them, or by hand) makes its modes on theirs, by one FFT
+pass.
 
 One band rule, 1 <= n_max <= N/4 (`_check_n_max`), holds wherever a mode
 band meets a grid of N points: the wavelet's, the signal's and a
@@ -49,7 +51,6 @@ they were computed for, and reconstruction refuses a mismatch.
 from __future__ import annotations
 
 import functools
-import hashlib
 import warnings
 from dataclasses import dataclass
 
@@ -143,11 +144,11 @@ def wavelet_fingerprint(gamma: CircleSignal) -> str:
     """sha256 over the wavelet's sample count and its samples as <c16.
 
     Reports and scalograms carry it, so that reconstruction can refuse
-    inputs computed for another wavelet.
+    inputs computed for another wavelet.  It is hashed once per signal and
+    kept, and the signal's samples become read-only then, so the kept value
+    stays theirs.
     """
-    h = hashlib.sha256(f"n_samples={gamma.grid.n_samples};".encode())
-    h.update(np.ascontiguousarray(gamma.values, dtype="<c16"))
-    return h.hexdigest()
+    return gamma.fingerprint
 
 
 def _check_n_max(n_samples: int, n_max: int | None) -> int:
@@ -461,8 +462,10 @@ class Scalogram(_Lazy):
 
     values[j, i] is the coefficient at scale nodes[j], angle nodes[i];
     scales ascend, and n_max keeps the one band rule on the angle grid.
-    modes[j, n + n_max] is row j's coefficient of e^{2 i n theta}.  analyze's
-    scalogram makes values on their first read, any other its modes, read-only
+    modes[j, n + n_max] is row j's coefficient of e^{2 i n theta}.  held is
+    "modes" or "values", the one of them the scalogram was built from, and
+    the one a file holds: the scalogram of analyze, or of a file holding
+    modes, makes values on their first read, any other its modes, read-only
     either way; values edited after the modes are made are not seen.
     """
 
@@ -478,6 +481,7 @@ class Scalogram(_Lazy):
             raise ValueError(f"n_max must be an integer, got {self.n_max!r}")
         _check_n_max(self.angles.n_samples, self.n_max)
         name, width = ("modes", 2 * self.n_max + 1) if "modes" in self.__dict__ else ("values", self.angles.n_samples)
+        self.__dict__["held"] = name
         shape = (self.scales.count, width)
         _store_values(self, shape, lambda got: f"{name} shape {got} does not match {shape}", name=name)
 

@@ -11,19 +11,26 @@ does.  The reader also refuses a table whose mode integrals miss the
 report's lambdas by more than TABLE_MATCH_TOL of the largest; a report
 without a `table` object, such as an older file, reads with table None.
 
-A scalogram (`circlet/scalogram-v2`) is a JSON header `<stem>.json` plus a
-binary payload `<stem>.npy`: the (scales, angles|positions) array as
-little-endian complex128 (`<c16`), byte for byte what `np.save` writes
-without pickling, but written and hashed a block of rows at a time straight
-from the array's memory, or, for a float64 line scalogram, from each block
-converted in turn.
+A scalogram (`circlet/scalogram-v3`) is a JSON header `<stem>.json` plus a
+binary payload `<stem>.npy`: an array as little-endian complex128 (`<c16`),
+byte for byte what `np.save` writes without pickling, but written and
+hashed a block of rows at a time straight from the array's memory, or, for
+a float64 line scalogram, from each block converted in turn.  A line
+scalogram's payload is its (scales, positions) values.  A circle
+scalogram's is what it was built from, named by the header's `held`
+field: "modes", the (scales, 2 n_max + 1) band of analyze's scalogram, or
+"values", the (scales, n_angles) samples of one built from them, kept bit
+for bit with whatever they hold outside the band.  A mode-held file still
+records n_angles, the grid its band-limited modes are sampled on when its
+values are read; any grid the band rule admits will do.
 The header holds the grids, the payload's file name, dtype, shape and
-sha256, and for a circle scalogram the wavelet fingerprint.  One payload
-writer and one reader serve scalograms and report tables.  The reader
-refuses a payload name that is not a bare file name beside the header,
-then checks the digest, and the payload's dtype and shape against the
-header and the grids; the array it returns is a view of the one buffer
-the file was read into.
+sha256, and for a circle scalogram the band, `held` and the wavelet
+fingerprint.  One payload writer and one reader serve scalograms and
+report tables.  The reader refuses a payload name that is not a bare file
+name beside the header, then checks the digest, and the payload's dtype
+and shape against the header and the grids; a circle header's band is
+checked against its angles first.  The array it returns is a view of the
+one buffer the file was read into.
 
 Every reader passes its sidecar, report or header through one gate,
 `_header`: the file must hold a JSON object of the expected schema, and a
@@ -49,14 +56,15 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .circle import CircleGrid, CircleSignal
-from .cwt import AdmissibilityReport, ScaleGrid, Scalogram, mode_integrals
+from .cwt import AdmissibilityReport, ScaleGrid, Scalogram, _check_n_max, mode_integrals
 from .errors import FormatError
 from .line import LineGrid, LineScalogram, LineSignal
 
 SIGNAL_SCHEMA = "circlet/signal-v1"
-SCALOGRAM_SCHEMA = "circlet/scalogram-v2"
+SCALOGRAM_SCHEMA = "circlet/scalogram-v3"
 REPORT_SCHEMA = "circlet/report-v1"
 PAYLOAD_DTYPE = "<c16"
+HELD = frozenset({"modes", "values"})  # what a circle scalogram's payload holds
 
 KIND_CIRCLE = "circle-midpoint"
 KIND_LINE = "line-uniform"
@@ -168,10 +176,15 @@ def _header(path: Path, schema: str, rerun: str, what: str):
 
 def _field(obj, key, kind):
     """obj[key] if a JSON value of kind, else a ValueError: int is never a bool or a float such as
-    400.0, float any finite number but a bool, and a tuple of kinds a list of exactly such values."""
+    400.0, float any finite number but a bool, a tuple of kinds a list of exactly such values, and a
+    frozenset of strings one of them."""
     value = obj[key]
     if isinstance(kind, tuple) and isinstance(value, list) and len(value) == len(kind):
         return tuple(_field({key: v}, key, k) for v, k in zip(value, kind))
+    if isinstance(kind, frozenset):
+        if type(value) is str and value in kind:
+            return value
+        raise ValueError(f"field {key!r} must be one of {sorted(kind)}, got {value!r}")
     if kind is float and type(value) in (int, float) and np.isfinite(float(value)):
         return float(value)
     if kind is not float and type(value) is kind:
@@ -333,14 +346,15 @@ def write_scalogram(stem, scal: Scalogram | LineScalogram):
     """Write the payload <stem>.npy, then the header <stem>.json."""
     stem = Path(stem)
     if isinstance(scal, Scalogram):
-        kind = "circle"
+        kind, data = "circle", getattr(scal, scal.held)
         extra = {
             "n_angles": int(scal.angles.n_samples),
             "n_max": int(scal.n_max),
+            "held": scal.held,
             "wavelet_fingerprint": scal.wavelet_fingerprint,
         }
     else:
-        kind = "line"
+        kind, data = "line", scal.values
         extra = {
             "window": [float(scal.grid.lo), float(scal.grid.hi)],
             "n_samples": int(scal.grid.n_samples),
@@ -353,7 +367,7 @@ def write_scalogram(stem, scal: Scalogram | LineScalogram):
         "scale_count": int(scal.scales.count),
         **extra,
     }
-    chunks, checks = _payload(scal.values)
+    chunks, checks = _payload(data)
     payload = Path(str(stem) + ".npy")
     _atomic_write(payload, "wb", chunks)
     meta.update(payload=payload.name, **checks)
@@ -423,14 +437,15 @@ def read_scalogram(stem) -> Scalogram | LineScalogram:
         scales = ScaleGrid(_field(meta, "scale_min", float), _field(meta, "scale_max", float),
                            _field(meta, "scale_count", int))
         if meta["kind"] == "circle":
-            angles = CircleGrid(_field(meta, "n_angles", int))
-            return Scalogram(
-                scales=scales,
-                angles=angles,
-                values=_read_payload(stem, meta, (scales.count, angles.n_samples)),
-                n_max=_field(meta, "n_max", int),
-                wavelet_fingerprint=_field(meta, "wavelet_fingerprint", str),
-            )
+            angles, n_max = CircleGrid(_field(meta, "n_angles", int)), _field(meta, "n_max", int)
+            fingerprint, held = _field(meta, "wavelet_fingerprint", str), _field(meta, "held", HELD)
+            _check_n_max(angles.n_samples, n_max)
+            if held == "values":
+                values = _read_payload(stem, meta, (scales.count, angles.n_samples))
+                return Scalogram(scales, angles, values, n_max=n_max, wavelet_fingerprint=fingerprint)
+            modes = _read_payload(stem, meta, (scales.count, 2 * n_max + 1))
+            modes.flags.writeable = False
+            return Scalogram._from_modes(scales, angles, modes, n_max, fingerprint)
         if meta["kind"] == "line":
             grid = LineGrid(*_field(meta, "window", (float, float)), _field(meta, "n_samples", int))
             return LineScalogram(scales=scales, grid=grid,

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from circlet import (CircleGrid, CircleSignal, LineGrid, LineScalogram, LineSignal, ScaleGrid, analyze, cli, cwt,
-                     make_dog, read_scalogram, read_signal, write_scalogram, write_signal)
+                     fourier_coeffs, make_dog, mode_synthesis, read_scalogram, read_signal, write_scalogram,
+                     write_signal)
 
 CMD = [sys.executable, "-m", "circlet.cli"]
 
@@ -271,6 +272,42 @@ def test_icwt_refuses_a_band_its_angles_cannot_hold_and_writes_nothing(small_pip
     assert res.stdout == ""
     assert res.stderr.splitlines() == [f"circlet: error: malformed scalogram {header}: "
                                        "n_max 64 exceeds n_samples/4 = 4"]
+    assert not (tmp_path / "rec.csv").exists()
+
+
+def _mode_held_16_angles(small_pipeline, where, n_angles):
+    """The pipeline's report beside a 16-angle, |n| <= 4 scalogram whose header says n_angles."""
+    _copy_pipeline(small_pipeline, where)
+    grid = CircleGrid(16)
+    sig = CircleSignal(grid, np.cos(2 * grid.nodes) + 0.5 * np.sin(4 * grid.nodes))
+    write_scalogram(where / "scal", analyze(sig, make_dog(2.0), scales=ScaleGrid(1e-3, 1e3, 40), n_max=4))
+    header = where / "scal.json"
+    header.write_text(json.dumps({**json.loads(header.read_text()), "n_angles": n_angles}))
+    return header
+
+
+def test_icwt_samples_a_mode_held_scalogram_on_its_header_angles(small_pipeline, tmp_path, capsys):
+    # no payload shape binds a mode-held file's n_angles: it is the grid the
+    # band's modes are sampled on, any even N >= 4 n_max
+    _mode_held_16_angles(small_pipeline, tmp_path, 16)
+    assert _in_process(_icwt_args(tmp_path, out="rec16.csv"), capsys)[::2] == (0, "")
+    _mode_held_16_angles(small_pipeline, tmp_path, 32)
+    rc, out, err = _in_process(_icwt_args(tmp_path, out="rec32.csv"), capsys)
+    assert (rc, err) == (0, "")
+    assert float(out.split(": ")[1]) < 1e-13
+    rec16, rec32 = read_signal(tmp_path / "rec16.csv"), read_signal(tmp_path / "rec32.csv")
+    assert rec32.grid == CircleGrid(32)
+    want = mode_synthesis(CircleGrid(32), fourier_coeffs(rec16, 4)).values
+    assert np.max(np.abs(rec32.values - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_icwt_refuses_header_angles_below_the_band_and_writes_nothing(small_pipeline, tmp_path):
+    header = _mode_held_16_angles(small_pipeline, tmp_path, 6)
+    res = run(_icwt_args(tmp_path))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == [f"circlet: error: malformed scalogram {header}: "
+                                       "n_max 4 exceeds n_samples/4 = 1"]
     assert not (tmp_path / "rec.csv").exists()
 
 

@@ -1,6 +1,7 @@
 """Transform layer: mode coefficients, admissibility, analysis, reconstruction."""
 
 import dataclasses
+import hashlib
 import sys
 import threading
 import tracemalloc
@@ -560,6 +561,23 @@ def test_dilated_coeffs_memo_follows_content(dog):
         fresh = dilated_coeffs(gamma, scales, n_max)
         assert fresh.shape == (2 * n_max + 1, scales.count)
         assert np.array_equal(fresh, loop_dilated_coeffs(gamma, scales, n_max))
+
+
+def test_wavelet_fingerprint_is_hashed_once_per_wavelet(dog, monkeypatch):
+    gamma = CircleSignal(GRID, dog.values.copy())
+    want = hashlib.sha256(b"n_samples=1024;" + gamma.values.astype("<c16").tobytes()).hexdigest()
+    assert cwt.wavelet_fingerprint(gamma) == want
+    # the samples the digest belongs to can no longer change under it
+    with pytest.raises(ValueError, match="read-only"):
+        gamma.values[0] = 1.0
+    hashes = []
+    monkeypatch.setattr(hashlib, "sha256", lambda *a: hashes.append(a))
+    report = lambda_sequence(gamma, ScaleGrid(1e-3, 1e3, 40), 32)
+    scal = analyze(two_mode_signal(), gamma, report.scales, 32)
+    rec = synthesize(scal, gamma, report)
+    reanalysis_error(scal, gamma, report, rec)
+    assert hashes == []
+    assert report.wavelet_fingerprint == scal.wavelet_fingerprint == want
 
 
 def test_dilated_coeffs_table_is_read_only(dog):

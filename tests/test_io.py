@@ -32,6 +32,8 @@ from circlet import (
     read_report,
     read_scalogram,
     read_signal,
+    reanalysis_error,
+    synthesize,
     write_report,
     write_scalogram,
     write_signal,
@@ -378,6 +380,14 @@ def test_scalogram_v1_header_refused(tmp_path):
         read_scalogram(stem)
 
 
+def test_scalogram_v2_header_refused(tmp_path):
+    # a v2 circle payload held angle samples, with no `held` field to say so
+    stem = _small_scalogram(tmp_path)
+    _rewrite_header(stem, {"schema": "circlet/scalogram-v2"})
+    with pytest.raises(FormatError, match=r"circlet/scalogram-v2.*rerun `circlet cwt`"):
+        read_scalogram(stem)
+
+
 @pytest.mark.parametrize("bad", [
     lambda v: v.astype("<c8"),  # another dtype
     lambda v: v.reshape(v.shape[1], v.shape[0]),  # another shape
@@ -405,7 +415,7 @@ def test_scalogram_header_fields_checked(tmp_path, patch):
 
 
 PAYLOAD_FIELD_CASES = [
-    ({"shape": [5, 8]}, "header shape [5, 8] does not match the grids [4, 8]"),
+    ({"shape": [5, 8]}, "header shape [5, 8] does not match the grids [4, 5]"),
     ({"dtype": "<c8"}, "payload dtype must be '<c16', header says '<c8'"),
 ]
 
@@ -600,7 +610,7 @@ HEADER_KEYS = {
                "wavelet_fingerprint", "truncation", "truncation.a_min", "truncation.a_max",
                "truncation.count", "truncation.tail_lo", "truncation.tail_hi",
                "table", "table.payload", "table.dtype", "table.shape", "table.sha256"],
-    "circle scalogram": SCALOGRAM_KEYS + ["n_angles", "n_max", "wavelet_fingerprint"],
+    "circle scalogram": SCALOGRAM_KEYS + ["n_angles", "n_max", "held", "wavelet_fingerprint"],
     "line scalogram": SCALOGRAM_KEYS + ["window", "n_samples"],
 }
 READERS = {"sidecar": read_signal, "report": read_report, "scalogram": read_scalogram}
@@ -661,6 +671,7 @@ WRONG_TYPED = (
     + _typed_cases(REAL_FIELDS, ["0.5", True, HUGE])
     + _typed_cases({"report": VERDICT_FLAGS}, [1, "true"])
     + _typed_cases({"report": ["wavelet_fingerprint"], "circle scalogram": ["wavelet_fingerprint"]}, [5])
+    + _typed_cases({"circle scalogram": ["held"]}, [5, None, ["modes"], "samples", "Modes"])
     + _typed_cases({"circle sidecar": ["window"], "line sidecar": ["window"], "line scalogram": ["window"]},
                    [[-1.0, 1.0, 2.0]])
 )
@@ -683,6 +694,15 @@ def test_wrong_typed_header_field_is_refused(tmp_path, kind, key, value):
     name = next(part for part in reversed(key.split(".")) if not part.isdigit())
     with pytest.raises(FormatError, match=f"^malformed {kind.split()[-1]} {re.escape(str(header))}: .*'{name}'"):
         READERS[kind.split()[-1]](target)
+
+
+def test_circle_scalogram_without_held_refused(tmp_path):
+    target, header = _pristine_header("circle scalogram", tmp_path)
+    obj = json.loads(header.read_text())
+    del obj["held"]
+    header.write_text(json.dumps(obj))
+    with pytest.raises(FormatError, match=f"^malformed scalogram {re.escape(str(header))}: 'held'$"):
+        read_scalogram(target)
 
 
 def test_undecodable_byte_names_file_and_line(tmp_path):
@@ -866,3 +886,56 @@ def test_float_line_scalogram_writes_without_a_complex_copy(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 0.25 * scal.values.nbytes
+
+
+# the default circle scalogram: 400 scales, 1024 angles, |n| <= 64
+DEFAULT_VALUES_BYTES = 400 * 1024 * 16
+DEFAULT_MODES_PAYLOAD = 128 + 400 * 129 * 16  # .npy header and (scales, modes) <c16
+
+
+def _default_analysis():
+    gamma, psi = make_dog(2.0), circle_two_mode(1024)
+    return gamma, psi, lambda_sequence(gamma)  # the report makes the memo table and fingerprint
+
+
+def test_writing_an_analysis_makes_no_angle_samples(tmp_path):
+    gamma, psi, _ = _default_analysis()
+    tracemalloc.start()
+    try:
+        scal = analyze(psi, gamma)
+        write_scalogram(tmp_path / "scal", scal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "values" not in scal.__dict__
+    assert peak < 0.2 * DEFAULT_VALUES_BYTES
+    assert _header(tmp_path / "scal")["held"] == "modes"
+    assert (tmp_path / "scal.npy").stat().st_size == DEFAULT_MODES_PAYLOAD
+
+
+def test_reconstructing_from_a_mode_held_file_makes_no_angle_samples(tmp_path):
+    gamma, psi, report = _default_analysis()
+    write_scalogram(tmp_path / "scal", analyze(psi, gamma))
+    tracemalloc.start()
+    try:
+        scal = read_scalogram(tmp_path / "scal")
+        rec = synthesize(scal, gamma, report)
+        err = reanalysis_error(scal, gamma, report, rec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "values" not in scal.__dict__
+    assert peak < 2 * DEFAULT_MODES_PAYLOAD
+    assert err < 1e-13
+    assert np.max(np.abs(rec.values - psi.values)) < 1e-12
+
+
+def test_mode_held_round_trip_is_bitwise(tmp_path):
+    scal = analyze(circle_two_mode(64), make_dog(2.0), ScaleGrid(0.5, 2.0, 6), n_max=16)
+    write_scalogram(tmp_path / "scal", scal)
+    back = read_scalogram(tmp_path / "scal")
+    assert (back.held, back.n_max, back.angles, back.scales) == ("modes", 16, CircleGrid(64), scal.scales)
+    assert back.modes.tobytes() == scal.modes.tobytes()
+    assert not back.modes.flags.writeable
+    assert back.values.tobytes() == scal.values.tobytes()
+    assert back.energy() == scal.energy()
