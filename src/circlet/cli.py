@@ -235,7 +235,7 @@ def cmd_line_cwt(args) -> int:
     scal = line_analyze(sig, gamma, scales=scales)
     if args.out:
         cio.write_scalogram(args.out, scal)
-        print(f"wrote {args.out}.json ({scal.values.shape[0]} scales x {scal.values.shape[1]} positions)")
+        print(f"wrote {args.out}.json ({scales.count} scales x {sig.grid.n_samples} positions)")
     if args.roundtrip:
         rec = line_synthesize(scal, gamma, adm)
         err = LineSignal(sig.grid, rec.values - sig.values).norm()

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,16 +98,18 @@ class ScaleGrid:
         """Step in ln a, the quadrature step of da/a."""
         return np.log(self.a_max / self.a_min) / (self.count - 1)
 
-    @property
+    @functools.cached_property
     def nodes(self) -> np.ndarray:
-        return np.geomspace(self.a_min, self.a_max, self.count)
+        nodes = np.geomspace(self.a_min, self.a_max, self.count)
+        nodes.flags.writeable = False
+        return nodes
 
-    @property
+    @functools.cached_property
     def log_weights(self) -> np.ndarray:
         """Trapezoid weights for int f d(ln a)."""
         w = np.full(self.count, self.spacing)
-        w[0] *= 0.5
-        w[-1] *= 0.5
+        w[[0, -1]] *= 0.5
+        w.flags.writeable = False
         return w
 
     def integrate_da_over_a2(self, f_values: np.ndarray) -> np.ndarray:
@@ -115,6 +117,7 @@ class ScaleGrid:
         return np.sum(f_values / self.nodes * self.log_weights, axis=-1)
 
 
+@functools.cache  # one grid, so its nodes and weights are made once per process
 def default_scale_grid() -> ScaleGrid:
     return ScaleGrid(DEFAULT_SCALE_MIN, DEFAULT_SCALE_MAX, DEFAULT_SCALE_COUNT)
 
@@ -471,7 +474,7 @@ class Scalogram(_Lazy):
 
     scales: ScaleGrid
     angles: CircleGrid
-    values: np.ndarray
+    values: np.ndarray = field(repr=False)  # a repr makes no values
     n_max: int
     wavelet_fingerprint: str  # of the wavelet analyzed against
 

@@ -12,12 +12,12 @@ report's lambdas by more than TABLE_MATCH_TOL of the largest; a report
 without a `table` object, such as an older file, reads with table None.
 
 A scalogram (`circlet/scalogram-v3`) is a JSON header `<stem>.json` plus a
-binary payload `<stem>.npy`: an array as little-endian complex128 (`<c16`),
-byte for byte what `np.save` writes without pickling, but written and
-hashed a block of rows at a time straight from the array's memory, or, for
-a float64 line scalogram, from each block converted in turn.  A line
-scalogram's payload is its (scales, positions) values.  A circle
-scalogram's is what it was built from, named by the header's `held`
+binary payload `<stem>.npy`: an array as little-endian complex128
+(`<c16`), byte for byte what `np.save` writes without pickling, but
+written and hashed a block of rows at a time: straight from the array's
+memory, each converted in turn (float64), or made from a line scalogram's
+spectra.  A line scalogram's payload is its (scales, positions) values.  A
+circle scalogram's is what it was built from, named by the header's `held`
 field: "modes", the (scales, 2 n_max + 1) band of analyze's scalogram, or
 "values", the (scales, n_angles) samples of one built from them, kept bit
 for bit with whatever they hold outside the band.  A mode-held file still
@@ -51,7 +51,7 @@ import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -290,7 +290,8 @@ def write_report(path, report: AdmissibilityReport):
     path = Path(path)
     obj = report_to_dict(report)
     if report.table is not None:
-        chunks, checks = _payload(report.table)
+        chunks, checks = _payload(report.table.shape, report.table.__getitem__)
+        chunks = list(chunks)  # views of the table's memory, hashed before the digest names the file
         payload = path.parent / f"table-{checks['sha256'][:16]}.npy"
         try:
             held = hashlib.sha256(payload.read_bytes()).hexdigest()
@@ -347,6 +348,7 @@ def write_scalogram(stem, scal: Scalogram | LineScalogram):
     stem = Path(stem)
     if isinstance(scal, Scalogram):
         kind, data = "circle", getattr(scal, scal.held)
+        shape, rows = data.shape, data.__getitem__
         extra = {
             "n_angles": int(scal.angles.n_samples),
             "n_max": int(scal.n_max),
@@ -354,7 +356,8 @@ def write_scalogram(stem, scal: Scalogram | LineScalogram):
             "wavelet_fingerprint": scal.wavelet_fingerprint,
         }
     else:
-        kind, data = "line", scal.values
+        kind, shape = "line", (scal.scales.count, scal.grid.n_samples)
+        rows = scal.values.__getitem__ if "values" in scal.__dict__ else scal._make_values
         extra = {
             "window": [float(scal.grid.lo), float(scal.grid.hi)],
             "n_samples": int(scal.grid.n_samples),
@@ -367,37 +370,38 @@ def write_scalogram(stem, scal: Scalogram | LineScalogram):
         "scale_count": int(scal.scales.count),
         **extra,
     }
-    chunks, checks = _payload(data)
+    chunks, checks = _payload(shape, rows)
     payload = Path(str(stem) + ".npy")
     _atomic_write(payload, "wb", chunks)
     meta.update(payload=payload.name, **checks)
     atomic_write_text(Path(str(stem) + ".json"), _dump_json(meta))
 
 
-def _payload(values: np.ndarray) -> tuple[Iterator[bytes | np.ndarray], dict]:
-    """The .npy bytes of values as <c16, and the header fields dtype, shape and sha256 that check them.
+def _payload(shape: tuple[int, int], rows: Callable[[slice], np.ndarray]) -> tuple[Iterator[bytes | np.ndarray], dict]:
+    """The .npy bytes as <c16 of the `shape` array whose row slices rows() gives, and the fields that check them.
 
     The bytes are np.save's: a header, then the rows PAYLOAD_BLOCK bytes
     at a time, each block a view of a contiguous <c16 array's own memory
     or, for any other array, a converted copy, so that a float64 scalogram
-    is never copied whole.  They are hashed here, and come again from the
-    iterator for the write.
+    is never copied whole, and one held as spectra never made whole.  Each
+    is made once, and hashed as it is; sha256 joins the fields after the last.
     """
     header = io.BytesIO()
     np.lib.format.write_array_header_1_0(header, {"descr": PAYLOAD_DTYPE, "fortran_order": False,
-                                                  "shape": values.shape})
+                                                  "shape": shape})
     header = header.getvalue()
-    step = max(1, PAYLOAD_BLOCK // (16 * values.shape[1]))
+    step = max(1, PAYLOAD_BLOCK // (16 * shape[1]))
+    digest, checks = hashlib.sha256(header), {"dtype": PAYLOAD_DTYPE, "shape": list(shape)}
 
     def chunks():
         yield header
-        for lo in range(0, len(values), step):
-            yield np.ascontiguousarray(values[lo:lo + step], dtype=PAYLOAD_DTYPE).reshape(-1).view(np.uint8)
+        for lo in range(0, shape[0], step):
+            chunk = np.ascontiguousarray(rows(slice(lo, lo + step)), dtype=PAYLOAD_DTYPE).reshape(-1).view(np.uint8)
+            digest.update(chunk)
+            yield chunk
+        checks["sha256"] = digest.hexdigest()
 
-    digest = hashlib.sha256()
-    for chunk in chunks():
-        digest.update(chunk)
-    return chunks(), {"dtype": PAYLOAD_DTYPE, "shape": list(values.shape), "sha256": digest.hexdigest()}
+    return chunks(), checks
 
 
 def _read_payload(stem: Path, meta: dict, shape: tuple[int, int]) -> np.ndarray:

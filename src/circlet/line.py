@@ -16,12 +16,13 @@ exponential-of-semicircle NUFFT shared with `circle.trig_interpolate`, so
 scales below the grid spacing do not alias.  A real wavelet's transform
 runs on real FFTs, one per nonzero real component of the data; each
 component keeps only the real part of its product at the Nyquist bin, as
-a real row must.  So a real signal and a real wavelet have an exactly
-real scalogram, and it is stored as float64, half the bytes of the
-complex128 that every other scalogram is stored in; files hold either as
-complex128.  Analysis and synthesis share one read-only table per
-(wavelet, grid, scale grid) from a small memo, as the circle's analysis
-and synthesis share `cwt.dilated_coeffs`.
+a real row must.  The transform is diagonal per frequency, so a scalogram
+is held as those products, its rows' spectra (as a circle scalogram is
+held as its modes); synthesis runs no FFT over the rows, and the samples
+are made on their first read, exactly real float64 for a real signal and
+wavelet.  Files hold samples as complex128.  Analysis and synthesis share
+one read-only table per (wavelet, grid, scale grid) from a small memo, as
+the circle's share `cwt.dilated_coeffs`.
 
 The companion Fourier-picture action on L2(R+, da/a),
     (U(a', b') phi)(a) = e^{-i a b'} phi(a' a),
@@ -31,17 +32,17 @@ lives on the circle's log-uniform ScaleGrid, here also named LogGrid.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import (NUFFT_OVERSAMPLING, WEAK_DECAY_TOL, Sampled, _nufft_evaluator, _store_values,
+from .circle import (NUFFT_OVERSAMPLING, WEAK_DECAY_TOL, Sampled, _Lazy, _nufft_evaluator, _store_values,
                      _weak_sum_ok, edge_fraction)
 from .cwt import MODE_FLOOR, TABLE_MEMO_SIZE, ScaleGrid, _row_spectra
 from .errors import require_positive
 
 DEFAULT_LINE_SAMPLES = 2048
-SPECTRA_BLOCK = 8  # scales per batched block of the spectra build, of analysis and of synthesis
+SPECTRA_BLOCK = 8  # scales per batched block of the spectra build and of synthesis
 
 
 @dataclass(frozen=True)
@@ -160,21 +161,43 @@ LineScaleGrid = LogGrid = ScaleGrid
 
 
 @dataclass(frozen=True, eq=False)
-class LineScalogram:
+class LineScalogram(_Lazy):
     """Affine wavelet coefficients on translate x scale; b-grid = signal grid.
 
-    Values of a real dtype are stored as a contiguous float64 array, and
-    complex ones as complex128: line_analyze gives float64 values exactly
-    when both the signal and the wavelet are real.
+    Real values are stored as contiguous float64 (line_analyze's, for a
+    real signal and wavelet), complex ones as complex128.  held is
+    "spectra" or "values", what it was built from.  line_analyze's holds
+    spectra[p, j], the spectrum of component p of row j (the row for a
+    complex wavelet; else its real, and for a complex signal imaginary,
+    part's n/2 + 1 bins), and makes read-only values from them when read.
     """
 
     scales: ScaleGrid
     grid: LineGrid
-    values: np.ndarray
+    values: np.ndarray = field(repr=False)  # a repr makes no values
 
     def __post_init__(self):
+        self.__dict__["held"] = "values"
         shape = (self.scales.count, self.grid.n_samples)
         _store_values(self, shape, lambda got: f"values shape {got} does not match {shape}", keep_real=True)
+
+    @classmethod
+    def _from_spectra(cls, scales: ScaleGrid, grid: LineGrid, spectra: np.ndarray, zero: tuple[bool, ...]):
+        """The scalogram held as its rows' spectra; zero[p] marks a component whose rows are +0.0."""
+        scal = object.__new__(cls)
+        scal.__dict__.update(scales=scales, grid=grid, held="spectra", spectra=spectra, _zero=zero)
+        return scal
+
+    def _make_values(self, rows: slice = slice(None)) -> np.ndarray:
+        """values[rows] from the spectra, read-only: each component's inverse FFT, or +0.0 for a zero one."""
+        spectra, n = self.spectra[:, rows], self.grid.n_samples
+        half = spectra.shape[2] < n
+        out = np.zeros((spectra.shape[1], n), dtype=float if half and len(spectra) == 1 else complex)
+        for part, dest, zero in zip(spectra, (out,) if len(spectra) == 1 else (out.real, out.imag), self._zero):
+            if not zero:
+                (np.fft.irfft if half else np.fft.ifft)(part, n, axis=1, out=dest)
+        out.flags.writeable = False
+        return out
 
 
 def dilated_spectra(gamma: LineSignal, grid: LineGrid, scales: ScaleGrid) -> np.ndarray:
@@ -234,58 +257,59 @@ def _memo_spectra(samples: bytes, wgrid: LineGrid, grid: LineGrid, scales: Scale
 def line_analyze(psi: LineSignal, gamma: LineSignal, scales: ScaleGrid) -> LineScalogram:
     """W(b, a) = <U(a,b) gamma | psi> for b on the signal grid.
 
-    Per scale, the product h fft(psi) conj(dilated_spectra) followed by an
-    inverse FFT: a circular cross-correlation over the periodized window,
-    so both signals must decay inside the window for the wraparound to be
-    harmless.  One loop serves every wavelet, SPECTRA_BLOCK scales at a
-    time, per component of psi, each inverse FFT written straight into the
-    rows of its part of the scalogram.  A complex wavelet's full table
-    takes psi whole, by complex FFTs, into complex128 values.  A real
-    wavelet's half table takes each real component of psi by real FFTs,
-    and irfft keeps only the real part of a product's Nyquist bin, as a
-    real row must.  So a real psi has an exactly real scalogram, in
-    float64 values; a complex psi's fills the real and imaginary parts of
-    complex128 values.  A component that is zero gives +0.0 rows.
+    Per scale, the product h fft(psi) conj(dilated_spectra), whose inverse
+    FFT is the row: a circular cross-correlation over the periodized
+    window, so both signals must decay inside the window for the
+    wraparound to be harmless.  The scalogram holds these products, per
+    component of psi, and makes its values by their inverse FFTs on the
+    first read.  A complex wavelet's full table takes psi whole, by complex
+    FFTs, into complex128 values.  A real wavelet's half table takes each
+    real component of psi by real FFTs, its products real at the Nyquist
+    bin as a real row's spectrum is.  So a real psi has an exactly real
+    scalogram, in float64 values; a complex psi's fills the real and
+    imaginary parts of complex128 values.  A zero component gives +0.0 rows.
     """
     g = psi.grid
     table = dilated_spectra(gamma, g, scales)
     n, w = g.n_samples, table.shape[1]
     full = w == n
-    real = not full and not np.any(psi.values.imag)
-    out = np.empty((scales.count, n), dtype=float if real else complex)
-    parts = (psi.values,) if full else (psi.values.real, psi.values.imag)
-    forward, inverse = (np.fft.fft, np.fft.ifft) if full else (np.fft.rfft, np.fft.irfft)
-    buf = np.empty((min(SPECTRA_BLOCK, scales.count), w), dtype=complex)
-    for part, dest in zip(parts, (out,) if full or real else (out.real, out.imag)):
-        if not np.any(part):
-            dest[...] = 0.0
+    parts = (psi.values,) if full else (psi.values.real,) + ((psi.values.imag,) if np.any(psi.values.imag) else ())
+    zero = tuple(not np.any(part) for part in parts)
+    spectra = np.zeros((len(parts), scales.count, w), dtype=complex)
+    for part, dest, skip in zip(parts, spectra, zero):
+        if skip:  # its spectra, and rows, stay +0.0
             continue
-        f = g.spacing * forward(part)
-        for lo in range(0, scales.count, SPECTRA_BLOCK):
-            rows = table[lo:lo + SPECTRA_BLOCK]
-            block = np.conjugate(rows, out=buf[:len(rows)])
-            for row in block:  # a broadcast product takes numpy iterator buffers on every block
-                row *= f
-            inverse(block, n, axis=1, out=dest[lo:lo + SPECTRA_BLOCK])
-    return LineScalogram(scales=scales, grid=g, values=out)
+        f = g.spacing * (np.fft.fft if full else np.fft.rfft)(part)
+        np.conjugate(table, out=dest)
+        for row in dest:  # a broadcast product takes numpy iterator buffers the size of the rows
+            row *= f
+    if not full:  # irfft reads only the real part of the Nyquist bin
+        spectra[..., -1].imag = 0.0
+    spectra.flags.writeable = False
+    return LineScalogram._from_spectra(scales, g, spectra, zero)
 
 
-def _weighted_sums(values: np.ndarray, table: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Per frequency, sum over scales of weights * transform(row) * table row: A and B.
+def _weighted_sums(scalogram: LineScalogram, table: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per frequency, sum over scales of weights * row spectrum * table row: A and B.
 
-    Each component of the rows takes its spectra from cwt._row_spectra.  A
-    complex wavelet's full table, or float64 rows, take the rows whole into
-    A; otherwise the real parts go into A, and the imaginary parts into B
-    if they have a nonzero bit anywhere (nan and -0.0 count).  One block
-    buffer is held at a time, and none on return.
+    A scalogram held as spectra of the table's width, its values unread,
+    gives them into A and B, a copied block at a time.  Any other (so it
+    reconstructs bitwise as all with its values) takes cwt._row_spectra of
+    its rows: whole into A for a full table or float64 rows; else the real
+    parts into A, and the imaginary parts into B if they have a nonzero
+    bit anywhere (nan and -0.0 count).  One block buffer is held at a time.
     """
     w = table.shape[1]
     sums = np.zeros((2, w), dtype=complex)
-    transform = np.fft.fft if w == values.shape[1] else np.fft.rfft
-    parts = [values]
-    if transform is np.fft.rfft and values.dtype == complex:
-        nonzero = np.bitwise_or.reduce(values.imag.view(np.uint64), axis=None)
-        parts = [values.real] + ([values.imag] if nonzero else [])
+    if scalogram.held == "spectra" and "values" not in scalogram.__dict__ and scalogram.spectra.shape[2] == w:
+        parts, transform = list(scalogram.spectra), lambda block, axis, out: np.copyto(out, block) or out
+    else:
+        values = scalogram.values
+        transform = np.fft.fft if w == values.shape[1] else np.fft.rfft
+        parts = [values]
+        if transform is np.fft.rfft and values.dtype == complex:
+            nonzero = np.bitwise_or.reduce(values.imag.view(np.uint64), axis=None)
+            parts = [values.real] + ([values.imag] if nonzero else [])
     for acc, part in zip(sums, parts):
         for rows, block in _row_spectra(part, SPECTRA_BLOCK, transform):
             block *= table[rows]
@@ -306,21 +330,20 @@ def line_synthesize(
 ) -> LineSignal:
     """Reconstruct from int int W(b,a) (U(a,b) gamma)(x) db da/a^2.
 
-    In the frequency domain, _weighted_sums transforms the scalogram rows,
-    multiplies them by dilated_spectra and sums over scales with the
-    weights db da/a^2.  For a real wavelet it gives the half-spectra A and B
-    of the real and imaginary parts, each kept real at the Nyquist bin as a
-    real row's must be, and the full spectrum is A + iB at k[m], m <= n/2,
-    and conj A + i conj B at k[n - m].  Normalized per frequency half-line
+    In the frequency domain, _weighted_sums multiplies the row spectra (held
+    by line_analyze's scalogram, else by FFT) by dilated_spectra and sums
+    over scales with the weights db da/a^2.  For a real wavelet it gives the
+    half-spectra A and B of the real and imaginary parts, each kept real at
+    the Nyquist bin as a real row's must be, and the full spectrum is
+    A + iB at k[m], m <= n/2, and conj A + i conj B at k[n - m].  Normalized per frequency half-line
     by 2 pi C_sgn(k) (the exact resolution constant); frequencies on a
     half-line with constant below MODE_FLOOR * C_total are dropped, k = 0
     included.
     """
-    g = scalogram.grid
-    scales = scalogram.scales
+    g, scales = scalogram.grid, scalogram.scales
     table = dilated_spectra(gamma, g, scales)
     n, w = g.n_samples, table.shape[1]
-    sums = _weighted_sums(scalogram.values, table, g.spacing * scales.log_weights / scales.nodes)  # db da/a^2
+    sums = _weighted_sums(scalogram, table, g.spacing * scales.log_weights / scales.nodes)  # db da/a^2
     acc_hat, b = sums
     if w < n:  # unfold A + iB; a real row's Nyquist bin is real
         sums[:, -1] = sums[:, -1].real

@@ -723,3 +723,26 @@ def test_reanalysis_error_of_a_zero_scalogram_is_zero(dog, dog_report):
     rec = synthesize(scal, dog, dog_report)
     assert not np.any(scal.values) and not np.any(rec.values)
     assert reanalysis_error(scal, dog, dog_report, rec) == 0.0
+
+
+def test_scale_grid_makes_its_nodes_and_weights_once():
+    grid = ScaleGrid(1e-3, 1e3, 400)
+    nodes, weights = grid.nodes, grid.log_weights
+    assert grid.nodes is nodes and grid.log_weights is weights
+    assert nodes.tobytes() == np.geomspace(1e-3, 1e3, 400).tobytes()
+    assert weights[0] == weights[-1] == 0.5 * grid.spacing and np.all(weights[1:-1] == grid.spacing)
+    for array in (nodes, weights):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    # the kept arrays are no part of the grid's equality or hash, memo keys of the tables
+    fresh = ScaleGrid(1e-3, 1e3, 400)
+    assert fresh == grid and hash(fresh) == hash(grid)
+    assert "nodes" not in fresh.__dict__ and "nodes" in grid.__dict__
+    assert cwt.default_scale_grid() is cwt.default_scale_grid()  # made once, as its nodes are
+
+
+def test_a_scalogram_repr_makes_no_values():
+    scal = analyze(two_mode_signal(), make_dog(2.0, grid=GRID), ScaleGrid(0.5, 2.0, 4))
+    text = repr(scal)
+    assert "values" not in scal.__dict__ and "values" not in text and "n_max=" in text

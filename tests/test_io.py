@@ -28,7 +28,9 @@ from circlet import (
     analyze,
     atomic_write_text,
     lambda_sequence,
+    line_analyze,
     make_dog,
+    mexican_hat,
     read_report,
     read_scalogram,
     read_signal,
@@ -939,3 +941,22 @@ def test_mode_held_round_trip_is_bitwise(tmp_path):
     assert not back.modes.flags.writeable
     assert back.values.tobytes() == scal.values.tobytes()
     assert back.energy() == scal.energy()
+
+
+@pytest.mark.parametrize("complex_signal", [False, True], ids=["real-signal", "complex-signal"])
+def test_spectra_held_line_scalogram_writes_its_values_bytes_without_making_them(tmp_path, complex_signal):
+    grid = LineGrid(-16.0, 16.0, 2048)
+    f = np.cos(5.0 * grid.nodes) * np.exp(-0.5 * grid.nodes ** 2)
+    psi = LineSignal(grid, f * np.exp(0.5j * grid.nodes) if complex_signal else f)
+    scal = line_analyze(psi, mexican_hat(grid), ScaleGrid(1e-2, 1e2, 200))
+    tracemalloc.start()
+    try:
+        write_scalogram(tmp_path / "held", scal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "values" not in scal.__dict__
+    assert peak < 0.25 * scal.spectra.nbytes  # rows are made a block at a time
+    write_scalogram(tmp_path / "copy", LineScalogram(scal.scales, scal.grid, scal.values))
+    assert (tmp_path / "held.npy").read_bytes() == (tmp_path / "copy.npy").read_bytes()
+    assert (tmp_path / "held.json").read_text() == (tmp_path / "copy.json").read_text().replace("copy.npy", "held.npy")

@@ -529,3 +529,75 @@ def test_one_sided_report_reconstructs_one_half():
     peak = np.abs(full).max()
     assert np.max(np.abs(half[k <= 0])) < 1e-12 * peak
     assert np.max(np.abs(half[k > 0] - full[k > 0])) < 1e-12 * peak
+
+
+def eager_line_values(psi, gamma, scales):
+    """The row-by-row transform the spectra-held scalogram must reproduce bit for bit:
+    per component, the inverse FFT of h fft(component) conj(table row), +0.0 for a zero one."""
+    table = dilated_spectra(gamma, psi.grid, scales)
+    n, full = psi.grid.n_samples, table.shape[1] == psi.grid.n_samples
+    real = not full and not np.any(psi.values.imag)
+    out = np.empty((scales.count, n), dtype=float if real else complex)
+    parts = (psi.values,) if full else (psi.values.real, psi.values.imag)
+    forward, inverse = (np.fft.fft, np.fft.ifft) if full else (np.fft.rfft, np.fft.irfft)
+    for part, dest in zip(parts, (out,) if full or real else (out.real, out.imag)):
+        if not np.any(part):
+            dest[...] = 0.0
+            continue
+        f = psi.grid.spacing * forward(part)
+        for j, row in enumerate(table):
+            dest[j] = inverse(np.conjugate(row) * f, n)
+    return out
+
+
+@pytest.mark.parametrize("signal", ["real", "complex", "imaginary", "zero"])
+@pytest.mark.parametrize("gamma", [mexican_hat, odd_wavelet], ids=["real-wavelet", "complex-wavelet"])
+def test_values_made_from_the_spectra_are_the_eager_values(signal, gamma):
+    f = band_signal().values
+    psi = LineSignal(GRID, {"real": f, "complex": f * np.exp(0.5j * GRID.nodes),
+                            "imaginary": 1j * f, "zero": np.zeros(GRID.n_samples)}[signal])
+    scales = LineScaleGrid(1e-2, 1e2, 200)
+    scal = line_analyze(psi, gamma(), scales)
+    assert scal.held == "spectra" and "values" not in scal.__dict__
+    want = eager_line_values(psi, gamma(), scales)
+    assert scal.values.dtype == want.dtype and scal.values.tobytes() == want.tobytes()  # +0.0 bits included
+    assert not scal.values.flags.writeable
+    with pytest.raises(ValueError):
+        scal.values[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("complex_signal", [False, True], ids=["real-signal", "complex-signal"])
+def test_line_round_trip_makes_no_values(complex_signal):
+    mh = mexican_hat()
+    f = band_signal()
+    if complex_signal:
+        f = LineSignal(GRID, f.values * np.exp(0.5j * GRID.nodes))
+    scal = line_analyze(f, mh, LineScaleGrid(1e-2, 1e2, 200))
+    rec = line_synthesize(scal, mh, line_admissibility(mh)).values
+    assert "values" not in scal.__dict__
+    assert scal.spectra.shape == (2 if complex_signal else 1, 200, GRID.n_samples // 2 + 1)
+    assert not scal.spectra.flags.writeable
+    # the value-built copy takes the rows' FFTs: the held spectra reconstruct as they do
+    copy = LineScalogram(scal.scales, scal.grid, scal.values)
+    assert copy.held == "values" and "spectra" not in copy.__dict__
+    assert np.max(np.abs(rec - line_synthesize(copy, mh, line_admissibility(mh)).values)) <= 1e-14 * np.max(np.abs(rec))
+
+
+def test_a_line_scalogram_repr_makes_no_values():
+    scal = line_analyze(band_signal(), mexican_hat(), LineScaleGrid(0.3, 3.0, 5))
+    text = repr(scal)
+    assert "values" not in scal.__dict__ and "values" not in text and "LineGrid" in text
+
+
+def test_held_spectra_are_real_at_the_nyquist_bin():
+    # a shifted wavelet's table is complex at the Nyquist bin, where a real row's spectrum is real:
+    # the held spectra must be too, or they reconstruct otherwise than the rows they stand for
+    shifted = affine_action(mexican_hat(), 1.0, 0.3)
+    adm = line_admissibility(shifted)
+    rng = np.random.default_rng(3)
+    psi = LineSignal(GRID, rng.standard_normal(GRID.n_samples) * np.exp(-0.05 * GRID.nodes ** 2))
+    scal = line_analyze(psi, shifted, LineScaleGrid(1e-2, 1e2, 200))
+    assert not np.any(scal.spectra[..., -1].imag)
+    rec = line_synthesize(scal, shifted, adm).values
+    copy = line_synthesize(LineScalogram(scal.scales, GRID, scal.values), shifted, adm).values
+    assert np.max(np.abs(rec - copy)) <= 1e-14 * np.max(np.abs(rec))
