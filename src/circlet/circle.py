@@ -149,7 +149,7 @@ class Sampled(_Lazy):
     """
 
     grid: Any
-    values: np.ndarray
+    values: np.ndarray = field(repr=False)  # a repr takes no samples
     evaluator: Callable[[np.ndarray], np.ndarray] | None = field(default=None)
 
     def __post_init__(self):
@@ -240,9 +240,9 @@ def _weak_sum_ok(terms: np.ndarray) -> bool:
 def _checked_spectrum(signal: CircleSignal, what: str) -> np.ndarray:
     """The samples' FFT, refused if modes above n_samples/4 carry > ALIAS_ENERGY_TOL of the energy."""
     u = np.fft.fft(signal.values)
+    n = signal.grid.n_samples
     total = float(np.sum(np.abs(u) ** 2))
-    k = _signed_freqs(signal.grid.n_samples)
-    tail = float(np.sum(np.abs(u[np.abs(k) > signal.grid.n_samples // 4]) ** 2))
+    tail = float(np.sum(np.abs(u[n // 4 + 1:n - n // 4]) ** 2))  # the bins of |k| > n/4, in order
     if total > 0.0 and tail / total > ALIAS_ENERGY_TOL:
         raise AliasingError(
             f"{what}: modes above n_samples/4 carry {tail / total:.3e} of the energy "

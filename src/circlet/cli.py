@@ -212,8 +212,9 @@ def cmd_cwt(args) -> int:
 
 def cmd_icwt(args) -> int:
     gamma = _load_wavelet(args, CircleSignal)
-    scal = _read_input(args.scalogram, Scalogram)
+    # the report first, so its table's transient scales-major copy is freed before the scalogram is held
     report = cio.read_report(args.report)
+    scal = _read_input(args.scalogram, Scalogram)
     rec = synthesize(scal, gamma, report)
     # the self check comes before any write, so that an error leaves no file
     err = reanalysis_error(scal, gamma, report, rec)

@@ -7,13 +7,13 @@ e^{2 i n theta}/sqrt(pi) the acted wavelet has coefficients
 e^{-2 i n vartheta} c_n(a), where c_n(a) is the coefficient of the purely
 dilated wavelet.  Every weight is diagonal on the modes, so a scalogram
 is held as its band's modes, a small (scales x modes) array: analyze
-computes conj(c_n(a)) psi_n, and synthesize contracts it with one kernel
-holding c_m(a), the ln a quadrature weights, 1/a and 1/L_m.  The angle
-samples of analyze's scalogram, or of one read from a file that holds its
-modes, are made on their first read, by one unscaled inverse FFT per scale
-(all scales batched); a scalogram built from angle samples (read from a
-file that holds them, or by hand) makes its modes on theirs, by one FFT
-pass.
+computes conj(c_n(a)) psi_n, and synthesize contracts it with c_m(a) and
+the ln a quadrature weights over a by one kernel, then divides by L_m.
+The angle samples of analyze's scalogram, or of one read from a file that
+holds its modes, are made on their first read, by one unscaled inverse FFT
+per scale (all scales batched); a scalogram built from angle samples (read
+from a file that holds them, or by hand) makes its modes on theirs, by one
+FFT pass.
 
 One band rule, 1 <= n_max <= N/4 (`_check_n_max`), holds wherever a mode
 band meets a grid of N points: the wavelet's, the signal's and a
@@ -33,10 +33,10 @@ which needs gamma only at grid nodes and stays accurate at scales far
 below the grid spacing (the dilated-variable form cannot resolve those).
 The table c_n(a) depends only on the wavelet samples, the scale grid and
 n_max, so admissibility, analysis and reconstruction share one read-only
-copy from a small content-keyed memo.  An admissibility report carries the
-table its L_n came from, and the written report keeps it beside the JSON,
-so reconstruction on the report's scale grid, in this process or another,
-builds no table; on another grid it builds its own.
+copy, stored scales-major, from a small content-keyed memo.  A report
+carries the table its L_n came from, and the written report keeps it beside
+the JSON, so reconstruction on the report's scale grid, in this process or
+another, builds no table; on another grid it builds its own.
 
 The reconstruction's self check, the relative l2 distance between the
 scalogram and the analysis of the reconstruction, is taken in mode space:
@@ -71,7 +71,7 @@ PLATEAU_SPREAD_TOL = 5e-2
 
 TABLE_BLOCK = 32  # scales per vectorised block of the dilated-coefficient kernel
 TABLE_MEMO_SIZE = 4  # dilated-coefficient tables kept for reuse
-SPECTRUM_BLOCK = 32  # scalogram rows per block of a row FFT pass and of the self check's sums
+SPECTRUM_BLOCK = 32  # scalogram rows per block of a row FFT pass, of synthesis and of the self check's sums
 
 
 @dataclass(frozen=True)
@@ -196,14 +196,19 @@ def _mode_sum(weights: np.ndarray, grid: CircleGrid) -> np.ndarray:
     return np.fft.ifft(out, axis=-1, norm="forward", out=out)
 
 
-def _row_spectra(values: np.ndarray, rows: int = SPECTRUM_BLOCK, transform=np.fft.fft):
-    """(row slice, transform over the last axis of values[row slice]), `rows` rows at a time into
-    one reused buffer (n/2 + 1 wide for rfft), so no spectrum of the whole 2-d array is held."""
-    n = values.shape[-1]
-    buf = np.empty((min(rows, len(values)), n // 2 + 1 if transform is np.fft.rfft else n), dtype=complex)
-    for lo in range(0, len(values), rows):
-        block = values[lo:lo + rows]
-        yield slice(lo, lo + len(block)), transform(block, axis=-1, out=buf[:len(block)])
+def _weighted_rows(held: np.ndarray, table: np.ndarray, weights: np.ndarray, acc: np.ndarray,
+                   rows: int = SPECTRUM_BLOCK, transform=None):
+    """acc += sum_s weights[s] table[s] held[s] over the rows s, held[s] taken by its transform (np.fft.fft
+    or rfft) if one is given: the synthesis sum of both geometries.  Each block of `rows` rows is multiplied
+    by its table rows into one reused buffer, and weights[rows] @ its float view, one real GEMV, adds into
+    acc's float view (acc complex and C-contiguous), so no array of held's size is made."""
+    sums = acc.view(float)
+    buf = np.empty((min(rows, len(held)), table.shape[1]), dtype=complex)
+    for lo in range(0, len(held), rows):
+        part, block = held[lo:lo + rows], buf[:min(rows, len(held) - lo)]
+        if transform is not None:
+            part = transform(part, axis=-1, out=block)
+        sums += weights[lo:lo + rows] @ np.multiply(part, table[lo:lo + rows], out=block).view(float)
 
 
 def fourier_coeffs(psi: CircleSignal, n_max: int | None = None) -> FourierCoeffs:
@@ -223,7 +228,9 @@ def mode_synthesis(grid: CircleGrid, coeffs: FourierCoeffs) -> CircleSignal:
 def dilated_coeffs(gamma: CircleSignal, scales: ScaleGrid, n_max: int | None = None) -> np.ndarray:
     """Mode coefficients of the dilated wavelet, shape (2*n_max+1, count).
 
-    Row n + n_max holds c_n(a) over the scale nodes.  Evaluated in the
+    Row n + n_max holds c_n(a) over the scale nodes.  The array is the
+    transposed view of a C-contiguous (count, 2*n_max+1) table, so `.T`
+    gives each scale's modes as one contiguous row.  Evaluated in the
     undilated variable (see module docstring), so only wavelet samples on
     the grid enter; agreement with the dilate-then-project route at
     moderate scales is part of the test contract.
@@ -239,24 +246,25 @@ def dilated_coeffs(gamma: CircleSignal, scales: ScaleGrid, n_max: int | None = N
 
 @functools.lru_cache(maxsize=TABLE_MEMO_SIZE)
 def _memo_table(samples: bytes, scales: ScaleGrid, n_max: int) -> np.ndarray:
-    """dilated_coeffs behind the memo; the sample count follows from the byte length."""
+    """dilated_coeffs behind the memo, each hit the one view of its scales-major table; n follows from the bytes."""
     gv = np.frombuffer(samples, dtype=complex)
-    table = np.empty((2 * n_max + 1, scales.count), dtype=complex)
-    table[n_max:] = _dilated_table(gv, scales, n_max)
+    table = np.empty((scales.count, 2 * n_max + 1), dtype=complex)
+    table[:, n_max:] = _dilated_table(gv, scales, n_max)
     # c_{-n}(gamma) = conj(c_n(conj gamma)), and a real wavelet is its own conjugate
-    mirror = table[n_max:] if not np.any(gv.imag) else _dilated_table(np.conj(gv), scales, n_max)
-    table[:n_max] = np.conj(mirror[:0:-1])
+    mirror = table[:, n_max:] if not np.any(gv.imag) else _dilated_table(np.conj(gv), scales, n_max)
+    table[:, :n_max] = np.conj(mirror[:, :0:-1])
     table.flags.writeable = False
-    return table
+    return table.T
 
 
 def mode_integrals(table: np.ndarray, scales: ScaleGrid) -> np.ndarray:
-    """L_n from a dilated-coefficient table: int |c_n(a)|^2 da/a^2 by log-trapezoid."""
-    return (np.abs(table) ** 2 / scales.nodes) @ scales.log_weights
+    """L_n from a (2*n_max+1, count) table: int |c_n(a)|^2 da/a^2 by log-trapezoid, in C order whatever
+    the table's storage, so L_n's bits do not depend on it."""
+    return (np.abs(table, order="C") ** 2 / scales.nodes) @ scales.log_weights
 
 
 def _dilated_table(gv: np.ndarray, scales: ScaleGrid, n_max: int) -> np.ndarray:
-    """c_n(a) for 0 <= n <= n_max by cumulative powers of e^{-2 i dilate(u, a)}.
+    """c_n(a) for 0 <= n <= n_max by cumulative powers of e^{-2 i dilate(u, a)}, shape (count, n_max+1).
 
     gv holds the wavelet samples on the midpoint grid.  TABLE_BLOCK scales
     at a time; the block arrays are allocated once and overwritten in place.
@@ -265,14 +273,14 @@ def _dilated_table(gv: np.ndarray, scales: ScaleGrid, n_max: int) -> np.ndarray:
     u = CircleGrid(n).nodes
     cos2, sin = np.cos(u) ** 2, np.sin(u)
     tan = np.tan(u)
-    out = np.empty((n_max + 1, scales.count), dtype=complex)
+    out = np.empty((scales.count, n_max + 1), dtype=complex)
     nodes = scales.nodes
     rows = min(TABLE_BLOCK, scales.count)
     mult_buf = np.empty((rows, n))
     p_buf, z_buf = np.empty((rows, n), dtype=complex), np.empty((rows, n), dtype=complex)
     for lo in range(0, scales.count, TABLE_BLOCK):
         a = nodes[lo:lo + TABLE_BLOCK, None]
-        cols = slice(lo, lo + a.shape[0])
+        block = out[lo:lo + a.shape[0]]
         mult, p, z = mult_buf[:a.shape[0]], p_buf[:a.shape[0]], z_buf[:a.shape[0]]
         # mult = a / (cos^2 u + (a sin u)^2), as circle.multiplier;  p = (sqrt(pi)/n) sqrt(mult) gamma
         np.square(np.multiply(a, sin, out=mult), out=mult)
@@ -286,10 +294,10 @@ def _dilated_table(gv: np.ndarray, scales: ScaleGrid, n_max: int) -> np.ndarray:
         np.arctan(mult, out=mult)
         np.multiply(-2j, mult, out=z)
         np.exp(z, out=z)
-        out[0, cols] = p.sum(axis=1)
+        block[:, 0] = p.sum(axis=1)
         for m in range(1, n_max + 1):
             p *= z
-            out[m, cols] = p.sum(axis=1)
+            block[:, m] = p.sum(axis=1)
     return out
 
 
@@ -328,7 +336,7 @@ class AdmissibilityReport:
     plateau_ok: bool
     admissible: bool
     wavelet_fingerprint: str  # of the wavelet the integrals belong to
-    # read-only dilated_coeffs (2*n_max+1, count) the lambdas came from, if kept
+    # read-only dilated_coeffs (2*n_max+1, count) view the lambdas came from, if kept
     table: np.ndarray | None = None
 
     @property
@@ -504,10 +512,13 @@ class Scalogram(_Lazy):
 
     def _make_modes(self) -> np.ndarray:
         # bin n mod N of a row's FFT is N e^{2 i n theta_0} modes[n]; the bins between hold what they cannot
-        n, n_max = self.angles.n_samples, self.n_max
+        n, n_max, values = self.angles.n_samples, self.n_max, self.values
         modes, outside = np.empty((self.scales.count, 2 * n_max + 1), dtype=complex), np.empty(self.scales.count)
         unphase = np.conj(_grid_phase(n_max, self.angles)) / n
-        for rows, spectrum in _row_spectra(self.values):
+        buf = np.empty((min(SPECTRUM_BLOCK, len(values)), n), dtype=complex)  # no spectrum of all rows is held
+        for lo in range(0, len(values), SPECTRUM_BLOCK):
+            block = values[lo:lo + SPECTRUM_BLOCK]
+            rows, spectrum = slice(lo, lo + len(block)), np.fft.fft(block, axis=1, out=buf[:len(block)])
             modes[rows] = np.concatenate((spectrum[:, n - n_max:], spectrum[:, :n_max + 1]), axis=1) * unphase
             outside[rows] = np.sum(np.abs(spectrum[:, n_max + 1:n - n_max]) ** 2, axis=1) / n
         modes.flags.writeable = False
@@ -535,8 +546,10 @@ def analyze(
     scales = scales or default_scale_grid()
     angles = angles or psi.grid
     ph = fourier_coeffs(psi, n_max)
-    modes = np.conjugate(dilated_coeffs(gamma, scales, ph.n_max).T, order="C")  # (scales, modes)
-    modes *= ph.values
+    table = dilated_coeffs(gamma, scales, ph.n_max).T  # built, on a memo miss, before the modes are held
+    # conj(c conj psi_n), bitwise conj(c) psi_n, on contiguous table rows; a broadcast product takes 128 KiB buffers
+    modes = np.tile(np.conj(ph.values), (scales.count, 1))
+    np.conjugate(np.multiply(table, modes, out=modes), out=modes)
     modes.flags.writeable = False
     return Scalogram._from_modes(scales, angles, modes, ph.n_max, wavelet_fingerprint(gamma))
 
@@ -548,7 +561,8 @@ def _synthesis_table(
 ) -> tuple[int, np.ndarray, np.ndarray]:
     """The band n_max of reconstruction, its c_n(a) on the scalogram's scales, and its L_n.
 
-    The band is the smaller of the report's and the scalogram's.  When the
+    c_n(a) comes scales-major, (count, 2*n_max+1), a scale's modes one contiguous
+    row.  The band is the smaller of the report's and the scalogram's.  When the
     report carries its table on the scalogram's scale grid, the table's
     middle rows are used: bitwise the rows dilated_coeffs builds, since each
     row comes from the same cumulative powers.  Otherwise dilated_coeffs
@@ -566,8 +580,8 @@ def _synthesis_table(
     n_max = min(report.n_max, scalogram.n_max)
     band = slice(report.n_max - n_max, report.n_max + n_max + 1)
     if report.table is not None and report.scales == scalogram.scales:
-        return n_max, report.table[band], report.lambdas[band]
-    return n_max, dilated_coeffs(gamma, scalogram.scales, n_max), report.lambdas[band]
+        return n_max, report.table[band].T, report.lambdas[band]
+    return n_max, dilated_coeffs(gamma, scalogram.scales, n_max).T, report.lambdas[band]
 
 
 def synthesize(
@@ -590,7 +604,8 @@ def synthesize(
     angles, scales = scalogram.angles, scalogram.scales
     # psi_m = sum_s c_m(a_s) (w_s / a_s) modes[s, m] / L_m: the angle integral's N h = pi cancels 1/pi
     held = scalogram.modes[:, scalogram.n_max - n_max:scalogram.n_max + n_max + 1]
-    psi_hat = np.einsum("ms,s,sm->m", cg, scales.log_weights / scales.nodes, held)
+    psi_hat = np.zeros(2 * n_max + 1, dtype=complex)
+    _weighted_rows(held, cg, scales.log_weights / scales.nodes, psi_hat)
     psi_hat *= np.divide(1.0, lam, out=np.zeros(len(lam)), where=lam > mode_floor * report.sup_lambda)
     # the reconstruction approximates the analyzed signal, so it lands on
     # the scalogram's angle grid, not the wavelet's
@@ -623,9 +638,14 @@ def reanalysis_error(
     held, inner = scalogram.modes, slice(scalogram.n_max - n_max, scalogram.n_max + n_max + 1)
     # what the band cannot hold is summed apart, not taken as a difference of totals
     misfit_energy, in_band, out_of_band = 0.0, 0.0, float(np.sum(scalogram._outside)) / angles.n_samples
+    buf = np.empty((min(SPECTRUM_BLOCK, len(held)), 2 * n_max + 1), dtype=complex)
     for lo in range(0, len(held), SPECTRUM_BLOCK):
         block = held[lo:lo + SPECTRUM_BLOCK]
-        misfit_energy += float(np.sum(np.abs(np.conj(cg.T[lo:lo + SPECTRUM_BLOCK]) * rec_n - block[:, inner]) ** 2))
+        misfit = buf[:len(block)]
+        np.copyto(misfit, np.conj(rec_n))  # a broadcast copy takes no iterator buffers, a broadcast product does
+        np.conjugate(np.multiply(cg[lo:lo + SPECTRUM_BLOCK], misfit, out=misfit), out=misfit)  # conj(c) rec_n
+        np.subtract(misfit, block[:, inner], out=misfit)
+        misfit_energy += np.vdot(misfit, misfit).real
         in_band += float(np.sum(np.abs(block[:, inner]) ** 2))
         out_of_band += float(np.sum(np.abs(block[:, :inner.start]) ** 2) + np.sum(np.abs(block[:, inner.stop:]) ** 2))
     return float(np.sqrt(_relative(misfit_energy + out_of_band, in_band + out_of_band)))

@@ -323,8 +323,10 @@ def read_report(path) -> AdmissibilityReport:
         lambdas = np.array([v for _, v in entries])
         table = None
         if "table" in obj:
-            table = _read_payload(path, obj["table"], (2 * n_max + 1, scales.count))
+            # stored scales-major, as dilated_coeffs keeps it: read back as the same (modes, scales) view
+            table = np.ascontiguousarray(_read_payload(path, obj["table"], (2 * n_max + 1, scales.count)).T)
             table.flags.writeable = False
+            table = table.T
             deviation = np.abs(mode_integrals(table, scales) - lambdas)
             if not np.all(deviation <= TABLE_MATCH_TOL * np.max(np.abs(lambdas))):
                 raise FormatError(f"{path}: the table's mode integrals disagree with the lambdas "

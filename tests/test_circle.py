@@ -22,7 +22,7 @@ from circlet import (
     rep_action,
     trig_interpolate,
 )
-from circlet.circle import _ES_BETA, NUFFT_BLOCK, NUFFT_HALF_WIDTH, NUFFT_OVERSAMPLING, _es_deconvolution
+from circlet.circle import _ES_BETA, NUFFT_BLOCK, NUFFT_HALF_WIDTH, NUFFT_OVERSAMPLING, _es_deconvolution, _signed_freqs
 
 GRID = CircleGrid(1024)
 
@@ -418,6 +418,13 @@ def test_casimir_scalar_off_principal_axis():
     out = casimir_apply(f, p)
     ratio = np.mean(out.values / f.values)
     assert ratio == pytest.approx(0.25 + 0.49, abs=1e-8)
+
+
+def test_the_aliasing_tail_slice_is_the_bins_above_a_quarter():
+    # _checked_spectrum sums u[n//4 + 1 : n - n//4]: the bins |k| > n/4, in FFT order, for every n
+    for n in range(4, 1025):
+        want = np.flatnonzero(np.abs(_signed_freqs(n)) > n // 4)
+        assert np.array_equal(np.arange(n)[n // 4 + 1:n - n // 4], want), n
 
 
 def test_generator_rejects_aliased_input():

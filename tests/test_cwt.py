@@ -32,7 +32,7 @@ from circlet import (
     synthesize,
     weak_admissibility,
 )
-from circlet import cwt
+from circlet import cwt, line
 from circlet.circle import dilate_angle, multiplier
 from circlet.cwt import MODE_FLOOR, TABLE_MEMO_SIZE, FourierCoeffs
 
@@ -323,6 +323,57 @@ def test_analyze_holds_no_scalogram_sized_array(dog):
     finally:
         tracemalloc.stop()
     assert peak < 0.2 * scal.values.nbytes
+
+
+def _peak(fn) -> int:
+    """The tracemalloc peak of fn()."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_analyze_holds_its_modes_and_no_transposed_copy(dog):
+    # the modes are made from the table's contiguous rows: no transposing copy, no broadcast buffers
+    scal = analyze(two_mode_signal(), dog)  # the memoised table is not analyze's transient
+    assert _peak(lambda: analyze(two_mode_signal(), dog)) <= 1.1 * scal.modes.nbytes
+
+
+def test_synthesis_and_its_self_check_hold_no_array_of_the_modes_size(dog):
+    report = lambda_sequence(dog)  # carries its table at the default sizes
+    scal = analyze(two_mode_signal(), dog)
+    rec = synthesize(scal, dog, report)
+    assert _peak(lambda: synthesize(scal, dog, report)) < 0.25 * scal.modes.nbytes
+    assert _peak(lambda: reanalysis_error(scal, dog, report, rec)) < 0.25 * scal.modes.nbytes
+
+
+@st.composite
+def weighted_rows_inputs(draw):
+    """held, table, weights, acc and transform for cwt._weighted_rows, with its block of rows."""
+    rows = draw(st.sampled_from([cwt.SPECTRUM_BLOCK, line.SPECTRA_BLOCK]))
+    count = draw(st.one_of(st.just(1), st.integers(1, 4).map(lambda k: k * rows),
+                           st.integers(2, 4 * rows).filter(lambda c: c % rows)))
+    width, real = draw(st.integers(1, 40)), draw(st.booleans())
+    transform = draw(st.sampled_from([None, np.fft.fft] + ([np.fft.rfft] if real else [])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    held = rng.normal(size=(count, width)) + (0.0 if real else 1j * rng.normal(size=(count, width)))
+    out_width = width // 2 + 1 if transform is np.fft.rfft else width
+    table = rng.normal(size=(count, out_width)) + 1j * rng.normal(size=(count, out_width))
+    acc = rng.normal(size=out_width) + 1j * rng.normal(size=out_width)
+    return held, table, rng.uniform(0.0, 2.0, count), acc, transform, rows
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(weighted_rows_inputs())
+def test_weighted_rows_is_the_naive_weighted_sum(inputs):
+    held, table, weights, acc, transform, rows = inputs
+    spectra = held if transform is None else transform(held, axis=-1)
+    want = acc + np.einsum("s,sm,sm->m", weights, table, spectra)
+    scale = np.abs(acc) + np.einsum("s,sm,sm->m", weights, np.abs(table), np.abs(spectra))
+    cwt._weighted_rows(held, table, weights, acc, rows, transform)
+    assert np.all(np.abs(acc - want) <= 1e-14 * scale)
 
 
 def test_analyze_values_are_the_mode_sum_made_on_first_read(dog):
@@ -634,6 +685,9 @@ def test_report_carries_its_table(dog):
         report = lambda_sequence(dog, scales, n_max=16)
     assert report.table is dilated_coeffs(dog, scales, 16)
     assert not report.table.flags.writeable
+    # a (2 n_max + 1, count) view of a C-contiguous (count, 2 n_max + 1) table: a scale's modes are one row
+    assert report.table.shape == (33, 50)
+    assert report.table.T.flags.c_contiguous and not report.table.T.flags.writeable
 
 
 @pytest.mark.parametrize("n_max", [8, 32])

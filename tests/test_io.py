@@ -764,7 +764,8 @@ def _table_report():
 def test_report_writes_and_reads_its_table(tmp_path):
     report = _table_report()
     buf = io.BytesIO()
-    np.save(buf, report.table, allow_pickle=False)
+    # the file holds the C-order (2 n_max + 1, count) table, whatever order the table is stored in
+    np.save(buf, np.ascontiguousarray(report.table), allow_pickle=False)
     digest = hashlib.sha256(buf.getvalue()).hexdigest()
     payload = f"table-{digest[:16]}.npy"
     # named by content: a second report of the same table shares the payload
@@ -779,6 +780,7 @@ def test_report_writes_and_reads_its_table(tmp_path):
     assert back.table.tobytes() == report.table.tobytes()
     assert back.lambdas.tobytes() == report.lambdas.tobytes()
     assert not back.table.flags.writeable
+    assert back.table.T.flags.c_contiguous and not back.table.T.flags.writeable  # stored scales-major
 
 
 def test_rewritten_report_keeps_a_good_payload_and_mends_a_bad_one(tmp_path):

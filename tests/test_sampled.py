@@ -129,6 +129,24 @@ def test_actions_carry_an_evaluator_iff_the_input_does(name, exact, width, a, b)
 
 
 @pytest.mark.parametrize("cls, grid", [(CircleSignal, CGRID), (LineSignal, LGRID), (RPlusFunction, RGRID)])
+def test_a_repr_takes_no_samples(cls, grid):
+    # 1/x is not finite at a node of the line grid, so sampling it would raise
+    calls = []
+    signal = cls.from_evaluator(grid, lambda x: calls.append(x) or 1.0 / np.asarray(x))
+    text = repr(signal)
+    assert text.startswith(f"{cls.__name__}(grid=") and "values" not in text
+    assert calls == [] and "values" not in signal.__dict__
+    assert repr(cls(grid, np.ones(grid.n_samples))).count("values") == 0
+
+
+def test_the_repr_of_a_refused_line_signal_prints():
+    signal = LineSignal.from_evaluator(LineGrid(-16.0, 16.0, 2048), lambda x: 1.0 / x)
+    assert repr(signal).startswith("LineSignal(grid=LineGrid(lo=-16.0, hi=16.0, n_samples=2048)")
+    with np.errstate(divide="ignore"), pytest.raises(ValueError, match="signal values must be finite"):
+        signal.values
+
+
+@pytest.mark.parametrize("cls, grid", [(CircleSignal, CGRID), (LineSignal, LGRID), (RPlusFunction, RGRID)])
 @pytest.mark.parametrize("bad, says", [
     (lambda x: np.where(np.arange(len(x)) == 5, np.nan, 1.0), "signal values must be finite"),
     (lambda x: np.where(np.arange(len(x)) == 5, np.inf, 1.0), "signal values must be finite"),

@@ -37,6 +37,11 @@ def test_op_pairs_prints_both_sides_per_pair():
     assert [row.split()[:3] for row in pairs] == [["pair", "0", "first=A"], ["pair", "1", "first=B"]]
     walls = [[float(row.split()[5]), float(row.split()[7])] for row in pairs]
     assert all(w > 0.0 for pair in walls for w in pair)
+    # each side's CPU time per op, user + sys, stands beside its wall time
+    for row in pairs:
+        label, a, cpu_a, b, cpu_b = row.split()[8:]
+        assert (label, a, b) == ("cpu_s_per_op", "A", "B")
+        assert float(cpu_a) >= 0.0 and float(cpu_b) >= 0.0
     for side, row in zip("AB", (med_a, med_b)):
         words = row.split()
         assert words[0] == side and words[1::2] == ["median", "q1", "q3"]

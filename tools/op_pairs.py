@@ -1,4 +1,4 @@
-"""Paired wall time per op of one in-process workload on two source trees.
+"""Paired wall and CPU time per op of one in-process workload on two source trees.
 
     python3 tools/op_pairs.py --src-a ../parent/src --src-b src \
         --workload circle-roundtrip --seed 701 --ops 200 --pairs 10
@@ -8,8 +8,11 @@ process, with the same workload, seed and op count, so both sides draw
 the same ops.  Which tree runs first alternates from pair to pair (A in
 even pairs, B in odd ones), so a drift of the host over the session falls
 on both sides alike.  Prints one line per pair with both `wall_s_per_op`
-values, then each side's median and quartiles, and the number of pairs
-in which B took less wall time than A.  Uses only the standard library.
+values and, beside them, both `cpu_s_per_op` values (user + system CPU
+seconds per op), so a CPU time above the wall time shows a second thread
+at work; then each side's median and quartiles of wall time, and the
+number of pairs in which B took less wall time than A.  Uses only the
+standard library.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from pathlib import Path
 OP_FAULTS = Path(__file__).resolve().parent / "op_faults.py"
 
 
-def wall_per_op(src: str, workload: str, seed: int, ops: int) -> float:
-    """wall_s_per_op of one op_faults.py run in a fresh process."""
+def per_op(src: str, workload: str, seed: int, ops: int) -> tuple[float, float]:
+    """(wall_s_per_op, user_s_per_op + sys_s_per_op) of one op_faults.py run in a fresh process."""
     res = subprocess.run(
         [sys.executable, str(OP_FAULTS), "--src", src, "--workload", workload,
          "--seed", str(seed), "--ops", str(ops)],
@@ -32,7 +35,8 @@ def wall_per_op(src: str, workload: str, seed: int, ops: int) -> float:
     )
     if res.returncode != 0:
         raise SystemExit(f"op_faults.py --src {src} failed:\n{res.stderr}")
-    return next(float(line.split()[1]) for line in res.stdout.splitlines() if line.startswith("wall_s_per_op "))
+    fields = dict(line.split() for line in res.stdout.splitlines() if not line.startswith("#"))
+    return float(fields["wall_s_per_op"]), float(fields["user_s_per_op"]) + float(fields["sys_s_per_op"])
 
 
 def main(argv=None) -> int:
@@ -47,13 +51,16 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         parser.error(f"--pairs must be at least 2, got {args.pairs}")
     sides = {"A": args.src_a, "B": args.src_b}
-    walls = {"A": [], "B": []}
+    walls, cpus = {"A": [], "B": []}, {"A": [], "B": []}
     print(f"# {args.workload} seed={args.seed} ops={args.ops} pairs={args.pairs} A={args.src_a} B={args.src_b}")
     for pair in range(args.pairs):
         order = "AB" if pair % 2 == 0 else "BA"
         for side in order:
-            walls[side].append(wall_per_op(sides[side], args.workload, args.seed, args.ops))
-        print(f"pair {pair} first={order[0]} wall_s_per_op A {walls['A'][-1]:.6f} B {walls['B'][-1]:.6f}")
+            wall, cpu = per_op(sides[side], args.workload, args.seed, args.ops)
+            walls[side].append(wall)
+            cpus[side].append(cpu)
+        print(f"pair {pair} first={order[0]} wall_s_per_op A {walls['A'][-1]:.6f} B {walls['B'][-1]:.6f} "
+              f"cpu_s_per_op A {cpus['A'][-1]:.6f} B {cpus['B'][-1]:.6f}")
     for side, values in walls.items():
         q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
         print(f"{side} median {median:.6f} q1 {q1:.6f} q3 {q3:.6f}")
