@@ -108,8 +108,9 @@ class CircleGrid:
 
     @property
     def nodes(self) -> np.ndarray:
+        """theta_k = pi (k + 1/2 - N/2) / N, exactly odd: nodes[N-1-k] == -nodes[k] bitwise."""
         n = self.n_samples
-        return -np.pi / 2 + np.pi * (np.arange(n) + 0.5) / n
+        return np.pi * (np.arange(n) + (0.5 - n // 2)) / n
 
 
 def _store_values(obj, shape: tuple, mismatch: Callable[[tuple], str], keep_real: bool = False, name="values"):

@@ -31,6 +31,11 @@ c_n(a) is evaluated in the undilated variable,
              e^{-2 i n dilate(u, a)} du,
 which needs gamma only at grid nodes and stays accurate at scales far
 below the grid spacing (the dilated-variable form cannot resolve those).
+dilate(u, a) is odd in u and the multiplier even, and the grid nodes are
+exactly odd, so the sum folds onto the N/2 positive nodes: one pass of
+cumulative powers there, each summed against the wavelet's even and odd
+parts by one real matrix product, gives c_n(a) and c_{-n}(a) for every
+wavelet, real or complex.
 The table c_n(a) depends only on the wavelet samples, the scale grid and
 n_max, so admissibility, analysis and reconstruction share one read-only
 copy, stored scales-major, from a small content-keyed memo.  A report
@@ -247,12 +252,10 @@ def dilated_coeffs(gamma: CircleSignal, scales: ScaleGrid, n_max: int | None = N
 @functools.lru_cache(maxsize=TABLE_MEMO_SIZE)
 def _memo_table(samples: bytes, scales: ScaleGrid, n_max: int) -> np.ndarray:
     """dilated_coeffs behind the memo, each hit the one view of its scales-major table; n follows from the bytes."""
-    gv = np.frombuffer(samples, dtype=complex)
     table = np.empty((scales.count, 2 * n_max + 1), dtype=complex)
-    table[:, n_max:] = _dilated_table(gv, scales, n_max)
-    # c_{-n}(gamma) = conj(c_n(conj gamma)), and a real wavelet is its own conjugate
-    mirror = table[:, n_max:] if not np.any(gv.imag) else _dilated_table(np.conj(gv), scales, n_max)
-    table[:, :n_max] = np.conj(mirror[:, :0:-1])
+    for rows, block in _dilated_table(np.frombuffer(samples, dtype=complex), scales, n_max):
+        table[rows, n_max:] = block[:, :, 0]
+        np.conjugate(block[:, :0:-1, 1], out=table[rows, :n_max])  # c_{-n}(gamma) = conj(c_n(conj gamma))
     table.flags.writeable = False
     return table.T
 
@@ -263,42 +266,47 @@ def mode_integrals(table: np.ndarray, scales: ScaleGrid) -> np.ndarray:
     return (np.abs(table, order="C") ** 2 / scales.nodes) @ scales.log_weights
 
 
-def _dilated_table(gv: np.ndarray, scales: ScaleGrid, n_max: int) -> np.ndarray:
-    """c_n(a) for 0 <= n <= n_max by cumulative powers of e^{-2 i dilate(u, a)}, shape (count, n_max+1).
+def _dilated_table(gv: np.ndarray, scales: ScaleGrid, n_max: int):
+    """c_n(a; gamma) and c_n(a; conj gamma) for 0 <= n <= n_max, from one pass of cumulative powers over half the chart.
 
-    gv holds the wavelet samples on the midpoint grid.  TABLE_BLOCK scales
-    at a time; the block arrays are allocated once and overwritten in place.
+    gv holds the wavelet samples on the midpoint grid, whose nodes are exactly odd.  dilate(u, a) is odd in u
+    and the multiplier even, so with P = q z^n = X + iY on the N/2 positive nodes, q = (sqrt(pi)/N)
+    sqrt(multiplier(a, u)) and z = e^{-2i dilate(u, a)}, the terms at u and -u fold into
+        c_n(gamma) = sum e X + i o Y,   c_n(conj gamma) = sum conj(e) X + i conj(o) Y,
+    e = gamma(u) + gamma(-u), o = gamma(u) - gamma(-u): one real matmul of P's float view against a fixed
+    (N, 4) matrix per power gives both.  No trigonometric function is taken per scale: with
+    r = cos^2 dilate(u, a) = 1/(1 + (a tan u)^2), z = (2r - 1) - 2i tan u (a r) and q = (sqrt(pi)/N)
+    sqrt(a r) / cos u, finite where a tan u overflows (r = 0 there, its limit).  Yields (rows, block) per
+    TABLE_BLOCK scales, block[:, n] = (c_n(gamma), c_n(conj gamma)), in one (rows, n_max+1, 2) buffer
+    that the next block overwrites, as it does the power buffers.
     """
     n = len(gv)
-    u = CircleGrid(n).nodes
-    cos2, sin = np.cos(u) ** 2, np.sin(u)
-    tan = np.tan(u)
-    out = np.empty((scales.count, n_max + 1), dtype=complex)
-    nodes = scales.nodes
+    u = CircleGrid(n).nodes[n // 2:]
+    e, o = gv[n // 2:] + gv[n // 2 - 1::-1], gv[n // 2:] - gv[n // 2 - 1::-1]
+    # rows X_j, Y_j of P's float view against Re, Im of c_n(gamma), then of c_n(conj gamma)
+    fold = np.stack((e.real, e.imag, e.real, -e.imag, -o.imag, o.real, o.imag, o.real), axis=1).reshape(n, 4)
+    tan, sec = np.tan(u), (np.sqrt(np.pi) / n) / np.cos(u)
     rows = min(TABLE_BLOCK, scales.count)
-    mult_buf = np.empty((rows, n))
-    p_buf, z_buf = np.empty((rows, n), dtype=complex), np.empty((rows, n), dtype=complex)
+    r_buf, out = np.empty((rows, n // 2)), np.empty((rows, n_max + 1, 2), dtype=complex)
+    p_buf, z_buf = np.empty((rows, n // 2), dtype=complex), np.empty((rows, n // 2), dtype=complex)
     for lo in range(0, scales.count, TABLE_BLOCK):
-        a = nodes[lo:lo + TABLE_BLOCK, None]
-        block = out[lo:lo + a.shape[0]]
-        mult, p, z = mult_buf[:a.shape[0]], p_buf[:a.shape[0]], z_buf[:a.shape[0]]
-        # mult = a / (cos^2 u + (a sin u)^2), as circle.multiplier;  p = (sqrt(pi)/n) sqrt(mult) gamma
-        np.square(np.multiply(a, sin, out=mult), out=mult)
-        mult += cos2
-        np.divide(a, mult, out=mult)
-        np.sqrt(mult, out=mult)
-        mult *= np.sqrt(np.pi) / n
-        np.multiply(mult, gv, out=p)
-        # z = exp(-2i arctan(a tan u)), reusing mult once p no longer needs it
-        np.multiply(a, tan, out=mult)
-        np.arctan(mult, out=mult)
-        np.multiply(-2j, mult, out=z)
-        np.exp(z, out=z)
-        block[:, 0] = p.sum(axis=1)
+        a = scales.nodes[lo:lo + TABLE_BLOCK, None]
+        r, p, z, block = r_buf[:len(a)], p_buf[:len(a)], z_buf[:len(a)], out[:len(a)]
+        # r = 1/(1 + (a tan u)^2), then z = (2r - 1) - 2i tan u (a r) and p = q = sqrt(a r) * sec
+        np.square(np.multiply(a, tan, out=r), out=r)
+        r += 1.0
+        np.reciprocal(r, out=r)
+        np.multiply(r, 2.0, out=z.real)
+        z.real -= 1.0
+        r *= a
+        np.multiply(r, -2.0 * tan, out=z.imag)
+        np.multiply(np.sqrt(r, out=r), sec, out=p)
+        sums = block.view(float)
+        np.matmul(p.view(float), fold, out=sums[:, 0])
         for m in range(1, n_max + 1):
             p *= z
-            block[:, m] = p.sum(axis=1)
-    return out
+            np.matmul(p.view(float), fold, out=sums[:, m])
+        yield slice(lo, lo + len(a)), block
 
 
 def weak_admissibility(gamma: CircleSignal, strict: bool = True):

@@ -549,6 +549,49 @@ def test_dilated_coeffs_match_loop_oracle(dog, kind, n_max):
     assert rel_gap(got, loop_dilated_coeffs(gamma, ORACLE_SCALES, n_max)) <= 1e-13
 
 
+@st.composite
+def fold_inputs(draw):
+    """A wavelet on an even grid of 4...1024 points, a band 1...N/4 and a scale grid within [1e-6, 1e6]
+    whose count is no multiple of the table's block."""
+    n = 2 * draw(st.integers(2, 512))
+    n_max = draw(st.integers(1, n // 4))
+    lo = draw(st.floats(-6.0, 5.5))
+    scales = ScaleGrid(10.0 ** lo, 10.0 ** draw(st.floats(lo + 0.5, 6.0)),
+                       draw(st.integers(2, 2 * cwt.TABLE_BLOCK + 8).filter(lambda c: c % cwt.TABLE_BLOCK)))
+    grid, kind = CircleGrid(n), draw(st.sampled_from(["even", "rolled", "complex"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.exp(-rng.uniform(0.2, 5.0) * np.tan(grid.nodes) ** 2)  # even on the odd nodes
+    if kind == "rolled":
+        values = np.roll(values, rng.integers(1, n))
+    elif kind == "complex":
+        values = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return CircleSignal(grid, values), scales, n_max
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(fold_inputs())
+def test_folded_table_matches_the_full_grid_loop_oracle(inputs):
+    # the table sums each power over the positive half of the chart, folding in the mirrored nodes
+    gamma, scales, n_max = inputs
+    assert rel_gap(dilated_coeffs(gamma, scales, n_max), loop_dilated_coeffs(gamma, scales, n_max)) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", WAVELET_KINDS)
+def test_dilated_coeffs_obey_the_generator_equation(dog, kind):
+    # the dilation generator (i/2) sin 2theta d/dtheta + (i/2) cos 2theta is tridiagonal on the modes, so
+    #     d c_m / d ln a = (1/2) [(m + 1/2) c_{m+1} - (m - 1/2) c_{m-1}]   for |m| < n_max,
+    # an oracle from the group, not from the kernel's formula; a 4th-order central stencil in ln a gives the
+    # left side (residual ~5e-7 of each column's largest |c|; the equation with the other sign reads 2.6-4.1).
+    # The grid stops at a = 10: above a ~ 12.7 the 1024-point grid no longer resolves the kernel, which
+    # varies on a width ~1/a around u = 0, and the table fails the equation by O(1) (ROADMAP item 11).
+    scales = ScaleGrid(0.1, 10.0, 401)
+    c = dilated_coeffs(oracle_wavelet(dog, kind), scales, 64)
+    deriv = (c[1:-1, :-4] - 8 * c[1:-1, 1:-3] + 8 * c[1:-1, 3:-1] - c[1:-1, 4:]) / (12 * scales.spacing)
+    m = np.arange(-63, 64)[:, None]
+    rhs = 0.5 * ((m + 0.5) * c[2:, 2:-2] - (m - 0.5) * c[:-2, 2:-2])
+    assert np.max(np.abs(deriv - rhs) / np.max(np.abs(c[:, 2:-2]), axis=0)) <= 1e-6
+
+
 @pytest.mark.parametrize("kind", WAVELET_KINDS)
 @pytest.mark.parametrize("n_max", [8, 32, 64])
 @pytest.mark.parametrize("n_angles", [1024, 96, 16])
@@ -599,6 +642,12 @@ def test_mode_synthesis_matches_loop_oracle(n_angles):
     assert rel_gap(got, loop_mode_synthesis(grid, coeffs)) <= 1e-13
 
 
+def cold_dilated_coeffs(gamma, scales, n_max):
+    """The table built afresh, with the memo emptied first: what any hit must equal bitwise."""
+    cwt._memo_table.cache_clear()
+    return np.array(dilated_coeffs(gamma, scales, n_max))
+
+
 def test_dilated_coeffs_memo_follows_content(dog):
     gamma = CircleSignal(GRID, dog.values.copy())
     sc = ScaleGrid(0.5, 2.0, 5)
@@ -607,11 +656,13 @@ def test_dilated_coeffs_memo_follows_content(dog):
     gamma.values[400:600] *= 0.5  # in-place edit of the wavelet samples
     edited = dilated_coeffs(gamma, sc, 8)
     assert not np.array_equal(edited, first)
-    assert np.array_equal(edited, loop_dilated_coeffs(gamma, sc, 8))
+    assert np.array_equal(edited, cold_dilated_coeffs(gamma, sc, 8))
+    assert rel_gap(edited, loop_dilated_coeffs(gamma, sc, 8)) <= 1e-13
     for scales, n_max in ((ScaleGrid(0.5, 3.0, 5), 8), (ScaleGrid(0.5, 2.0, 6), 8), (sc, 9)):
         fresh = dilated_coeffs(gamma, scales, n_max)
         assert fresh.shape == (2 * n_max + 1, scales.count)
-        assert np.array_equal(fresh, loop_dilated_coeffs(gamma, scales, n_max))
+        assert np.array_equal(fresh, cold_dilated_coeffs(gamma, scales, n_max))
+        assert rel_gap(fresh, loop_dilated_coeffs(gamma, scales, n_max)) <= 1e-13
 
 
 def test_wavelet_fingerprint_is_hashed_once_per_wavelet(dog, monkeypatch):
@@ -652,7 +703,8 @@ def test_dilated_coeffs_memo_under_threads(dog):
     # racing a hit
     gamma = CircleSignal(CircleGrid(64), dog.values[::16])
     sc = ScaleGrid(0.5, 2.0, 3)
-    want = {n_max: loop_dilated_coeffs(gamma, sc, n_max) for n_max in range(1, 9)}
+    want = {n_max: cold_dilated_coeffs(gamma, sc, n_max) for n_max in range(1, 9)}
+    assert all(rel_gap(table, loop_dilated_coeffs(gamma, sc, n_max)) <= 1e-13 for n_max, table in want.items())
     errors = []
 
     def work(offset):

@@ -6,6 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from circlet import CircleGrid, make_dog
+from circlet.io import write_signal
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -21,6 +27,56 @@ def test_op_faults_prints_costs_per_op():
     names = [row.split()[0] for row in rows]
     assert names == ["minor_faults_per_op", "user_s_per_op", "sys_s_per_op", "wall_s_per_op"]
     assert all(float(row.split()[1]) >= 0.0 for row in rows)
+
+
+def test_op_faults_loads_circlet_before_numpy():
+    # circlet sets OPENBLAS_THREAD_TIMEOUT, which OpenBLAS reads only when numpy first loads it; loaded
+    # after numpy, an idle OpenBLAS thread spins and the CPU time per op reads about twice the wall time
+    tool = ROOT / "tools" / "op_faults.py"
+    spy = f"""
+import runpy, sys
+first = []
+class Spy:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name in ("circlet", "numpy") and name not in first:
+            first.append(name)
+sys.meta_path.insert(0, Spy)
+sys.argv = [{str(tool)!r}, "--src", {str(ROOT / "src")!r}, "--workload", "sampled-action", "--seed", "1",
+            "--ops", "1"]
+try:
+    runpy.run_path(sys.argv[0], run_name="__main__")
+finally:
+    print("first", *first)
+"""
+    res = subprocess.run([sys.executable, "-c", spy], capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "first circlet numpy"
+
+
+@pytest.mark.parametrize("source", ["builtin", "file"])
+def test_table_convergence_prints_each_column_gap(tmp_path, source):
+    # a builtin is refined through its evaluator, a file through trig_interpolate of its samples
+    wavelet = ["--n-samples", "256"]
+    if source == "file":
+        write_signal(tmp_path / "w.csv", make_dog(2.0, grid=CircleGrid(256)))
+        wavelet = ["--wavelet", str(tmp_path / "w.csv")]
+    res = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "table_convergence.py"), "--src", str(ROOT / "src"), *wavelet,
+         "--scale-min", "0.5", "--scale-max", "50", "--scale-count", "5"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    head, names, *rows, last = res.stdout.splitlines()
+    what = "dog:2" if source == "builtin" else tmp_path / "w.csv"
+    assert head == f"# table_convergence wavelet={what} n_samples=256 n_max=64 scales=0.5..50x5 src={ROOT / 'src'}"
+    assert names == "a gap_x4 gap_x16"
+    table = np.array([[float(x) for x in row.split()] for row in rows])
+    assert np.allclose(table[:, 0], np.geomspace(0.5, 50.0, 5), rtol=1e-5)
+    # a 256-point dog resolves its small scales and not its large ones, on either refinement
+    assert np.all(table[:2, 1:] < 1e-6) and np.all(table[-2:, 1:] > 1e-6)
+    x4, x16 = (f"{table[np.argmax(table[:, k] > 1e-6), 0]:.6g}" for k in (1, 2))
+    assert last == f"first_gap_over_1e-06 x4 {x4} x16 {x16}"
 
 
 def test_op_pairs_prints_both_sides_per_pair():

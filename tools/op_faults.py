@@ -9,7 +9,10 @@ heap growth) stay out of the count.  It then runs `--ops` ops, each drawn
 from the seeded generator as the benchmark draws it, and prints the minor
 page faults, user and system CPU seconds and wall seconds of the timed
 part (`run`, not `draw`) per op, from `resource.getrusage` of this
-process.  Uses only the standard library and numpy.
+process.  circlet is imported before numpy, as the benchmark's worker
+does, so its OPENBLAS_THREAD_TIMEOUT default applies and an idle OpenBLAS
+thread does not spin into the CPU time.  Uses only the standard library
+and numpy.
 """
 
 from __future__ import annotations
@@ -35,6 +38,10 @@ def main(argv=None) -> int:
         parser.error(f"--ops must be at least 1, got {args.ops}")
     src = Path(args.src).resolve()
     sys.path[:0] = [str(src), str(PERFBENCH)]
+    import circlet  # before numpy: see the module docstring
+
+    if src not in Path(circlet.__file__).resolve().parents:
+        parser.error(f"imported circlet from {circlet.__file__}, not from {src}")
     import numpy as np
     from workloads import WORKLOADS
 
@@ -43,10 +50,6 @@ def main(argv=None) -> int:
         parser.error(f"--workload must be one of {', '.join(in_process)}, got {args.workload}")
     wl = WORKLOADS[args.workload]
     st = wl.setup(None)
-    import circlet
-
-    if src not in Path(circlet.__file__).resolve().parents:
-        parser.error(f"imported circlet from {circlet.__file__}, not from {src}")
     rng = np.random.default_rng(args.seed)
     for op in range(WARMUP_OPS):
         wl.run(st, wl.draw(st, rng), op)
