@@ -212,7 +212,6 @@ def cmd_cwt(args) -> int:
 
 def cmd_icwt(args) -> int:
     gamma = _load_wavelet(args, CircleSignal)
-    # the report first, so its table's transient scales-major copy is freed before the scalogram is held
     report = cio.read_report(args.report)
     scal = _read_input(args.scalogram, Scalogram)
     rec = synthesize(scal, gamma, report)

@@ -38,10 +38,11 @@ parts by one real matrix product, gives c_n(a) and c_{-n}(a) for every
 wavelet, real or complex.
 The table c_n(a) depends only on the wavelet samples, the scale grid and
 n_max, so admissibility, analysis and reconstruction share one read-only
-copy, stored scales-major, from a small content-keyed memo.  A report
-carries the table its L_n came from, and the written report keeps it beside
-the JSON, so reconstruction on the report's scale grid, in this process or
-another, builds no table; on another grid it builds its own.
+copy, one C-contiguous (count, 2 n_max + 1) array, from a small
+content-keyed memo.  A report carries the table its L_n came from, and the
+written report keeps it, as it is, beside the JSON, so reconstruction on
+the report's scale grid, in this process or another, builds no table; on
+another grid it builds its own.
 
 The reconstruction's self check, the relative l2 distance between the
 scalogram and the analysis of the reconstruction, is taken in mode space:
@@ -91,6 +92,8 @@ class ScaleGrid:
     def __post_init__(self):
         if not (0.0 < self.a_min < self.a_max < np.inf):
             raise ValueError(f"need 0 < a_min < a_max < inf, got [{self.a_min}, {self.a_max}]")
+        if float(self.a_max) / float(self.a_min) == np.inf:  # spacing's ln(a_max / a_min) needs a finite ratio
+            raise ValueError(f"a_max / a_min overflows, got [{self.a_min}, {self.a_max}]")
         if self.count < 2:
             raise ValueError(f"need at least 2 scale nodes, got {self.count}")
 
@@ -231,14 +234,13 @@ def mode_synthesis(grid: CircleGrid, coeffs: FourierCoeffs) -> CircleSignal:
 
 
 def dilated_coeffs(gamma: CircleSignal, scales: ScaleGrid, n_max: int | None = None) -> np.ndarray:
-    """Mode coefficients of the dilated wavelet, shape (2*n_max+1, count).
+    """Mode coefficients of the dilated wavelet, a C-contiguous (count, 2*n_max+1) table.
 
-    Row n + n_max holds c_n(a) over the scale nodes.  The array is the
-    transposed view of a C-contiguous (count, 2*n_max+1) table, so `.T`
-    gives each scale's modes as one contiguous row.  Evaluated in the
-    undilated variable (see module docstring), so only wavelet samples on
-    the grid enter; agreement with the dilate-then-project route at
-    moderate scales is part of the test contract.
+    Row j holds scale node j's modes, column n + n_max c_n(a) over the
+    scale nodes.  Evaluated in the undilated variable (see module
+    docstring), so only wavelet samples on the grid enter; agreement with
+    the dilate-then-project route at moderate scales is part of the test
+    contract.
 
     The table is read-only and shared: the last TABLE_MEMO_SIZE tables are
     kept, keyed on the wavelet samples, the scale grid and n_max.  n_max
@@ -251,19 +253,19 @@ def dilated_coeffs(gamma: CircleSignal, scales: ScaleGrid, n_max: int | None = N
 
 @functools.lru_cache(maxsize=TABLE_MEMO_SIZE)
 def _memo_table(samples: bytes, scales: ScaleGrid, n_max: int) -> np.ndarray:
-    """dilated_coeffs behind the memo, each hit the one view of its scales-major table; n follows from the bytes."""
+    """dilated_coeffs behind the memo, each hit the one table; n follows from the bytes."""
     table = np.empty((scales.count, 2 * n_max + 1), dtype=complex)
     for rows, block in _dilated_table(np.frombuffer(samples, dtype=complex), scales, n_max):
         table[rows, n_max:] = block[:, :, 0]
         np.conjugate(block[:, :0:-1, 1], out=table[rows, :n_max])  # c_{-n}(gamma) = conj(c_n(conj gamma))
     table.flags.writeable = False
-    return table.T
+    return table
 
 
 def mode_integrals(table: np.ndarray, scales: ScaleGrid) -> np.ndarray:
-    """L_n from a (2*n_max+1, count) table: int |c_n(a)|^2 da/a^2 by log-trapezoid, in C order whatever
-    the table's storage, so L_n's bits do not depend on it."""
-    return (np.abs(table, order="C") ** 2 / scales.nodes) @ scales.log_weights
+    """L_n from a (count, 2*n_max+1) table: int |c_n(a)|^2 da/a^2 by log-trapezoid, on a C-order
+    (modes, scales) copy whatever the table's storage, so L_n's bits do not depend on it."""
+    return (np.abs(table.T, order="C") ** 2 / scales.nodes) @ scales.log_weights
 
 
 def _dilated_table(gv: np.ndarray, scales: ScaleGrid, n_max: int):
@@ -293,7 +295,8 @@ def _dilated_table(gv: np.ndarray, scales: ScaleGrid, n_max: int):
         a = scales.nodes[lo:lo + TABLE_BLOCK, None]
         r, p, z, block = r_buf[:len(a)], p_buf[:len(a)], z_buf[:len(a)], out[:len(a)]
         # r = 1/(1 + (a tan u)^2), then z = (2r - 1) - 2i tan u (a r) and p = q = sqrt(a r) * sec
-        np.square(np.multiply(a, tan, out=r), out=r)
+        with np.errstate(over="ignore"):  # (a tan u)^2 = inf gives r = 0, its limit
+            np.square(np.multiply(a, tan, out=r), out=r)
         r += 1.0
         np.reciprocal(r, out=r)
         np.multiply(r, 2.0, out=z.real)
@@ -344,8 +347,7 @@ class AdmissibilityReport:
     plateau_ok: bool
     admissible: bool
     wavelet_fingerprint: str  # of the wavelet the integrals belong to
-    # read-only dilated_coeffs (2*n_max+1, count) view the lambdas came from, if kept
-    table: np.ndarray | None = None
+    table: np.ndarray  # the read-only dilated_coeffs (count, 2*n_max+1) table the lambdas came from
 
     @property
     def ns(self) -> np.ndarray:
@@ -394,10 +396,10 @@ def lambda_sequence(
     n_max = _check_n_max(gamma.grid.n_samples, n_max)
     scales = scales or default_scale_grid()
     coeffs = dilated_coeffs(gamma, scales, n_max)
-    integrand = np.abs(coeffs) ** 2 / scales.nodes
+    integrand = np.abs(coeffs) ** 2 / scales.nodes[:, None]
     lambdas = mode_integrals(coeffs, scales)
-    tail_lo = float(integrand[:, 0].max())
-    tail_hi = float(integrand[:, -1].max())
+    tail_lo = float(integrand[0].max())
+    tail_hi = float(integrand[-1].max())
 
     peak = float(integrand.max())
     small_ok = peak == 0.0 or tail_lo < SMALL_SCALE_DECAY_TOL * peak
@@ -554,7 +556,7 @@ def analyze(
     scales = scales or default_scale_grid()
     angles = angles or psi.grid
     ph = fourier_coeffs(psi, n_max)
-    table = dilated_coeffs(gamma, scales, ph.n_max).T  # built, on a memo miss, before the modes are held
+    table = dilated_coeffs(gamma, scales, ph.n_max)  # built, on a memo miss, before the modes are held
     # conj(c conj psi_n), bitwise conj(c) psi_n, on contiguous table rows; a broadcast product takes 128 KiB buffers
     modes = np.tile(np.conj(ph.values), (scales.count, 1))
     np.conjugate(np.multiply(table, modes, out=modes), out=modes)
@@ -569,13 +571,13 @@ def _synthesis_table(
 ) -> tuple[int, np.ndarray, np.ndarray]:
     """The band n_max of reconstruction, its c_n(a) on the scalogram's scales, and its L_n.
 
-    c_n(a) comes scales-major, (count, 2*n_max+1), a scale's modes one contiguous
-    row.  The band is the smaller of the report's and the scalogram's.  When the
-    report carries its table on the scalogram's scale grid, the table's
-    middle rows are used: bitwise the rows dilated_coeffs builds, since each
-    row comes from the same cumulative powers.  Otherwise dilated_coeffs
-    builds the table.  Raises ValueError when the scalogram or the report
-    was computed for another wavelet than gamma.
+    c_n(a) comes as dilated_coeffs gives it, (count, 2*n_max+1).  The band is
+    the smaller of the report's and the scalogram's.  When the report's table
+    is on the scalogram's scale grid, its middle columns are used: bitwise
+    the columns dilated_coeffs builds, since each comes from the same
+    cumulative powers.  Otherwise dilated_coeffs builds the table.  Raises
+    ValueError when the scalogram or the report was computed for another
+    wavelet than gamma.
     """
     want = wavelet_fingerprint(gamma)
     for what, have in (("scalogram", scalogram.wavelet_fingerprint),
@@ -587,9 +589,9 @@ def _synthesis_table(
             )
     n_max = min(report.n_max, scalogram.n_max)
     band = slice(report.n_max - n_max, report.n_max + n_max + 1)
-    if report.table is not None and report.scales == scalogram.scales:
-        return n_max, report.table[band].T, report.lambdas[band]
-    return n_max, dilated_coeffs(gamma, scalogram.scales, n_max).T, report.lambdas[band]
+    if report.scales == scalogram.scales:
+        return n_max, report.table[:, band], report.lambdas[band]
+    return n_max, dilated_coeffs(gamma, scalogram.scales, n_max), report.lambdas[band]
 
 
 def synthesize(

@@ -2,14 +2,13 @@
 
 Signals are CSV tables `coord,re[,im]` with a JSON sidecar `<stem>.meta.json`
 (`circlet/signal-v1`) recording the grid kind, sample count and window.
-Reports are JSON (`circlet/report-v1`) and keep the weak integral's
-imaginary part.  A report that carries its dilated-coefficient table
-(`lambda_sequence`'s reports do) is written with the table as a payload
-beside it, named by its digest (`table-<16 hex digits>.npy`), and a
-`table` object in the JSON naming and checking it as a scalogram header
-does.  The reader also refuses a table whose mode integrals miss the
-report's lambdas by more than TABLE_MATCH_TOL of the largest; a report
-without a `table` object, such as an older file, reads with table None.
+Reports are JSON (`circlet/report-v2`) and keep the weak integral's
+imaginary part.  A report's dilated-coefficient table is written as a
+payload beside it, scales-major as `dilated_coeffs` holds it, (count,
+2 n_max + 1), and named by its digest (`table-<16 hex digits>.npy`); the
+required `table` object in the JSON names and checks it as a scalogram
+header does.  The reader also refuses a table whose mode integrals miss the
+report's lambdas by more than TABLE_MATCH_TOL of the largest.
 
 A scalogram (`circlet/scalogram-v3`) is a JSON header `<stem>.json` plus a
 binary payload `<stem>.npy`: an array as little-endian complex128
@@ -62,7 +61,7 @@ from .line import LineGrid, LineScalogram, LineSignal
 
 SIGNAL_SCHEMA = "circlet/signal-v1"
 SCALOGRAM_SCHEMA = "circlet/scalogram-v3"
-REPORT_SCHEMA = "circlet/report-v1"
+REPORT_SCHEMA = "circlet/report-v2"
 PAYLOAD_DTYPE = "<c16"
 HELD = frozenset({"modes", "values"})  # what a circle scalogram's payload holds
 
@@ -279,7 +278,7 @@ def report_to_dict(report: AdmissibilityReport) -> dict:
 
 
 def write_report(path, report: AdmissibilityReport):
-    """Write the report JSON, after its table payload when the report carries one.
+    """Write the report JSON, after its table payload, the table's rows as they are in memory.
 
     The payload is named by its digest, table-<16 hex digits>.npy, so the
     report's bytes do not depend on its own file name, and reports with
@@ -288,29 +287,26 @@ def write_report(path, report: AdmissibilityReport):
     the file system's writeback of the same bytes again.
     """
     path = Path(path)
-    obj = report_to_dict(report)
-    if report.table is not None:
-        chunks, checks = _payload(report.table.shape, report.table.__getitem__)
-        chunks = list(chunks)  # views of the table's memory, hashed before the digest names the file
-        payload = path.parent / f"table-{checks['sha256'][:16]}.npy"
-        try:
-            held = hashlib.sha256(payload.read_bytes()).hexdigest()
-        except OSError:
-            held = None
-        if held != checks["sha256"]:
-            _atomic_write(payload, "wb", chunks)
-        obj["table"] = {"payload": payload.name, **checks}
-    atomic_write_text(path, _dump_json(obj))
+    chunks, checks = _payload(report.table.shape, report.table.__getitem__)
+    chunks = list(chunks)  # views of the table's memory, hashed before the digest names the file
+    payload = path.parent / f"table-{checks['sha256'][:16]}.npy"
+    try:
+        held = hashlib.sha256(payload.read_bytes()).hexdigest()
+    except OSError:
+        held = None
+    if held != checks["sha256"]:
+        _atomic_write(payload, "wb", chunks)
+    atomic_write_text(path, _dump_json({**report_to_dict(report), "table": {"payload": payload.name, **checks}}))
 
 
 def read_report(path) -> AdmissibilityReport:
     """Rebuild enough of a report from its JSON to drive reconstruction.
 
     The verdict flags are restored as written; a report without them is
-    refused rather than given guessed values.  A `table` object names the
+    refused rather than given guessed values.  The `table` object names the
     coefficient payload, checked as a scalogram's is and refused unless its
-    mode integrals reproduce the lambdas; a report without one (an older
-    file) reads with table None.
+    mode integrals reproduce the lambdas; the table is a read-only view of
+    the bytes read.
     """
     path = Path(path)
     with _header(path, REPORT_SCHEMA, "circlet admissibility --out", "report") as obj:
@@ -321,16 +317,12 @@ def read_report(path) -> AdmissibilityReport:
         if [n for n, _ in entries] != list(range(-n_max, n_max + 1)):
             raise ValueError("lambda entries must cover -n_max..n_max")
         lambdas = np.array([v for _, v in entries])
-        table = None
-        if "table" in obj:
-            # stored scales-major, as dilated_coeffs keeps it: read back as the same (modes, scales) view
-            table = np.ascontiguousarray(_read_payload(path, obj["table"], (2 * n_max + 1, scales.count)).T)
-            table.flags.writeable = False
-            table = table.T
-            deviation = np.abs(mode_integrals(table, scales) - lambdas)
-            if not np.all(deviation <= TABLE_MATCH_TOL * np.max(np.abs(lambdas))):
-                raise FormatError(f"{path}: the table's mode integrals disagree with the lambdas "
-                                  f"by up to {np.max(deviation):.3e}")
+        table = _read_payload(path, obj["table"], (scales.count, 2 * n_max + 1))
+        table.flags.writeable = False
+        deviation = np.abs(mode_integrals(table, scales) - lambdas)
+        if not np.all(deviation <= TABLE_MATCH_TOL * np.max(np.abs(lambdas))):
+            raise FormatError(f"{path}: the table's mode integrals disagree with the lambdas "
+                              f"by up to {np.max(deviation):.3e}")
         return AdmissibilityReport(
             n_max=n_max,
             lambdas=lambdas,

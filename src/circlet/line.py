@@ -294,8 +294,8 @@ def _weighted_sums(scalogram: LineScalogram, table: np.ndarray, weights: np.ndar
 
     Each part runs through cwt._weighted_rows, the kernel of the circle's
     synthesis, SPECTRA_BLOCK rows at a time in one block buffer.  A
-    scalogram held as spectra of the table's width, its values unread,
-    gives them into A and B as they are.  Any other (so it reconstructs
+    scalogram held as spectra of the table's width gives them into A and B
+    as they are, its values read or not.  Any other (so it reconstructs
     bitwise as all with its values) gives its rows' FFTs: whole into A for
     a full table or float64 rows; else the real parts into A, and the
     imaginary parts into B if they have a nonzero bit anywhere (nan and
@@ -306,7 +306,7 @@ def _weighted_sums(scalogram: LineScalogram, table: np.ndarray, weights: np.ndar
     """
     w = table.shape[1]
     sums = np.zeros((2, w), dtype=complex)
-    if scalogram.held == "spectra" and "values" not in scalogram.__dict__ and scalogram.spectra.shape[2] == w:
+    if scalogram.held == "spectra" and scalogram.spectra.shape[2] == w:
         parts, transform = list(scalogram.spectra), None
     else:
         values = scalogram.values

@@ -245,17 +245,16 @@ def _table_payload(where, report):
     return where / report["table"]["payload"]
 
 
-def test_icwt_output_same_with_or_without_the_table(small_pipeline, tmp_path, capsys):
+def test_icwt_refuses_a_report_without_its_table(small_pipeline, tmp_path):
+    # every report carries its table: one without the table object is malformed, and nothing is written
     report = _copy_pipeline(small_pipeline, tmp_path)
     del report["table"]
     (tmp_path / "bare.json").write_text(json.dumps(report, indent=1) + "\n")
-    outputs = []
-    for name in ("report.json", "bare.json"):
-        rc, out, err = _in_process(_icwt_args(tmp_path, name, f"{name}.csv"), capsys)
-        assert (rc, err) == (0, ""), err
-        assert float(out.split(": ")[1]) < 1e-13
-        outputs.append((tmp_path / f"{name}.csv").read_bytes())
-    assert outputs[0] == outputs[1]
+    res = run(_icwt_args(tmp_path, "bare.json"))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == [f"circlet: error: malformed report {tmp_path / 'bare.json'}: 'table'"]
+    assert not (tmp_path / "rec.csv").exists()
 
 
 def test_icwt_refuses_a_band_its_angles_cannot_hold_and_writes_nothing(small_pipeline, tmp_path):
@@ -418,6 +417,9 @@ def test_admissibility_default_n_max_follows_grid(tmp_path):
     (["admissibility", "--n-max", "0"], None, "n_max must be at least 1, got 0"),
     # 1e400 reads as inf: an ill-posed question, not a negative verdict
     (["admissibility", "--scale-max", "1e400"], None, "need 0 < a_min < a_max < inf, got [0.001, inf]"),
+    # a finite a_max whose ratio to a_min is not: the log spacing would be inf
+    (["admissibility", "--scale-max", "1e306", "--scale-count", "40"], None,
+     "a_max / a_min overflows, got [0.001, 1e+306]"),
     (["euclid", "--R-list", "inf,10"], None, "radius must be positive and finite, got inf"),
     (["euclid", "--pairs", "0.7:nan"], None, "dilation must be positive and finite, got nan"),
     # line-cwt reads its inputs before it judges the wavelet
@@ -437,7 +439,8 @@ def test_admissibility_default_n_max_follows_grid(tmp_path):
      "n_max 128 at k = 1.0 is beyond the 128-node Gauss-Laguerre rule, exact only while 2 n_max + 2k - 1 <= 255"),
 ], ids=["subcommand", "n-max", "R-list", "pairs-arity", "pairs-value", "points-kind", "points-count",
         "dog-ratio", "dog-variant", "builtin", "line-signal", "threads-abc", "threads-0", "scale-count",
-        "scale-memory", "wavelet-memory", "euclid-memory", "n-max-0", "scale-max-inf", "R-list-inf", "pairs-nan",
+        "scale-memory", "wavelet-memory", "euclid-memory", "n-max-0", "scale-max-inf", "scale-ratio-inf",
+        "R-list-inf", "pairs-nan",
         "line-cwt-missing-signal", "line-cwt-scale-min", "laguerre-n-max", "laplace-n-max", "points-zero", "laguerre-rule", "laplace-rule"])
 def test_refusals_share_one_shape(tmp_path, args, env, says):
     line = tmp_path / "line.csv"
@@ -604,6 +607,14 @@ def test_library_warnings_are_one_line_each(command):
     if command == "frame":
         want.append("circlet: warning: frame bounds from a non-plateaued mode band are untrustworthy")
     assert res.stderr.splitlines() == want
+
+
+def test_a_huge_scale_grid_warns_of_the_plateau_alone():
+    # (a tan u)^2 overflows to inf on purpose at the largest scales: r = 0 is its limit, not a fault
+    res = run(["admissibility", "--builtin", "dog:2", "--scale-max", "1e200", "--scale-count", "40"])
+    assert res.returncode == 2
+    assert res.stderr.splitlines() == ["circlet: warning: mode integrals have not plateaued by |n| = 64; "
+                                       "truncation of the mode sum is unsafe"]
 
 
 def test_line_cwt_gaussian_rejected(tmp_path):

@@ -93,7 +93,7 @@ def test_default_n_max_follows_grid():
     psi = CircleSignal(CircleGrid(128), np.cos(2 * CircleGrid(128).nodes))
     assert fourier_coeffs(psi).n_max == 32
     assert analyze(psi, make_dog(2.0, grid=psi.grid), scales=ScaleGrid(0.5, 2.0, 3)).n_max == 32
-    assert dilated_coeffs(make_dog(2.0, grid=psi.grid), ScaleGrid(0.5, 2.0, 3)).shape == (65, 3)
+    assert dilated_coeffs(make_dog(2.0, grid=psi.grid), ScaleGrid(0.5, 2.0, 3)).shape == (3, 65)
 
 
 def test_fourier_coeffs_caps_n_max():
@@ -133,12 +133,12 @@ def test_dilated_coeffs_match_acted_signal(dog):
     for j, a in enumerate(sc.nodes):
         acted = rep_action(dog, float(a), 0.0)
         literal = fourier_coeffs(acted, 16)
-        assert np.max(np.abs(via_substitution[:, j] - literal.values)) < 1e-10
+        assert np.max(np.abs(via_substitution[j] - literal.values)) < 1e-10
 
 
 def test_dilated_coeffs_identity_scale(dog):
     sc = ScaleGrid(0.999999, 1.000001, 3)
-    mid = dilated_coeffs(dog, sc, 8)[:, 1]
+    mid = dilated_coeffs(dog, sc, 8)[1]
     plain = fourier_coeffs(dog, 8)
     assert np.max(np.abs(mid - plain.values)) < 1e-5
 
@@ -382,7 +382,7 @@ def test_analyze_values_are_the_mode_sum_made_on_first_read(dog):
     scal = analyze(psi, dog, scales=scales, n_max=32)
     assert "values" not in vars(scal)
     # the eager analysis: the mode sum of conj(c_n(a)) psi_n, bit for bit
-    want = cwt._mode_sum(np.conj(dilated_coeffs(dog, scales, 32).T) * fourier_coeffs(psi, 32).values, GRID)
+    want = cwt._mode_sum(np.conj(dilated_coeffs(dog, scales, 32)) * fourier_coeffs(psi, 32).values, GRID)
     assert scal.values.tobytes() == want.tobytes()
     assert scal.values is scal.values
     with pytest.raises(ValueError, match="read-only"):
@@ -475,17 +475,17 @@ def test_lambda_sequence_caps_n_max(dog):
 def loop_dilated_coeffs(gamma, scales, n_max):
     u = gamma.grid.nodes
     n = gamma.grid.n_samples
-    out = np.empty((2 * n_max + 1, scales.count), dtype=complex)
+    out = np.empty((scales.count, 2 * n_max + 1), dtype=complex)
     for j, a in enumerate(scales.nodes):
         p = ((np.sqrt(np.pi) / n) * np.sqrt(multiplier(a, u)) * gamma.values).astype(complex)
         z = np.exp(-2j * dilate_angle(u, a))
-        out[n_max, j] = p.sum()
+        out[j, n_max] = p.sum()
         q = p.copy()
         for m in range(1, n_max + 1):
             p = p * z
-            out[n_max + m, j] = p.sum()
+            out[j, n_max + m] = p.sum()
             q = q * np.conj(z)
-            out[n_max - m, j] = q.sum()
+            out[j, n_max - m] = q.sum()
     return out
 
 
@@ -501,7 +501,7 @@ def loop_analyze(psi, gamma, scales, n_max, angles):
     cg = loop_dilated_coeffs(gamma, scales, n_max)
     out = np.zeros((scales.count, angles.n_samples), dtype=complex)
     for idx, n in enumerate(ph.ns):
-        out += np.outer(np.conj(cg[idx]) * ph.values[idx], np.exp(2j * n * angles.nodes))
+        out += np.outer(np.conj(cg[:, idx]) * ph.values[idx], np.exp(2j * n * angles.nodes))
     return out
 
 
@@ -514,7 +514,7 @@ def loop_synthesize(scal, gamma, report, mode_floor=MODE_FLOOR):
         if lam <= mode_floor * report.sup_lambda:
             continue
         inner = scal.angles.spacing * (scal.values @ np.exp(-2j * m * scal.angles.nodes))
-        psi_hat[idx] = scal.scales.integrate_da_over_a2(cg[idx] * inner) / (np.pi * lam)
+        psi_hat[idx] = scal.scales.integrate_da_over_a2(cg[:, idx] * inner) / (np.pi * lam)
     return loop_mode_synthesis(scal.angles, FourierCoeffs(n_max, psi_hat))
 
 
@@ -585,7 +585,7 @@ def test_dilated_coeffs_obey_the_generator_equation(dog, kind):
     # The grid stops at a = 10: above a ~ 12.7 the 1024-point grid no longer resolves the kernel, which
     # varies on a width ~1/a around u = 0, and the table fails the equation by O(1) (ROADMAP item 11).
     scales = ScaleGrid(0.1, 10.0, 401)
-    c = dilated_coeffs(oracle_wavelet(dog, kind), scales, 64)
+    c = dilated_coeffs(oracle_wavelet(dog, kind), scales, 64).T  # (modes, scales)
     deriv = (c[1:-1, :-4] - 8 * c[1:-1, 1:-3] + 8 * c[1:-1, 3:-1] - c[1:-1, 4:]) / (12 * scales.spacing)
     m = np.arange(-63, 64)[:, None]
     rhs = 0.5 * ((m + 0.5) * c[2:, 2:-2] - (m - 0.5) * c[:-2, 2:-2])
@@ -660,7 +660,7 @@ def test_dilated_coeffs_memo_follows_content(dog):
     assert rel_gap(edited, loop_dilated_coeffs(gamma, sc, 8)) <= 1e-13
     for scales, n_max in ((ScaleGrid(0.5, 3.0, 5), 8), (ScaleGrid(0.5, 2.0, 6), 8), (sc, 9)):
         fresh = dilated_coeffs(gamma, scales, n_max)
-        assert fresh.shape == (2 * n_max + 1, scales.count)
+        assert fresh.shape == (scales.count, 2 * n_max + 1)
         assert np.array_equal(fresh, cold_dilated_coeffs(gamma, scales, n_max))
         assert rel_gap(fresh, loop_dilated_coeffs(gamma, scales, n_max)) <= 1e-13
 
@@ -736,19 +736,20 @@ def test_report_carries_its_table(dog):
         warnings.simplefilter("ignore", RuntimeWarning)
         report = lambda_sequence(dog, scales, n_max=16)
     assert report.table is dilated_coeffs(dog, scales, 16)
-    assert not report.table.flags.writeable
-    # a (2 n_max + 1, count) view of a C-contiguous (count, 2 n_max + 1) table: a scale's modes are one row
-    assert report.table.shape == (33, 50)
-    assert report.table.T.flags.c_contiguous and not report.table.T.flags.writeable
+    # a C-contiguous (count, 2 n_max + 1) table: a scale's modes are one row
+    assert report.table.shape == (50, 33)
+    assert report.table.flags.c_contiguous and not report.table.flags.writeable
 
 
 @pytest.mark.parametrize("n_max", [8, 32])
 def test_synthesize_with_the_reports_table_is_bitwise(dog, dog_report, n_max):
-    # the report's middle rows are the table dilated_coeffs builds, bit for bit
+    # the report's middle columns are the table dilated_coeffs builds, bit for bit
     scal = analyze(two_mode_signal(), dog, n_max=n_max)
     rec = synthesize(scal, dog, dog_report)
-    bare = synthesize(scal, dog, dataclasses.replace(dog_report, table=None))
-    assert rec.values.tobytes() == bare.values.tobytes()
+    band = slice(dog_report.n_max - n_max, dog_report.n_max + n_max + 1)
+    built = dataclasses.replace(dog_report, n_max=n_max, lambdas=dog_report.lambdas[band],
+                                table=dilated_coeffs(dog, dog_report.scales, n_max))
+    assert rec.values.tobytes() == synthesize(scal, dog, built).values.tobytes()
 
 
 def test_synthesize_on_another_grid_builds_its_table(dog, dog_report):
@@ -757,8 +758,7 @@ def test_synthesize_on_another_grid_builds_its_table(dog, dog_report):
     scal = analyze(two_mode_signal(), dog, scales=scales, n_max=16)
     wrong = np.ones_like(dog_report.table)
     rec = synthesize(scal, dog, dataclasses.replace(dog_report, table=wrong))
-    bare = synthesize(scal, dog, dataclasses.replace(dog_report, table=None))
-    assert rec.values.tobytes() == bare.values.tobytes()
+    assert rec.values.tobytes() == synthesize(scal, dog, dog_report).values.tobytes()
 
 
 def reanalysis_by_analyze(scal, gamma, rec):

@@ -115,9 +115,10 @@ def test_finite_gates_keep_finite_values(entry):
     (lambda: laplace_kernel(SPEC, math.nan, 1.0), "half-plane point needs Re(w) > 0, got (nan+0j)"),
     (lambda: smooth_bump(math.inf), "halfwidth must be positive and finite, got inf"),
     (lambda: ScaleGrid(1e-3, math.inf, 4), "need 0 < a_min < a_max < inf, got [0.001, inf]"),
+    (lambda: ScaleGrid(1e-3, 1e306, 40), "a_max / a_min overflows, got [0.001, 1e+306]"),  # an inf spacing
     (lambda: LogGrid(1e-3, math.inf, 9), "need 0 < a_min < a_max < inf, got [0.001, inf]"),
 ], ids=["multiplier", "dilate_angle", "GroupElement", "AffineElement", "halfplane_basis",
-        "laplace_kernel", "smooth_bump", "ScaleGrid", "LogGrid"])
+        "laplace_kernel", "smooth_bump", "ScaleGrid", "ScaleGrid-ratio", "LogGrid"])
 def test_non_finite_holes_are_refused(call, says):
     with pytest.raises(ValueError) as err:
         call()

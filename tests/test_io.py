@@ -219,13 +219,13 @@ def test_report_keeps_complex_weak_integral(tmp_path):
     assert report.weak_integral.imag > 1e-3 and not report.weak_ok
     path = tmp_path / "report.json"
     write_report(path, report)
-    assert json.loads(path.read_text())["schema"] == "circlet/report-v1"
+    assert json.loads(path.read_text())["schema"] == "circlet/report-v2"
     back = read_report(path)
     assert np.array([back.weak_integral]).tobytes() == np.array([report.weak_integral]).tobytes()
     assert back.weak_ok is False
 
 
-@pytest.mark.parametrize("schema", [None, "circlet/report-v0"])
+@pytest.mark.parametrize("schema", [None, "circlet/report-v0", "circlet/report-v1"])
 def test_report_of_another_schema_refused(tmp_path, schema):
     path = tmp_path / "report.json"
     write_report(path, lambda_sequence(make_dog(2.0), n_max=8))
@@ -235,7 +235,7 @@ def test_report_of_another_schema_refused(tmp_path, schema):
     else:
         obj["schema"] = schema
     path.write_text(json.dumps(obj))
-    with pytest.raises(FormatError, match=r"circlet/report-v1.*rerun `circlet admissibility"):
+    with pytest.raises(FormatError, match=r"expected circlet/report-v2; rerun `circlet admissibility"):
         read_report(path)
 
 
@@ -437,7 +437,7 @@ def test_scalogram_payload_field_refusal_names_the_header(tmp_path, patch, says)
 
 
 @pytest.mark.parametrize("patch, says", [
-    ({"shape": [18, 400]}, "header shape [18, 400] does not match the grids [17, 400]"),
+    ({"shape": [18, 400]}, "header shape [18, 400] does not match the grids [400, 17]"),
     PAYLOAD_FIELD_CASES[1],
 ])
 def test_report_table_field_refusal_names_the_report(tmp_path, patch, says):
@@ -488,6 +488,7 @@ def test_scalogram_payload_must_be_a_bare_name(tmp_path, payload):
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+bounded_complex = st.complex_numbers(max_magnitude=1e6)
 
 
 @st.composite
@@ -545,15 +546,19 @@ VERDICT_FLAGS = ("weak_ok", "small_scale_converged", "plateau_ok", "admissible")
 def reports(draw):
     n_max = draw(st.integers(0, 6))
     a_min, factor = draw(scale_grids)
+    scales = ScaleGrid(a_min, a_min * factor, draw(st.integers(2, 500)))
+    table = draw(arrays(complex, (scales.count, 2 * n_max + 1), elements=bounded_complex))
+    table.flags.writeable = False
     flags = {key: draw(st.booleans()) for key in VERDICT_FLAGS}
     return AdmissibilityReport(
         n_max=n_max,
-        lambdas=draw(arrays(float, 2 * n_max + 1, elements=finite_floats)),
+        lambdas=mode_integrals(table, scales),
         weak_integral=complex(draw(finite_floats)),
-        scales=ScaleGrid(a_min, a_min * factor, draw(st.integers(2, 500))),
+        scales=scales,
         tail_lo=draw(finite_floats),
         tail_hi=draw(finite_floats),
         wavelet_fingerprint=draw(st.text("0123456789abcdef", min_size=64, max_size=64)),
+        table=table,
         **flags,
     )
 
@@ -586,7 +591,7 @@ def _pristine_header(kind: str, tmp: Path) -> tuple[Path, Path]:
         write_signal(tmp / "x.csv", cls(grid, np.cos(grid.nodes).astype(complex)))
         return tmp / "x.csv", tmp / "x.meta.json"
     if kind == "report":
-        table = np.ones((5, 4), dtype=complex)
+        table = np.ones((4, 5), dtype=complex)
         write_report(tmp / "x.json", AdmissibilityReport(
             n_max=2, lambdas=mode_integrals(table, scales), weak_integral=0j, scales=scales, tail_lo=0.0,
             tail_hi=0.0, wavelet_fingerprint="0" * 64, weak_ok=True, small_scale_converged=True,
@@ -764,8 +769,8 @@ def _table_report():
 def test_report_writes_and_reads_its_table(tmp_path):
     report = _table_report()
     buf = io.BytesIO()
-    # the file holds the C-order (2 n_max + 1, count) table, whatever order the table is stored in
-    np.save(buf, np.ascontiguousarray(report.table), allow_pickle=False)
+    # the file holds the (count, 2 n_max + 1) table as np.save writes it
+    np.save(buf, report.table, allow_pickle=False)
     digest = hashlib.sha256(buf.getvalue()).hexdigest()
     payload = f"table-{digest[:16]}.npy"
     # named by content: a second report of the same table shares the payload
@@ -775,12 +780,12 @@ def test_report_writes_and_reads_its_table(tmp_path):
     assert (tmp_path / payload).read_bytes() == buf.getvalue()
     assert (tmp_path / "r.json").read_bytes() == (tmp_path / "s.json").read_bytes()
     obj = json.loads((tmp_path / "r.json").read_text())
-    assert obj["table"] == {"payload": payload, "dtype": "<c16", "shape": [17, 400], "sha256": digest}
+    assert obj["table"] == {"payload": payload, "dtype": "<c16", "shape": [400, 17], "sha256": digest}
     back = read_report(tmp_path / "r.json")
     assert back.table.tobytes() == report.table.tobytes()
     assert back.lambdas.tobytes() == report.lambdas.tobytes()
-    assert not back.table.flags.writeable
-    assert back.table.T.flags.c_contiguous and not back.table.T.flags.writeable  # stored scales-major
+    assert back.table.flags.c_contiguous and not back.table.flags.writeable
+    assert not back.table.flags.owndata  # a view of the bytes read, not a copy
 
 
 def test_rewritten_report_keeps_a_good_payload_and_mends_a_bad_one(tmp_path):
@@ -811,16 +816,14 @@ def test_rewritten_report_leaves_its_previous_table_in_place(tmp_path):
     assert back.table.tobytes() == report.table.tobytes()
 
 
-def test_report_without_a_table_still_reads(tmp_path):
-    # an older report has no table object and no payload
-    report = _table_report()
-    write_report(tmp_path / "r.json", report)
+def test_report_without_a_table_refused(tmp_path):
+    # every report carries its table: one without the table object and its payload is malformed
+    write_report(tmp_path / "r.json", _table_report())
     obj = json.loads((tmp_path / "r.json").read_text())
     (tmp_path / obj.pop("table")["payload"]).unlink()
     (tmp_path / "r.json").write_text(json.dumps(obj))
-    back = read_report(tmp_path / "r.json")
-    assert back.table is None
-    assert back.lambdas.tobytes() == report.lambdas.tobytes()
+    with pytest.raises(FormatError, match=r"^malformed report .*: 'table'$"):
+        read_report(tmp_path / "r.json")
 
 
 @pytest.mark.parametrize("bad", [

@@ -280,10 +280,14 @@ def test_float_scalogram_synthesizes_as_its_complex_copy(gamma):
     gamma = gamma()
     adm = line_admissibility(gamma)
     scal = line_analyze(band_signal(), mexican_hat(), LineScaleGrid(1e-2, 1e2, 200))
-    copy = LineScalogram(scal.scales, GRID, scal.values.astype(complex))
-    assert (scal.values.dtype, copy.values.dtype) == (np.float64, np.complex128)
     rec = line_synthesize(scal, gamma, adm).values
-    assert rec.tobytes() == line_synthesize(copy, gamma, adm).values.tobytes()
+    # reading the values does not change how the held spectra reconstruct
+    floats = LineScalogram(scal.scales, GRID, scal.values)
+    assert line_synthesize(scal, gamma, adm).values.tobytes() == rec.tobytes()
+    copy = LineScalogram(scal.scales, GRID, scal.values.astype(complex))
+    assert (floats.values.dtype, copy.values.dtype) == (np.float64, np.complex128)
+    want = line_synthesize(copy, gamma, adm).values
+    assert line_synthesize(floats, gamma, adm).values.tobytes() == want.tobytes()
 
 
 def test_log_grid():

@@ -1,4 +1,4 @@
-"""Grid convergence of the circle's coefficient table, column by column, on one source tree.
+"""Grid convergence of the circle's coefficient table, scale by scale, on one source tree.
 
     python3 tools/table_convergence.py --src src
     python3 tools/table_convergence.py --src src --wavelet w.csv --scale-count 40
@@ -8,13 +8,16 @@ wavelet (a builtin of `circlet admissibility`, default dog:2, or a signal
 file) on its own grid of N samples and on grids of 4N and 16N samples of
 the same wavelet: a builtin is sampled there through its exact evaluator,
 a file through `trig_interpolate` of its samples.  For each scale it prints
-a and the gap of the N-point column against each refined one, max over n
-of |difference| over max over n of |refined c_n(a)|.  The last line names
+a and the gap of the N-point table's row against each refined one, max
+over n of |difference| over max over n of |refined c_n(a)|.  The last line names
 the first scale whose gap exceeds GAP_TOL against each refinement, or
 "none".  The midpoint sum on N points stops resolving the kernel where it
 varies on a width of about 1/a around u = 0, so on the defaults (dog:2,
 1024 samples, n_max 64, 1e-3..1e3 x 400) that is a = 12.7.  It prints
 only; no verdict depends on it.  Uses only the standard library and numpy.
+`--src` must hold a tree whose `dilated_coeffs` returns the scales-major
+(count, 2 n_max + 1) table, as every tree with the `circlet/report-v2`
+report format does.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ GAP_TOL = 1e-6
 REFINEMENTS = (4, 16)
 
 
-def column_gaps(table: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Per scale, max_n |table - ref| / max_n |ref|, for (2 n_max + 1, count) tables."""
-    return np.max(np.abs(table - ref), axis=0) / np.max(np.abs(ref), axis=0)
+def row_gaps(table: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Per scale, max_n |table - ref| / max_n |ref|, for (count, 2 n_max + 1) tables."""
+    return np.max(np.abs(table - ref), axis=1) / np.max(np.abs(ref), axis=1)
 
 
 def main(argv=None) -> int:
@@ -58,7 +61,7 @@ def main(argv=None) -> int:
         parser.error(f"{args.wavelet} holds no circle signal")
     grid, scales = gamma.grid, ScaleGrid(args.scale_min, args.scale_max, args.scale_count)
     table = dilated_coeffs(gamma, scales)  # the band the wavelet's grid resolves, at most 64
-    n_max = (table.shape[0] - 1) // 2
+    n_max = (table.shape[1] - 1) // 2
 
     def evaluate(theta):
         return gamma.evaluator(theta) if gamma.evaluator is not None else trig_interpolate(grid, gamma.values, theta)
@@ -66,7 +69,7 @@ def main(argv=None) -> int:
     gaps = []
     for k in REFINEMENTS:
         fine = CircleSignal.from_evaluator(CircleGrid(k * grid.n_samples), evaluate)
-        gaps.append(column_gaps(table, dilated_coeffs(fine, scales, n_max)))
+        gaps.append(row_gaps(table, dilated_coeffs(fine, scales, n_max)))
     what = args.wavelet or args.builtin
     print(f"# table_convergence wavelet={what} n_samples={grid.n_samples} n_max={n_max} "
           f"scales={args.scale_min:g}..{args.scale_max:g}x{args.scale_count} src={args.src}")
