@@ -6,14 +6,11 @@ computed per scale as a mode sum: in the orthonormal basis
 e^{2 i n theta}/sqrt(pi) the acted wavelet has coefficients
 e^{-2 i n vartheta} c_n(a), where c_n(a) is the coefficient of the purely
 dilated wavelet.  Every weight is diagonal on the modes, so a scalogram
-is held as its band's modes, a small (scales x modes) array: analyze
-computes conj(c_n(a)) psi_n, and synthesize contracts it with c_m(a) and
-the ln a quadrature weights over a by one kernel, then divides by L_m.
-The angle samples of analyze's scalogram, or of one read from a file that
-holds its modes, are made on their first read, by one unscaled inverse FFT
-per scale (all scales batched); a scalogram built from angle samples (read
-from a file that holds them, or by hand) makes its modes on theirs, by one
-FFT pass.
+is its band's modes, a small (scales x modes) array, and holds nothing
+else: analyze computes conj(c_n(a)) psi_n, and synthesize contracts it
+with c_m(a) and the ln a quadrature weights over a by one kernel, then
+divides by L_m.  Its angle samples are made on their first read, by one
+unscaled inverse FFT per scale (all scales batched).
 
 One band rule, 1 <= n_max <= N/4 (`_check_n_max`), holds wherever a mode
 band meets a grid of N points: the wavelet's, the signal's and a
@@ -47,8 +44,7 @@ another grid it builds its own.
 The reconstruction's self check, the relative l2 distance between the
 scalogram and the analysis of the reconstruction, is taken in mode space:
 by Parseval over the angle grid, the scalogram's modes give both the
-in-band misfit and the energy the band cannot represent, with what a
-scalogram built from angle samples kept outside its own band.
+misfit in the band of synthesis and the energy beyond it.
 
 Reports and scalograms are stamped with the fingerprint of the wavelet
 they were computed for, and reconstruction refuses a mismatch.
@@ -77,7 +73,7 @@ PLATEAU_SPREAD_TOL = 5e-2
 
 TABLE_BLOCK = 32  # scales per vectorised block of the dilated-coefficient kernel
 TABLE_MEMO_SIZE = 4  # dilated-coefficient tables kept for reuse
-SPECTRUM_BLOCK = 32  # scalogram rows per block of a row FFT pass, of synthesis and of the self check's sums
+SPECTRUM_BLOCK = 32  # scalogram rows per block of synthesis and of the self check's sums
 
 
 @dataclass(frozen=True)
@@ -138,6 +134,7 @@ class FourierCoeffs:
     values: np.ndarray  # index 0 is n = -n_max
 
     def __post_init__(self):
+        _check_band_type(self.n_max)
         count = 2 * self.n_max + 1
         _store_values(self, (count,), lambda got: f"expected {count} coefficients, got {got}")
 
@@ -160,6 +157,13 @@ def wavelet_fingerprint(gamma: CircleSignal) -> str:
     stays theirs.
     """
     return gamma.fingerprint
+
+
+def _check_band_type(n_max) -> None:
+    """Refuse a held band n_max that is not an integer >= 0: a bool, a float, None (which _check_n_max
+    reads as the default band) or a negative one."""
+    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 0:
+        raise ValueError(f"n_max must be an integer, got {n_max!r}")
 
 
 def _check_n_max(n_samples: int, n_max: int | None) -> int:
@@ -479,66 +483,36 @@ def make_dog(
 
 @dataclass(frozen=True, eq=False)
 class Scalogram(_Lazy):
-    """Wavelet coefficients W(vartheta, a) on an angle x scale grid.
+    """Wavelet coefficients W(vartheta, a) on an angle x scale grid, held as their band's modes.
 
-    values[j, i] is the coefficient at scale nodes[j], angle nodes[i];
-    scales ascend, and n_max keeps the one band rule on the angle grid.
-    modes[j, n + n_max] is row j's coefficient of e^{2 i n theta}.  held is
-    "modes" or "values", the one of them the scalogram was built from, and
-    the one a file holds: the scalogram of analyze, or of a file holding
-    modes, makes values on their first read, any other its modes, read-only
-    either way; values edited after the modes are made are not seen.
+    modes[j, n + n_max] is the coefficient of e^{2 i n theta} in row j, the
+    row at scale nodes[j]; scales ascend, and n_max keeps the one band rule
+    on the angle grid.  values[j, i], the coefficient at scale nodes[j],
+    angle nodes[i], is made from the modes on its first read, read-only;
+    modes edited after that are not seen.  A caller holding angle samples
+    gives their band's modes.
     """
 
     scales: ScaleGrid
     angles: CircleGrid
-    values: np.ndarray = field(repr=False)  # a repr makes no values
+    modes: np.ndarray = field(repr=False)  # index 0 is n = -n_max
     n_max: int
     wavelet_fingerprint: str  # of the wavelet analyzed against
 
     def __post_init__(self):
-        # _check_n_max reads None as the default band; a scalogram holds its band
-        if not isinstance(self.n_max, (int, np.integer)):
-            raise ValueError(f"n_max must be an integer, got {self.n_max!r}")
+        _check_band_type(self.n_max)
         _check_n_max(self.angles.n_samples, self.n_max)
-        name, width = ("modes", 2 * self.n_max + 1) if "modes" in self.__dict__ else ("values", self.angles.n_samples)
-        self.__dict__["held"] = name
-        shape = (self.scales.count, width)
-        _store_values(self, shape, lambda got: f"{name} shape {got} does not match {shape}", name=name)
-
-    @classmethod
-    def _from_modes(cls, scales: ScaleGrid, angles: CircleGrid, modes: np.ndarray, n_max: int, fingerprint: str):
-        """The scalogram held as its modes, checked when built as one built from values is."""
-        scal = object.__new__(cls)
-        scal.__dict__.update(scales=scales, angles=angles, n_max=n_max, wavelet_fingerprint=fingerprint,
-                             modes=modes, _outside=0.0)
-        scal.__post_init__()
-        return scal
+        shape = (self.scales.count, 2 * self.n_max + 1)
+        _store_values(self, shape, lambda got: f"modes shape {got} does not match {shape}", name="modes")
 
     def _make_values(self) -> np.ndarray:
         values = _mode_sum(self.modes, self.angles)
         values.flags.writeable = False
         return values
 
-    def _make_modes(self) -> np.ndarray:
-        # bin n mod N of a row's FFT is N e^{2 i n theta_0} modes[n]; the bins between hold what they cannot
-        n, n_max, values = self.angles.n_samples, self.n_max, self.values
-        modes, outside = np.empty((self.scales.count, 2 * n_max + 1), dtype=complex), np.empty(self.scales.count)
-        unphase = np.conj(_grid_phase(n_max, self.angles)) / n
-        buf = np.empty((min(SPECTRUM_BLOCK, len(values)), n), dtype=complex)  # no spectrum of all rows is held
-        for lo in range(0, len(values), SPECTRUM_BLOCK):
-            block = values[lo:lo + SPECTRUM_BLOCK]
-            rows, spectrum = slice(lo, lo + len(block)), np.fft.fft(block, axis=1, out=buf[:len(block)])
-            modes[rows] = np.concatenate((spectrum[:, n - n_max:], spectrum[:, :n_max + 1]), axis=1) * unphase
-            outside[rows] = np.sum(np.abs(spectrum[:, n_max + 1:n - n_max]) ** 2, axis=1) / n
-        modes.flags.writeable = False
-        self.__dict__["_outside"] = outside  # kept before the modes are, so a reader of modes finds it
-        return modes
-
     def energy(self) -> float:
-        """Double quadrature of |W|^2 against dvartheta da/a^2, by Parseval over the angles."""
-        ang = np.pi * np.sum(np.abs(self.modes) ** 2, axis=1) + self.angles.spacing * self._outside
-        return float(self.scales.integrate_da_over_a2(ang))
+        """Double quadrature of |W|^2 against dvartheta da/a^2; by Parseval, pi sum_n |W_n|^2 per scale."""
+        return float(self.scales.integrate_da_over_a2(np.pi * np.sum(np.abs(self.modes) ** 2, axis=1)))
 
 
 def analyze(
@@ -561,7 +535,7 @@ def analyze(
     modes = np.tile(np.conj(ph.values), (scales.count, 1))
     np.conjugate(np.multiply(table, modes, out=modes), out=modes)
     modes.flags.writeable = False
-    return Scalogram._from_modes(scales, angles, modes, ph.n_max, wavelet_fingerprint(gamma))
+    return Scalogram(scales, angles, modes, ph.n_max, wavelet_fingerprint(gamma))
 
 
 def _synthesis_table(
@@ -633,12 +607,11 @@ def reanalysis_error(
 
     rec is the reconstruction synthesize returns, whose modes lie in the
     band of synthesis.  By Parseval over the N angles, per scale:
-        sum_k |W'(k) - W(k)|^2 = N sum_n |W'_n - W_n|^2 + (W outside its band),
+        sum_k |W'(k) - W(k)|^2 = N sum_n |W'_n - W_n|^2,
     W_n the scalogram's modes and W'_n = conj(c_n(a)) rec_n in the band of
-    synthesis, 0 beyond it: the modes give the in-band misfit, and the modes
-    beyond the band add to what W holds outside its own.  c_n(a) comes from
-    the same source as in synthesize, and a zero scalogram reads 0.0 for a
-    zero rec and inf for any other.
+    synthesis, 0 beyond it: the misfit in that band, plus the scalogram's
+    modes beyond it.  c_n(a) comes from the same source as in synthesize,
+    and a zero scalogram reads 0.0 for a zero rec and inf for any other.
     """
     n_max, cg, _ = _synthesis_table(scalogram, gamma, report)
     angles = scalogram.angles
@@ -646,8 +619,8 @@ def reanalysis_error(
         raise ValueError(f"rec has {rec.grid.n_samples} samples, the scalogram {angles.n_samples} angles")
     rec_n = fourier_coeffs(rec, n_max).values
     held, inner = scalogram.modes, slice(scalogram.n_max - n_max, scalogram.n_max + n_max + 1)
-    # what the band cannot hold is summed apart, not taken as a difference of totals
-    misfit_energy, in_band, out_of_band = 0.0, 0.0, float(np.sum(scalogram._outside)) / angles.n_samples
+    # what the band of synthesis cannot hold is summed apart, not taken as a difference of totals
+    misfit_energy, in_band, out_of_band = 0.0, 0.0, 0.0
     buf = np.empty((min(SPECTRUM_BLOCK, len(held)), 2 * n_max + 1), dtype=complex)
     for lo in range(0, len(held), SPECTRUM_BLOCK):
         block = held[lo:lo + SPECTRUM_BLOCK]

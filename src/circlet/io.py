@@ -10,25 +10,22 @@ required `table` object in the JSON names and checks it as a scalogram
 header does.  The reader also refuses a table whose mode integrals miss the
 report's lambdas by more than TABLE_MATCH_TOL of the largest.
 
-A scalogram (`circlet/scalogram-v3`) is a JSON header `<stem>.json` plus a
+A scalogram (`circlet/scalogram-v4`) is a JSON header `<stem>.json` plus a
 binary payload `<stem>.npy`: an array as little-endian complex128
 (`<c16`), byte for byte what `np.save` writes without pickling, but
 written and hashed a block of rows at a time: straight from the array's
 memory, each converted in turn (float64), or made from a line scalogram's
-spectra.  A line scalogram's payload is its (scales, positions) values.  A
-circle scalogram's is what it was built from, named by the header's `held`
-field: "modes", the (scales, 2 n_max + 1) band of analyze's scalogram, or
-"values", the (scales, n_angles) samples of one built from them, kept bit
-for bit with whatever they hold outside the band.  A mode-held file still
-records n_angles, the grid its band-limited modes are sampled on when its
-values are read; any grid the band rule admits will do.
+spectra.  A line scalogram's payload is its (scales, positions) values, a
+circle scalogram's its (scales, 2 n_max + 1) modes.  A circle file also
+records n_angles, the grid its modes are sampled on when its values are
+read; any grid the band rule admits will do.
 The header holds the grids, the payload's file name, dtype, shape and
-sha256, and for a circle scalogram the band, `held` and the wavelet
-fingerprint.  One payload writer and one reader serve scalograms and
-report tables.  The reader refuses a payload name that is not a bare file
-name beside the header, then checks the digest, and the payload's dtype
-and shape against the header and the grids; a circle header's band is
-checked against its angles first.  The array it returns is a view of the
+sha256, and for a circle scalogram the band and the wavelet fingerprint.
+One payload writer and one reader serve scalograms and report tables.
+The reader refuses a payload name that is not a bare file name beside
+the header, then checks the digest, and the payload's dtype and shape
+against the header and the grids; a circle header's band is checked
+against its angles first.  The array it returns is a view of the
 one buffer the file was read into.
 
 Every reader passes its sidecar, report or header through one gate,
@@ -60,10 +57,9 @@ from .errors import FormatError
 from .line import LineGrid, LineScalogram, LineSignal
 
 SIGNAL_SCHEMA = "circlet/signal-v1"
-SCALOGRAM_SCHEMA = "circlet/scalogram-v3"
+SCALOGRAM_SCHEMA = "circlet/scalogram-v4"
 REPORT_SCHEMA = "circlet/report-v2"
 PAYLOAD_DTYPE = "<c16"
-HELD = frozenset({"modes", "values"})  # what a circle scalogram's payload holds
 
 KIND_CIRCLE = "circle-midpoint"
 KIND_LINE = "line-uniform"
@@ -175,15 +171,10 @@ def _header(path: Path, schema: str, rerun: str, what: str):
 
 def _field(obj, key, kind):
     """obj[key] if a JSON value of kind, else a ValueError: int is never a bool or a float such as
-    400.0, float any finite number but a bool, a tuple of kinds a list of exactly such values, and a
-    frozenset of strings one of them."""
+    400.0, float any finite number but a bool, and a tuple of kinds a list of exactly such values."""
     value = obj[key]
     if isinstance(kind, tuple) and isinstance(value, list) and len(value) == len(kind):
         return tuple(_field({key: v}, key, k) for v, k in zip(value, kind))
-    if isinstance(kind, frozenset):
-        if type(value) is str and value in kind:
-            return value
-        raise ValueError(f"field {key!r} must be one of {sorted(kind)}, got {value!r}")
     if kind is float and type(value) in (int, float) and np.isfinite(float(value)):
         return float(value)
     if kind is not float and type(value) is kind:
@@ -341,12 +332,10 @@ def write_scalogram(stem, scal: Scalogram | LineScalogram):
     """Write the payload <stem>.npy, then the header <stem>.json."""
     stem = Path(stem)
     if isinstance(scal, Scalogram):
-        kind, data = "circle", getattr(scal, scal.held)
-        shape, rows = data.shape, data.__getitem__
+        kind, shape, rows = "circle", scal.modes.shape, scal.modes.__getitem__
         extra = {
             "n_angles": int(scal.angles.n_samples),
             "n_max": int(scal.n_max),
-            "held": scal.held,
             "wavelet_fingerprint": scal.wavelet_fingerprint,
         }
     else:
@@ -436,14 +425,11 @@ def read_scalogram(stem) -> Scalogram | LineScalogram:
                            _field(meta, "scale_count", int))
         if meta["kind"] == "circle":
             angles, n_max = CircleGrid(_field(meta, "n_angles", int)), _field(meta, "n_max", int)
-            fingerprint, held = _field(meta, "wavelet_fingerprint", str), _field(meta, "held", HELD)
+            fingerprint = _field(meta, "wavelet_fingerprint", str)
             _check_n_max(angles.n_samples, n_max)
-            if held == "values":
-                values = _read_payload(stem, meta, (scales.count, angles.n_samples))
-                return Scalogram(scales, angles, values, n_max=n_max, wavelet_fingerprint=fingerprint)
             modes = _read_payload(stem, meta, (scales.count, 2 * n_max + 1))
             modes.flags.writeable = False
-            return Scalogram._from_modes(scales, angles, modes, n_max, fingerprint)
+            return Scalogram(scales, angles, modes, n_max, fingerprint)
         if meta["kind"] == "line":
             grid = LineGrid(*_field(meta, "window", (float, float)), _field(meta, "n_samples", int))
             return LineScalogram(scales=scales, grid=grid,

@@ -36,10 +36,14 @@ def band_signal(grid):
     return CircleSignal.from_evaluator(grid, lambda t: np.cos(2 * t) + 0.5 * np.sin(4 * t))
 
 
+def zero_modes(n_max):
+    return np.zeros((SCALES.count, 2 * n_max + 1))
+
+
 def patched_scalogram(n_max, where):
     """A scalogram written with the band N/4, its header's n_max then set to
     n_max: the payload's sha256 does not cover it."""
-    write_scalogram(where / "scal", Scalogram(SCALES, GRID, np.zeros((SCALES.count, N)), TOP, FINGERPRINT))
+    write_scalogram(where / "scal", Scalogram(SCALES, GRID, zero_modes(TOP), TOP, FINGERPRINT))
     header = where / "scal.json"
     header.write_text(json.dumps({**json.loads(header.read_text()), "n_max": n_max}))
     return read_scalogram(where / "scal")
@@ -54,7 +58,7 @@ ENTRIES = {
     "analyze[angles]": lambda n_max: analyze(band_signal(FINE), make_dog(2.0, grid=FINE), SCALES, n_max,
                                              angles=GRID),
     "mode_synthesis": lambda n_max: mode_synthesis(GRID, FourierCoeffs(n_max, np.ones(2 * n_max + 1))),
-    "Scalogram": lambda n_max: Scalogram(SCALES, GRID, np.zeros((SCALES.count, N)), n_max, FINGERPRINT),
+    "Scalogram": lambda n_max: Scalogram(SCALES, GRID, zero_modes(n_max), n_max, FINGERPRINT),
 }
 
 REFUSALS = [(0, "n_max must be at least 1, got 0"), (TOP + 1, f"n_max {TOP + 1} exceeds n_samples/4 = {TOP}")]
@@ -75,16 +79,25 @@ def test_read_scalogram_refuses_the_band_by_its_header(tmp_path, n_max, says):
     assert str(err.value) == f"malformed scalogram {tmp_path / 'scal.json'}: {says}"
 
 
-@pytest.mark.parametrize("n_max", [None, 3.5, 2.0, "2"])
-def test_scalogram_refuses_a_band_that_is_not_an_integer(n_max):
-    # the band rule reads None as its default; synthesize would fail later with a TypeError
+# the two holders of a band; the band rule reads None as its default, and a float band
+# would fail later, in synthesize with a TypeError or in mode_synthesis inside numpy;
+# a bool or a negative band is no band either
+BAND_HOLDERS = {
+    "Scalogram": lambda n_max: Scalogram(SCALES, GRID, zero_modes(TOP), n_max, FINGERPRINT),
+    "FourierCoeffs": lambda n_max: FourierCoeffs(n_max, np.zeros(2 * TOP + 1)),
+}
+
+
+@pytest.mark.parametrize("holder", sorted(BAND_HOLDERS))
+@pytest.mark.parametrize("n_max", [None, 3.5, 2.0, "2", True, -1])
+def test_scalogram_refuses_a_band_that_is_not_an_integer(holder, n_max):
     with pytest.raises(ValueError) as err:
-        Scalogram(SCALES, GRID, np.zeros((SCALES.count, N)), n_max, FINGERPRINT)
+        BAND_HOLDERS[holder](n_max)
     assert str(err.value) == f"n_max must be an integer, got {n_max!r}"
 
 
 def test_scalogram_accepts_a_numpy_integer_band():
-    assert Scalogram(SCALES, GRID, np.zeros((SCALES.count, N)), np.int64(TOP), FINGERPRINT).n_max == TOP
+    assert Scalogram(SCALES, GRID, zero_modes(TOP), np.int64(TOP), FINGERPRINT).n_max == TOP
 
 
 def test_band_rule_accepts_a_quarter_of_the_grid(tmp_path):

@@ -389,15 +389,6 @@ def test_analyze_values_are_the_mode_sum_made_on_first_read(dog):
         scal.values[0, 0] = 0.0
 
 
-def test_value_built_scalogram_takes_its_modes_on_first_read(dog):
-    scal = analyze(two_mode_signal(), dog, n_max=32)
-    copy = dataclasses.replace(scal, values=np.array(scal.values))
-    assert "modes" not in vars(copy)
-    assert np.max(np.abs(copy.modes - scal.modes)) <= 1e-14 * np.max(np.abs(scal.modes))
-    assert not copy.modes.flags.writeable
-    assert copy.modes is copy.modes
-
-
 def test_analyze_refuses_angles_too_coarse_for_the_band_at_the_call(dog):
     with pytest.raises(ValueError, match="n_max 32 exceeds n_samples/4 = 16"):
         analyze(two_mode_signal(), dog, scales=ScaleGrid(1e-2, 1e2, 40), n_max=32, angles=CircleGrid(64))
@@ -778,8 +769,8 @@ def test_reanalysis_error_matches_reanalysis(dog, n_angles, scal_n_max, data, lo
     c = rng.normal(size=17) + 1j * rng.normal(size=17)
     psi = CircleSignal(grid, np.exp(2j * np.outer(grid.nodes, np.arange(-8, 9))) @ c)
     scal = analyze(psi, dog, scales=ORACLE_SCALES, n_max=scal_n_max)
-    noise = rng.normal(size=scal.values.shape) + 1j * rng.normal(size=scal.values.shape)
-    noisy = dataclasses.replace(scal, values=scal.values + 10.0**log_noise * np.abs(scal.values).max() * noise)
+    noise = rng.normal(size=scal.modes.shape) + 1j * rng.normal(size=scal.modes.shape)
+    noisy = dataclasses.replace(scal, modes=scal.modes + 10.0**log_noise * np.abs(scal.modes).max() * noise)
     report_n_max = data.draw(st.integers(1, scal_n_max))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -790,29 +781,15 @@ def test_reanalysis_error_matches_reanalysis(dog, n_angles, scal_n_max, data, lo
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
-@given(n_angles=st.sampled_from([64, 256]), scal_n_max=st.integers(4, 16), data=st.data(),
-       log_outside=st.floats(-8.0, 1.0), seed=st.integers(0, 2**32 - 1))
-def test_value_built_scalogram_counts_its_energy_outside_the_band(dog, n_angles, scal_n_max, data, log_outside, seed):
-    # an analyzed scalogram plus rows of modes beyond its band, up to the grid's Nyquist
+@given(n_angles=st.sampled_from([64, 256]), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_scalogram_energy_is_the_quadrature_of_its_values(n_angles, data, seed):
+    # Parseval over the angles: pi sum_n |W_n|^2 per scale is the angle quadrature of |W|^2
     rng = np.random.default_rng(seed)
-    grid = CircleGrid(n_angles)
-    c = rng.normal(size=9) + 1j * rng.normal(size=9)
-    scal = analyze(CircleSignal(grid, np.exp(2j * np.outer(grid.nodes, np.arange(-4, 5))) @ c), dog,
-                   scales=ORACLE_SCALES, n_max=scal_n_max)
-    ks = np.arange(scal_n_max + 1, n_angles // 2)
-    ks = np.concatenate((-ks, ks))
-    beyond = (rng.normal(size=(ORACLE_SCALES.count, ks.size)) + 1j * rng.normal(size=(ORACLE_SCALES.count, ks.size)))
-    beyond = beyond @ np.exp(2j * np.outer(ks, grid.nodes))
-    values = scal.values + 10.0**log_outside * np.abs(scal.values).max() / np.abs(beyond).max() * beyond
-    built = cwt.Scalogram(ORACLE_SCALES, grid, values, scal_n_max, scal.wavelet_fingerprint)
-    direct = ORACLE_SCALES.integrate_da_over_a2(grid.spacing * np.sum(np.abs(values) ** 2, axis=1))
-    assert built.energy() == pytest.approx(direct, rel=1e-12)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        report = lambda_sequence(dog, ORACLE_SCALES, data.draw(st.integers(1, scal_n_max)))
-    rec = synthesize(built, dog, report)
-    want = reanalysis_by_analyze(built, dog, rec)
-    assert abs(reanalysis_error(built, dog, report, rec) - want) <= 1e-9 * want
+    grid, n_max = CircleGrid(n_angles), data.draw(st.integers(1, n_angles // 4))
+    shape = (ORACLE_SCALES.count, 2 * n_max + 1)
+    scal = cwt.Scalogram(ORACLE_SCALES, grid, rng.normal(size=shape) + 1j * rng.normal(size=shape), n_max, "0" * 64)
+    direct = ORACLE_SCALES.integrate_da_over_a2(grid.spacing * np.sum(np.abs(scal.values) ** 2, axis=1))
+    assert scal.energy() == pytest.approx(direct, rel=1e-12)
 
 
 def test_a_zero_wavelet_has_no_plateau_to_warn_about():

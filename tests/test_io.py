@@ -1,5 +1,6 @@
 """File formats: CSV signals with JSON sidecars, reports, scalograms."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -277,31 +278,38 @@ def test_scalogram_missing_matrix(tmp_path):
 
 
 # any complex128 bit pattern, NaN payloads and signed zeros included
-scalogram_values = st.tuples(st.integers(2, 5), st.integers(2, 8)).flatmap(
-    lambda shape: arrays("<c16", (shape[0], 2 * shape[1]),
-                         elements=st.complex_numbers(allow_nan=True, allow_infinity=True))
-)
+def payload_arrays(rows, cols):
+    return arrays("<c16", (rows, cols), elements=st.complex_numbers(allow_nan=True, allow_infinity=True))
+
+
 scale_grids = st.tuples(st.floats(1e-6, 1.0), st.floats(1.01, 1e6))
 
 
 @st.composite
 def scalograms(draw):
-    values = draw(scalogram_values)
+    count, half = draw(st.integers(2, 5)), draw(st.integers(2, 8))
     a_min, factor = draw(scale_grids)
-    scales = ScaleGrid(a_min, a_min * factor, values.shape[0])
-    n = values.shape[1]
+    scales = ScaleGrid(a_min, a_min * factor, count)
+    n = 2 * half
     if draw(st.booleans()):
+        # a circle scalogram is its band's modes, on angles the band fits
+        n_max = draw(st.integers(1, n // 4))
         fingerprint = draw(st.text("0123456789abcdef", min_size=64, max_size=64))
-        return Scalogram(scales, CircleGrid(n), values, n_max=draw(st.integers(1, n // 4)),
+        return Scalogram(scales, CircleGrid(n), draw(payload_arrays(count, 2 * n_max + 1)), n_max=n_max,
                          wavelet_fingerprint=fingerprint)
     lo, width = draw(st.floats(-100.0, 100.0)), draw(st.floats(1e-3, 100.0))
-    return LineScalogram(scales, LineGrid(lo, lo + width, n), values)
+    return LineScalogram(scales, LineGrid(lo, lo + width, n), draw(payload_arrays(count, n)))
+
+
+def _payload_of(scal):
+    """The array a scalogram's file holds: a circle scalogram's modes, a line scalogram's values."""
+    return scal.modes if isinstance(scal, Scalogram) else scal.values
 
 
 def _same_scalogram(a, b):
     assert type(a) is type(b)
     assert a.scales == b.scales
-    assert a.values.tobytes() == b.values.tobytes()
+    assert _payload_of(a).tobytes() == _payload_of(b).tobytes()
     if isinstance(a, Scalogram):
         assert (a.angles, a.n_max, a.wavelet_fingerprint) == (b.angles, b.n_max, b.wavelet_fingerprint)
     else:
@@ -317,7 +325,7 @@ def test_scalogram_property_round_trip(scal):
         _same_scalogram(read_scalogram(first), scal)
         # the payload is byte for byte what np.save writes
         buf = io.BytesIO()
-        np.save(buf, scal.values.astype("<c16"), allow_pickle=False)
+        np.save(buf, _payload_of(scal).astype("<c16"), allow_pickle=False)
         assert Path(tmp, "a.npy").read_bytes() == buf.getvalue()
         # a second write is byte-identical, header and payload alike
         write_scalogram(second, scal)
@@ -360,7 +368,7 @@ def test_scalogram_corruption_refused(scal, data):
             read_scalogram(stem)
 
         payload.write_bytes(good)
-        rows, cols = scal.values.shape
+        rows, cols = _payload_of(scal).shape
         _rewrite_header(stem, {"shape": data.draw(st.sampled_from(
             [[rows + 1, cols], [rows, cols + 2], [rows * cols], [rows, cols, 1]]))})
         with pytest.raises(FormatError, match="shape"):
@@ -382,11 +390,15 @@ def test_scalogram_v1_header_refused(tmp_path):
         read_scalogram(stem)
 
 
-def test_scalogram_v2_header_refused(tmp_path):
-    # a v2 circle payload held angle samples, with no `held` field to say so
+@pytest.mark.parametrize("patch", [
+    {"schema": "circlet/scalogram-v2"},  # its circle payload held angle samples, with no `held` field to say so
+    {"schema": "circlet/scalogram-v3", "held": "modes"},
+    {"schema": "circlet/scalogram-v3", "held": "values"},  # a payload of angle samples, which v4 never holds
+], ids=["v2", "v3-modes", "v3-values"])
+def test_scalogram_v2_header_refused(tmp_path, patch):
     stem = _small_scalogram(tmp_path)
-    _rewrite_header(stem, {"schema": "circlet/scalogram-v2"})
-    with pytest.raises(FormatError, match=r"circlet/scalogram-v2.*rerun `circlet cwt`"):
+    _rewrite_header(stem, patch)
+    with pytest.raises(FormatError, match=rf"{patch['schema']}.*expected circlet/scalogram-v4; rerun `circlet cwt`"):
         read_scalogram(stem)
 
 
@@ -597,12 +609,11 @@ def _pristine_header(kind: str, tmp: Path) -> tuple[Path, Path]:
             tail_hi=0.0, wavelet_fingerprint="0" * 64, weak_ok=True, small_scale_converged=True,
             plateau_ok=True, admissible=True, table=table))
         return tmp / "x.json", tmp / "x.json"
-    values = np.zeros((4, 8), dtype=complex)
     if kind == "circle scalogram":
-        scal = Scalogram(scales=scales, angles=CircleGrid(8), values=values, n_max=2,
+        scal = Scalogram(scales=scales, angles=CircleGrid(8), modes=np.zeros((4, 5), dtype=complex), n_max=2,
                          wavelet_fingerprint="0" * 64)
     else:
-        scal = LineScalogram(scales=scales, grid=LineGrid(-1.0, 1.0, 8), values=values)
+        scal = LineScalogram(scales=scales, grid=LineGrid(-1.0, 1.0, 8), values=np.zeros((4, 8), dtype=complex))
     write_scalogram(tmp / "x", scal)
     return tmp / "x", tmp / "x.json"
 
@@ -617,7 +628,7 @@ HEADER_KEYS = {
                "wavelet_fingerprint", "truncation", "truncation.a_min", "truncation.a_max",
                "truncation.count", "truncation.tail_lo", "truncation.tail_hi",
                "table", "table.payload", "table.dtype", "table.shape", "table.sha256"],
-    "circle scalogram": SCALOGRAM_KEYS + ["n_angles", "n_max", "held", "wavelet_fingerprint"],
+    "circle scalogram": SCALOGRAM_KEYS + ["n_angles", "n_max", "wavelet_fingerprint"],
     "line scalogram": SCALOGRAM_KEYS + ["window", "n_samples"],
 }
 READERS = {"sidecar": read_signal, "report": read_report, "scalogram": read_scalogram}
@@ -678,7 +689,6 @@ WRONG_TYPED = (
     + _typed_cases(REAL_FIELDS, ["0.5", True, HUGE])
     + _typed_cases({"report": VERDICT_FLAGS}, [1, "true"])
     + _typed_cases({"report": ["wavelet_fingerprint"], "circle scalogram": ["wavelet_fingerprint"]}, [5])
-    + _typed_cases({"circle scalogram": ["held"]}, [5, None, ["modes"], "samples", "Modes"])
     + _typed_cases({"circle sidecar": ["window"], "line sidecar": ["window"], "line scalogram": ["window"]},
                    [[-1.0, 1.0, 2.0]])
 )
@@ -701,15 +711,6 @@ def test_wrong_typed_header_field_is_refused(tmp_path, kind, key, value):
     name = next(part for part in reversed(key.split(".")) if not part.isdigit())
     with pytest.raises(FormatError, match=f"^malformed {kind.split()[-1]} {re.escape(str(header))}: .*'{name}'"):
         READERS[kind.split()[-1]](target)
-
-
-def test_circle_scalogram_without_held_refused(tmp_path):
-    target, header = _pristine_header("circle scalogram", tmp_path)
-    obj = json.loads(header.read_text())
-    del obj["held"]
-    header.write_text(json.dumps(obj))
-    with pytest.raises(FormatError, match=f"^malformed scalogram {re.escape(str(header))}: 'held'$"):
-        read_scalogram(target)
 
 
 def test_undecodable_byte_names_file_and_line(tmp_path):
@@ -845,10 +846,10 @@ def test_report_table_must_match_header_and_lambdas(tmp_path, bad):
 
 
 def test_payload_is_held_in_memory_once(tmp_path):
-    # reading a payload costs its own size, not a second copy of it
+    # reading a payload costs its own size, not a second copy of it: a wide band's ~1 MB of modes
     scales, angles = ScaleGrid(0.5, 2.0, 64), CircleGrid(2048)
-    values = np.ones((scales.count, angles.n_samples), dtype=complex)
-    write_scalogram(tmp_path / "scal", Scalogram(scales, angles, values, n_max=8, wavelet_fingerprint="0" * 64))
+    modes = np.ones((scales.count, 2 * 512 + 1), dtype=complex)
+    write_scalogram(tmp_path / "scal", Scalogram(scales, angles, modes, n_max=512, wavelet_fingerprint="0" * 64))
     size = (tmp_path / "scal.npy").stat().st_size
     tracemalloc.start()
     try:
@@ -856,7 +857,7 @@ def test_payload_is_held_in_memory_once(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(back.values, values)
+    assert np.array_equal(back.modes, modes)
     assert size < peak < 1.25 * size
 
 
@@ -916,8 +917,20 @@ def test_writing_an_analysis_makes_no_angle_samples(tmp_path):
         tracemalloc.stop()
     assert "values" not in scal.__dict__
     assert peak < 0.2 * DEFAULT_VALUES_BYTES
-    assert _header(tmp_path / "scal")["held"] == "modes"
     assert (tmp_path / "scal.npy").stat().st_size == DEFAULT_MODES_PAYLOAD
+
+
+def test_a_replaced_analysis_keeps_its_modes(tmp_path):
+    # dataclasses.replace copies the fields, and the modes are the field: neither
+    # scalogram makes its angle samples, and the copy writes the modes payload
+    gamma, psi, _ = _default_analysis()
+    scal = analyze(psi, gamma)
+    copy = dataclasses.replace(scal, wavelet_fingerprint="f" * 64)
+    assert "values" not in scal.__dict__ and "values" not in copy.__dict__
+    write_scalogram(tmp_path / "copy", copy)
+    assert "values" not in copy.__dict__
+    assert (tmp_path / "copy.npy").stat().st_size == DEFAULT_MODES_PAYLOAD
+    assert read_scalogram(tmp_path / "copy").modes.tobytes() == scal.modes.tobytes()
 
 
 def test_reconstructing_from_a_mode_held_file_makes_no_angle_samples(tmp_path):
@@ -941,7 +954,7 @@ def test_mode_held_round_trip_is_bitwise(tmp_path):
     scal = analyze(circle_two_mode(64), make_dog(2.0), ScaleGrid(0.5, 2.0, 6), n_max=16)
     write_scalogram(tmp_path / "scal", scal)
     back = read_scalogram(tmp_path / "scal")
-    assert (back.held, back.n_max, back.angles, back.scales) == ("modes", 16, CircleGrid(64), scal.scales)
+    assert (back.n_max, back.angles, back.scales) == (16, CircleGrid(64), scal.scales)
     assert back.modes.tobytes() == scal.modes.tobytes()
     assert not back.modes.flags.writeable
     assert back.values.tobytes() == scal.values.tobytes()
